@@ -198,7 +198,7 @@ def empirical_convergence(n: int, k_max: int) -> list[tuple[int, Fraction, Fract
         raise ValueError("k_max must be <= n")
     from . import stats
 
-    dist = stats.dist_recurrence(n)
+    [dist] = stats.dist_recurrence(range(n, n + 1))
     return [
         (k, Fraction(dist.count(k), dist.total), Fraction(k, 2 ** (k + 1)))
         for k in range(1, k_max + 1)

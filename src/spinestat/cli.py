@@ -12,13 +12,12 @@ import csv
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import __version__, asymptotics, stats, trees
+from . import __version__, stats, trees
 from .errors import CapExceeded
 from .series import catalan
-from .stats import render_decimal
+from .stats import render_decimal, render_int
 from .trees import DEFAULT_CAP
 
 EXIT_OK = 0
@@ -26,17 +25,8 @@ EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
 
-METHODS = ("exhaustive", "recurrence", "series", "closed")
+METHODS = tuple(stats.ROUTES)
 FORMATS = ("text", "csv", "json")
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    n: int
-    k: int
-    count: int
-    fraction: str
-    limit: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,81 +37,82 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _text(value) -> str:
+    """Report text of a value; ints of any length go through render_int."""
+    if isinstance(value, int):
+        return render_int(value)
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return render_int(value.numerator)
+        return f"{render_int(value.numerator)}/{render_int(value.denominator)}"
+    return value
+
+
+def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
+    """Write a report in `fmt`; every command with --format ends here.
+
+    `text` is the text format's opening, and `line` a template that renders
+    one row as a further text line.  `meta` holds the json document's fields
+    ahead of the version.  A table report names its `columns`, the keys of
+    each row; its csv form puts the document's n in front of every row, and
+    its json form ends with the rows.  A report without columns has no csv
+    form and prints its text instead.  Ints and Fractions are rendered by
+    `_text`, so no size of number meets str()'s digit limit.
+    """
+    if fmt == "json":
+        doc = {**meta, "version": __version__}
+        if columns is not None:
+            doc["rows"] = rows
+        json.dump(doc, out, indent=2)
+        out.write("\n")
+    elif fmt == "csv" and columns is not None:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["n", *columns])
+        for row in rows:
+            writer.writerow([_text(meta["n"]), *(_text(row[c]) for c in columns)])
+    else:
+        print(text, file=out)
+        for row in rows:
+            print(line.format_map({c: _text(v) for c, v in row.items()}), file=out)
+    return EXIT_OK
+
+
 def _limit_str(k: int, places: int) -> str:
     return render_decimal(Fraction(k, 2 ** (k + 1)), places)
 
 
-def _dist_rows(dist: stats.SpineDistribution, places: int) -> list[ReportRow]:
-    return [
-        ReportRow(
-            n=dist.n,
-            k=k,
-            count=c,
-            fraction=render_decimal(Fraction(c, dist.total), places),
-            limit=_limit_str(k, places),
-        )
-        for k, c in enumerate(dist.counts, start=1)
-    ]
-
-
-def _emit_rows(dist, method, fmt, places, out):
-    rows = _dist_rows(dist, places)
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "k", "count", "fraction", "limit"])
-        for r in rows:
-            writer.writerow([r.n, r.k, str(r.count), r.fraction, r.limit])
-    elif fmt == "json":
-        doc = {
-            "n": dist.n,
-            "total": str(dist.total),
-            "method": method,
-            "version": __version__,
-            "rows": [
-                {"k": r.k, "count": str(r.count),
-                 "fraction": r.fraction, "limit": r.limit}
-                for r in rows
-            ],
-        }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    else:
-        print(f"n={dist.n} method={method} total={dist.total}", file=out)
-        if dist.n == 0:
-            print("(size 0: the single external node, no spine segments)", file=out)
-        for r in rows:
-            print(f"{r.count} x {r.k}", file=out)
-
-
-def _compute_dist(n, method, cap):
-    if method == "exhaustive":
-        return stats.dist_exhaustive(n, cap=cap)
-    if method == "recurrence":
-        return stats.dist_recurrence(n)
-    if method == "series":
-        return stats.dist_series(n)
-    return stats.dist_closed_all(n)
-
-
 def cmd_dist(args, out) -> int:
     try:
-        dist = _compute_dist(args.n, args.method, args.cap)
+        [dist] = stats.ROUTES[args.method](range(args.n, args.n + 1), cap=args.cap)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    _emit_rows(dist, args.method, args.format, args.precision, out)
-    return EXIT_OK
+    places, total = args.precision, _text(dist.total)
+    text = f"n={dist.n} method={args.method} total={total}"
+    if dist.n == 0:
+        text += "\n(size 0: the single external node, no spine segments)"
+    rows = [
+        {"k": k, "count": _text(c),
+         "fraction": render_decimal(Fraction(c, dist.total), places),
+         "limit": _limit_str(k, places)}
+        for k, c in enumerate(dist.counts, start=1)
+    ]
+    meta = {"n": dist.n, "total": total, "method": args.method}
+    return _report(out, args.format, text, meta, ("k", "count", "fraction", "limit"),
+                   rows, "{count} x {k}")
 
 
-def _ratio_chain(raw_num: int, raw_den: int, places: int) -> str:
-    # "<raw> = <reduced> = <decimal>", dropping the middle form when the raw
-    # fraction is already reduced.
+def _ratio(args, out, head: dict, raw_num: int, raw_den: int) -> int:
+    # Text is "<raw> = <reduced> = <decimal>", dropping the middle form when
+    # the raw fraction is already reduced.
     value = Fraction(raw_num, raw_den)
-    parts = [f"{raw_num}/{raw_den}"]
+    num, den, decimal = _text(raw_num), _text(raw_den), render_decimal(value, args.precision)
+    parts = [f"{num}/{den}"]
     if (value.numerator, value.denominator) != (raw_num, raw_den):
-        parts.append(str(value))
-    parts.append(render_decimal(value, places))
-    return " = ".join(parts)
+        parts.append(_text(value))
+    meta = {**head, "numerator": num, "denominator": den, "reduced": _text(value),
+            "decimal": decimal}
+    return _report(out, args.format, " = ".join([*parts, decimal]), meta)
 
 
 def cmd_average(args, out) -> int:
@@ -129,50 +120,19 @@ def cmd_average(args, out) -> int:
         print("error: --n must be >= 1 for average", file=sys.stderr)
         return EXIT_USAGE
     n = args.n
-    value = stats.average(n)
     # The raw Catalan-difference numerator has ~0.6*n digits; past a point
     # the equivalent 3n/(n+2) form reads better.
     c = catalan(n)
     if c < 10 ** 18:
-        raw = (catalan(n + 1) - c, c)
-    else:
-        raw = (3 * n, n + 2)
-    if args.format == "json":
-        doc = {
-            "n": n,
-            "numerator": str(raw[0]),
-            "denominator": str(raw[1]),
-            "reduced": str(value),
-            "decimal": render_decimal(value, args.precision),
-            "version": __version__,
-        }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    else:
-        print(_ratio_chain(raw[0], raw[1], args.precision), file=out)
-    return EXIT_OK
+        return _ratio(args, out, {"n": n}, catalan(n + 1) - c, c)
+    return _ratio(args, out, {"n": n}, 3 * n, n + 2)
 
 
 def cmd_limit(args, out) -> int:
     if args.k < 1:
         print("error: --k must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    k = args.k
-    if args.format == "json":
-        value = Fraction(k, 2 ** (k + 1))
-        doc = {
-            "k": k,
-            "numerator": str(k),
-            "denominator": str(2 ** (k + 1)),
-            "reduced": str(value),
-            "decimal": render_decimal(value, args.precision),
-            "version": __version__,
-        }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    else:
-        print(_ratio_chain(k, 2 ** (k + 1), args.precision), file=out)
-    return EXIT_OK
+    return _ratio(args, out, {"k": args.k}, args.k, 2 ** (args.k + 1))
 
 
 def cmd_enumerate(args, out) -> int:
@@ -203,19 +163,19 @@ def _check_bijection(max_n: int, cap: int) -> tuple[str, bool]:
 
 
 def _check_routes(max_n: int, cap: int) -> tuple[str, bool]:
-    rec = stats.dist_recurrence_table(max_n)
-    ser = stats.dist_series_table(max_n)
-    for n in range(max_n + 1):
-        closed = stats.dist_closed_all(n)
-        if not rec[n].counts == ser[n].counts == closed.counts:
+    sizes = range(max_n + 1)
+    rec, ser, closed = (stats.ROUTES[name](sizes) for name in ("recurrence", "series", "closed"))
+    exhaustive = stats.ROUTES["exhaustive"](range(min(max_n, cap) + 1), cap=cap)
+    for n in sizes:
+        if not rec[n].counts == ser[n].counts == closed[n].counts:
             return f"route agreement n={n}", False
-        if n <= cap and stats.dist_exhaustive(n, cap=cap).counts != rec[n].counts:
+        if n < len(exhaustive) and exhaustive[n].counts != rec[n].counts:
             return f"exhaustive agreement n={n}", False
     return f"route agreement (n <= {max_n})", True
 
 
 def _check_identities(max_n: int) -> tuple[str, bool]:
-    for dist in stats.dist_recurrence_table(max_n)[1:]:
+    for dist in stats.ROUTES["recurrence"](range(1, max_n + 1)):
         n = dist.n
         if sum(dist.counts) != catalan(n):
             return f"conservation n={n}", False
@@ -244,7 +204,7 @@ def cmd_sample(args, out) -> int:
         return EXIT_USAGE
     n, places = args.n, args.precision
     observed = Counter(trees.sample_spines(n, args.samples, args.seed))
-    exact = stats.dist_recurrence(n)
+    [exact] = stats.dist_recurrence(range(n, n + 1))
     k_top = max(observed) if observed else 0
     rows = []
     for k in range(1, k_top + 1):
@@ -257,29 +217,11 @@ def cmd_sample(args, out) -> int:
             if k <= n else render_decimal(Fraction(0), places),
             "limit": _limit_str(k, places),
         })
-    if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "k", "observed", "empirical", "exact", "limit"])
-        for r in rows:
-            writer.writerow([n, r["k"], r["observed"], r["empirical"],
-                             r["exact"], r["limit"]])
-    elif args.format == "json":
-        doc = {
-            "n": n,
-            "samples": args.samples,
-            "seed": args.seed,
-            "version": __version__,
-            "rows": rows,
-        }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    else:
-        print(f"n={n} samples={args.samples} seed={args.seed}", file=out)
-        for r in rows:
-            print(f"k={r['k']} observed={r['observed']} "
-                  f"empirical={r['empirical']} exact={r['exact']} "
-                  f"limit={r['limit']}", file=out)
-    return EXIT_OK
+    text = f"n={_text(n)} samples={_text(args.samples)} seed={_text(args.seed)}"
+    meta = {"n": n, "samples": args.samples, "seed": args.seed}
+    return _report(out, args.format, text, meta,
+                   ("k", "observed", "empirical", "exact", "limit"), rows,
+                   "k={k} observed={observed} empirical={empirical} exact={exact} limit={limit}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,6 +282,9 @@ def main(argv=None, out=None) -> int:
         return exc.code if exc.code is not None else EXIT_OK
     if getattr(args, "n", 0) < 0 or getattr(args, "max_n", 0) < 0:
         print("error: sizes must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "precision", 0) < 0:
+        print("error: --precision must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     return args.func(args, out if out is not None else sys.stdout)
 

@@ -2,8 +2,8 @@
 
 Series here are indexed by total node count i (internal + external), so the
 size-n trees sit at index i = 2n+1.  The node-count series N satisfies
-N = z + z*N^2 and is solved by fixed-point iteration; the series of trees
-with exactly k right-spine segments is z^(k+1) * N^k.
+N = z + z*N^2, and its coefficients follow from that equation one at a time;
+the series of trees with exactly k right-spine segments is z^(k+1) * N^k.
 """
 
 from __future__ import annotations
@@ -67,14 +67,16 @@ def catalan(n: int) -> int:
 def node_gf(degree: int) -> PowerSeries:
     """Truncation of the node-count series N, the solution of N = z + z*N^2.
 
-    Fixed point iteration from 0; each round stabilizes at least two more
-    low-order coefficients, so ceil(degree/2)+1 rounds suffice.
+    Comparing coefficients gives N_1 = 1 and N_i = sum_j N_j * N_(i-1-j):
+    each coefficient is a Cauchy-product term of lower ones, so one pass
+    computes them in order.  Even coefficients vanish.
     """
-    z = ps_from([0, 1], degree)
-    n = ps_from([], degree)
-    for _ in range(degree // 2 + 2):
-        n = ps_add(z, ps_shift(ps_mul(n, n, degree - 1), 1, degree), degree)
-    return n
+    c = [0] * (degree + 1)
+    if degree >= 1:
+        c[1] = 1
+    for i in range(3, degree + 1, 2):
+        c[i] = sum(c[j] * c[i - 1 - j] for j in range(1, i - 1, 2))
+    return PowerSeries(tuple(c))
 
 
 def spine_gf(k: int, degree: int) -> PowerSeries:

@@ -1,21 +1,25 @@
 """Right-spine distributions by four independent routes, and exact averages.
 
 S_n^k denotes the number of size-n trees with exactly k segments on the right
-spine.  The four routes:
+spine.  The four routes, registered by name in ROUTES:
 
   * exhaustive  — count over the full enumeration (bounded by the cap),
   * recurrence  — level-to-level suffix sums derived from the growth step,
   * series      — coefficient extraction from z^(k+1) * N(z)^k,
   * closed      — the ballot-number formula S_n^k = k/(2n-k) * C(2n-k, n-k).
 
+Every route takes a range of sizes and returns one SpineDistribution per
+size, in the order of the range.
 All agree wherever defined; the test suite holds them against each other.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import series, trees
 from .errors import DomainError
@@ -39,61 +43,54 @@ def _make(n: int, counts) -> SpineDistribution:
     return SpineDistribution(n=n, counts=tuple(counts), total=catalan(n))
 
 
-def dist_exhaustive(n: int, cap: int = DEFAULT_CAP) -> SpineDistribution:
-    """Distribution by direct enumeration; raises CapExceeded above the cap."""
-    counts = [0] * n
-    for t in trees.enumerate_trees(n, cap=cap):
-        k = trees.spine_segments(t)
-        if k:
-            counts[k - 1] += 1
-    return _make(n, counts)
+def dist_exhaustive(sizes: range, cap: int = DEFAULT_CAP) -> list[SpineDistribution]:
+    """Distributions by direct enumeration; raises CapExceeded above the cap."""
+    dists = []
+    for n in sizes:
+        counts = [0] * n
+        for t in trees.enumerate_trees(n, cap=cap):
+            k = trees.spine_segments(t)
+            if k:
+                counts[k - 1] += 1
+        dists.append(_make(n, counts))
+    return dists
 
 
-def _recurrence_levels(n_max: int) -> list[list[int]]:
+def dist_recurrence(sizes: range) -> list[SpineDistribution]:
+    """Distributions by climbing the levels once up to the largest size,
+    keeping only the current level and the requested ones."""
     # Level n+1 from level n: attaching at spine depth d gives spine d+1,
     # so S_{n+1}^j = sum_{k >= j-1} S_n^k with the j=1 term being the whole
     # level total.  Suffix sums make each level O(n).
-    levels: list[list[int]] = [[]]
-    if n_max >= 1:
-        levels.append([1])
-    for n in range(1, n_max):
-        old = levels[n]
-        suffix = [0] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            suffix[k] = suffix[k + 1] + old[k]
-        levels.append([suffix[0]] + suffix[:n])
-    return levels
+    found = {}
+    level: list[int] = []
+    for n in range(max(sizes, default=-1) + 1):
+        if n == 1:
+            level = [1]
+        elif n > 1:
+            suffix = list(accumulate(reversed(level)))
+            suffix.reverse()
+            level = [suffix[0], *suffix]
+        if n in sizes:
+            found[n] = _make(n, level)
+    return [found[n] for n in sizes]
 
 
-def dist_recurrence(n: int) -> SpineDistribution:
-    return _make(n, _recurrence_levels(n)[n])
-
-
-def dist_recurrence_table(n_max: int) -> list[SpineDistribution]:
-    """Distributions for all n = 0..n_max in one pass."""
-    return [_make(n, level) for n, level in enumerate(_recurrence_levels(n_max))]
-
-
-def dist_series(n: int) -> SpineDistribution:
-    """Distribution from the generating functions z^(k+1) * N^k."""
-    degree = 2 * n + 1
-    counts = [series.spine_gf(k, degree)[degree] for k in range(1, n + 1)]
-    return _make(n, counts)
-
-
-def dist_series_table(n_max: int) -> list[SpineDistribution]:
-    """Series-route distributions for all n = 0..n_max, sharing one
-    computation of the powers of N."""
+def dist_series(sizes: range) -> list[SpineDistribution]:
+    """Distributions from the generating functions z^(k+1) * N^k, sharing
+    one computation of the powers of N across the sizes."""
+    n_max = max(sizes, default=0)
     degree = 2 * n_max + 1
     n_series = series.node_gf(degree)
-    table: list[list[int]] = [[] for _ in range(n_max + 1)]
+    counts: dict[int, list[int]] = {n: [] for n in sizes}
     power = series.ps_from([1], degree)
     for k in range(1, n_max + 1):
         # z^(k+1) * N^k at index 2n+1 is N^k at index 2n-k.
         power = series.ps_mul(power, n_series, degree - k - 1)
-        for n in range(k, n_max + 1):
-            table[n].append(power[2 * n - k])
-    return [_make(n, counts) for n, counts in enumerate(table)]
+        for n, row in counts.items():
+            if n >= k:
+                row.append(power[2 * n - k])
+    return [_make(n, counts[n]) for n in sizes]
 
 
 def dist_closed(n: int, k: int) -> int:
@@ -103,8 +100,20 @@ def dist_closed(n: int, k: int) -> int:
     return k * math.comb(2 * n - k, n - k) // (2 * n - k)
 
 
-def dist_closed_all(n: int) -> SpineDistribution:
-    return _make(n, (dist_closed(n, k) for k in range(1, n + 1)))
+def dist_closed_all(sizes: range) -> list[SpineDistribution]:
+    """Distributions by the ballot formula, for the requested sizes only."""
+    return [_make(n, (dist_closed(n, k) for k in range(1, n + 1))) for n in sizes]
+
+
+# Called as ROUTES[name](sizes, cap=...); the cap only bounds enumeration.
+# Each entry looks its route up by module-level name when called, so a
+# wrapper installed on that name (a profiler, say) sees registry calls too.
+ROUTES = {
+    "exhaustive": lambda sizes, cap=DEFAULT_CAP: dist_exhaustive(sizes, cap),
+    "recurrence": lambda sizes, cap=None: dist_recurrence(sizes),
+    "series": lambda sizes, cap=None: dist_series(sizes),
+    "closed": lambda sizes, cap=None: dist_closed_all(sizes),
+}
 
 
 def weighted_sum(n: int) -> int:
@@ -112,7 +121,7 @@ def weighted_sum(n: int) -> int:
     catalan(n+1) - catalan(n)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    dist = dist_recurrence(n)
+    [dist] = ROUTES["recurrence"](range(n, n + 1))
     return sum(k * c for k, c in enumerate(dist.counts, start=1))
 
 
@@ -132,7 +141,26 @@ def render_decimal(value: Fraction, places: int = 2) -> str:
     q, r = divmod(scaled, den)
     if 2 * r > den or (2 * r == den and q & 1):
         q += 1
-    digits = str(q).rjust(places + 1, "0")
+    digits = render_int(q).rjust(places + 1, "0")
     if places == 0:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def render_int(value: int) -> str:
+    """Decimal digits of an int of any size.
+
+    str() refuses ints longer than sys.get_int_max_str_digits() digits (4300
+    by default).  Larger values are split by a power of ten into halves that
+    are rendered the same way, so no piece reaches the limit and the limit
+    itself stays as it is.
+    """
+    if value < 0:
+        return "-" + render_int(-value)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # A decimal digit takes log2(10) > 3 bits, so this is under the limit.
+    if not limit or value.bit_length() < 3 * limit:
+        return str(value)
+    half = value.bit_length() * 3 // 20  # about half of the digits
+    high, low = divmod(value, 10 ** half)
+    return render_int(high) + render_int(low).rjust(half, "0")

@@ -58,10 +58,10 @@ class _Criterion:
 def test_criterion_1_tables_all_routes():
     with _Criterion(1, "distribution tables n=1..10 by all four routes", 10):
         for n, expected in TABLES.items():
-            assert stats.dist_exhaustive(n).counts == expected
-            assert stats.dist_recurrence(n).counts == expected
-            assert stats.dist_series(n).counts == expected
-            assert stats.dist_closed_all(n).counts == expected
+            assert stats.dist_exhaustive(range(n, n + 1))[0].counts == expected
+            assert stats.dist_recurrence(range(n, n + 1))[0].counts == expected
+            assert stats.dist_series(range(n, n + 1))[0].counts == expected
+            assert stats.dist_closed_all(range(n, n + 1))[0].counts == expected
 
 
 def test_criterion_2_averages_exact():
@@ -95,7 +95,7 @@ def test_criterion_5_moment_sums():
 
 def test_criterion_6_convergence_n1000():
     with _Criterion(6, "spine fractions at n=1000 within 0.01 of limits", 30):
-        dist = stats.dist_recurrence(1000)
+        dist = stats.dist_recurrence(range(1000, 1001))[0]
         for k in range(1, 11):
             gap = Fraction(dist.count(k), dist.total) - Fraction(k, 2 ** (k + 1))
             assert abs(gap) <= Fraction(1, 100)
@@ -118,7 +118,7 @@ def test_criterion_7_construction_bijection():
 
 def test_criterion_8_identity_suite():
     with _Criterion(8, "count and segment-sum identities for n <= 300", 30):
-        for dist in stats.dist_recurrence_table(300)[1:]:
+        for dist in stats.dist_recurrence(range(1, 301)):
             n = dist.n
             assert sum(dist.counts) == catalan(n)
             weighted = sum(k * c for k, c in enumerate(dist.counts, start=1))
@@ -128,12 +128,13 @@ def test_criterion_8_identity_suite():
 def test_criterion_9_oracle_agreement():
     with _Criterion(9, "closed-form oracle vs the other routes, n <= 300", 120):
         # Admission check: ballot formula against exhaustive counts, n <= 9.
+        closed, exhaustive = stats.dist_closed_all(range(10)), stats.dist_exhaustive(range(10))
         for n in range(10):
-            assert stats.dist_closed_all(n).counts == stats.dist_exhaustive(n).counts
-        rec = stats.dist_recurrence_table(300)
-        ser = stats.dist_series_table(300)
+            assert closed[n].counts == exhaustive[n].counts
+        rec = stats.dist_recurrence(range(301))
+        ser = stats.dist_series(range(301))
         for n in range(301):
-            closed = stats.dist_closed_all(n).counts
+            closed = stats.dist_closed_all(range(n, n + 1))[0].counts
             assert closed == rec[n].counts == ser[n].counts
 
 
@@ -141,7 +142,7 @@ def test_criterion_10_sampler():
     with _Criterion(10, "seeded sampler at n=50: frequencies and determinism", 60):
         n, samples, seed = 50, 100000, 42
         observed = Counter(trees.sample_spines(n, samples, seed))
-        exact = stats.dist_recurrence(n)
+        exact = stats.dist_recurrence(range(n, n + 1))[0]
         for k in range(1, 6):
             empirical = Fraction(observed.get(k, 0), samples)
             target = Fraction(exact.count(k), exact.total)

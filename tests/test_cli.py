@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from spinestat.cli import main
+from spinestat.stats import render_int
 
 
 def run_main(*args):
@@ -160,6 +161,41 @@ class TestEnumerate:
     def test_cap_exit_2(self):
         code, _ = run_main("enumerate", "--n", "3", "--cap", "2")
         assert code == 2
+
+
+class TestNegativePrecision:
+    @pytest.mark.parametrize("args", [
+        ("dist", "--n", "4"),
+        ("average", "--n", "4"),
+        ("limit", "--k", "3"),
+        ("sample", "--n", "4", "--samples", "10", "--seed", "1"),
+    ])
+    def test_exit_1_one_line(self, args, capsys):
+        code, out = run_main(*args, "--precision", "-1")
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err == "error: --precision must be >= 0\n"
+
+
+class TestBigIntegers:
+    # render_int itself is checked against an independent digit parser in
+    # test_stats; here the CLI must print exactly its digits.
+    def test_limit_k_100000_json(self):
+        code, out = run_main("limit", "--k", "100000", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["k"] == 100000 and doc["numerator"] == "100000"
+        assert doc["denominator"] == render_int(2**100001)
+        # 100000 = 2^5 * 3125
+        assert doc["reduced"] == "3125/" + render_int(2**99996)
+        assert doc["decimal"] == "0.00"
+
+    def test_limit_past_4300_digits_text(self):
+        code, out = run_main("limit", "--k", "14284")
+        assert code == 0
+        # 14284 = 4 * 3571
+        assert out == (f"14284/{render_int(2**14285)} = "
+                       f"3571/{render_int(2**14283)} = 0.00\n")
 
 
 class TestProcessLevel:

@@ -1,0 +1,136 @@
+"""Golden output: the sha256 of stdout, and the exit code, of fixed command
+lines.
+
+The hashes were recorded before the report path was unified, so they pin the
+CLI's output byte for byte.  A deliberate change of output updates them.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from spinestat.cli import main
+
+# The command lines shown in README.md.
+README = {
+    "dist --n 6 --method recurrence":
+        (0, "4276d7314defc42d9eb85df23552a46ea1c6487b25b0718fe76a4579638b1734"),
+    "dist --n 8 --method closed --format csv":
+        (0, "0e00470bc68882284e28aba78a1e33590ecd394dfc25378fd7a4dcab9d88f09c"),
+    "average --n 10":
+        (0, "1183594c4edd2444c946ae36b238f5bcfe8eabc2464cd1a7677a36dbb0f08265"),
+    "limit --k 2":
+        (0, "8d1a8a2b4bb9acdf8b0f452d81e64450af6de769aace39a4c6ddaa0acedf03b3"),
+    "verify --max-n 9":
+        (0, "4f397ba3de3e2f85bcfd2bcc32afa37c713a5feb32da9f0ccf7aa9a7494be0e3"),
+    "sample --n 50 --samples 100000 --seed 42":
+        (0, "224541a89307cc33c4f37993e461b575b4871a6a2206f16a043bafe5213ccbca"),
+    "enumerate --n 3":
+        (0, "b5b47384ceff2ac68e8dc6119f22916f9d0790ff2af78c3a60c9642d8d30ae85"),
+}
+
+# Each command in each format, at small sizes, plus edge cases.
+SMALL = {
+    "dist --n 7 --method exhaustive --format text":
+        (0, "760a0cff8603e71590bd0e4234ade80b660582ec8191f9c60b727d8b2c4033d6"),
+    "dist --n 0 --method exhaustive --format text":
+        (0, "bb42de08038410f945d280864c2690a29c463a6f065eaa66d8f284bf550fe37b"),
+    "dist --n 7 --method exhaustive --format csv":
+        (0, "b7302e4bbe64019fb36c6f7de21f51e61a91578acddfb77a873ac2d29f0d85ca"),
+    "dist --n 0 --method exhaustive --format csv":
+        (0, "bfc6cde36e9f6cf0f8592d280e7ceefc1ba7dc4a4b69636bc19faad202271326"),
+    "dist --n 7 --method exhaustive --format json":
+        (0, "3ad3cd3b765cd10882d7342e76a05fee8d66470340312b4baedd2f01e6095187"),
+    "dist --n 0 --method exhaustive --format json":
+        (0, "6a80da1d25b87162a387f1f8984d27eb7e3784886085f95dee332b5fdab3cd80"),
+    "dist --n 7 --method recurrence --format text":
+        (0, "8e5c61a0621748c2edce24e0cfd596d84b3d3d64e81643d058e3f7291ff875d5"),
+    "dist --n 0 --method recurrence --format text":
+        (0, "d8efa83410d918f631f31cbe4a8d655e9732676e2f029039fdb027e29c495574"),
+    "dist --n 7 --method recurrence --format csv":
+        (0, "b7302e4bbe64019fb36c6f7de21f51e61a91578acddfb77a873ac2d29f0d85ca"),
+    "dist --n 0 --method recurrence --format csv":
+        (0, "bfc6cde36e9f6cf0f8592d280e7ceefc1ba7dc4a4b69636bc19faad202271326"),
+    "dist --n 7 --method recurrence --format json":
+        (0, "0e2c3a4cb2db78aae63e9c2ed36aff1fb42f1af08b3c2c9765f704ca10852c49"),
+    "dist --n 0 --method recurrence --format json":
+        (0, "6422db134f2cf85e3568a73fe7b556fe00b857a52249f2f2b567d88af249255c"),
+    "dist --n 7 --method series --format text":
+        (0, "eb06f261e3c7a22a8d453ddf34ccc07a927eddc43e2a16afac85a837c74be6f4"),
+    "dist --n 0 --method series --format text":
+        (0, "b5df8dc278af105bdc9b61c59efd99cd7268a8a5592d15b4a4ec6cb66bc2bd8a"),
+    "dist --n 7 --method series --format csv":
+        (0, "b7302e4bbe64019fb36c6f7de21f51e61a91578acddfb77a873ac2d29f0d85ca"),
+    "dist --n 0 --method series --format csv":
+        (0, "bfc6cde36e9f6cf0f8592d280e7ceefc1ba7dc4a4b69636bc19faad202271326"),
+    "dist --n 7 --method series --format json":
+        (0, "28e5b013c6c3aac80076e3face45896becc166b0c7c7af7a372fa2a1aee3450c"),
+    "dist --n 0 --method series --format json":
+        (0, "81d6bfc5734cda91e13780a3d741ecafbaa61f5d7096a0ed297b334071f00c35"),
+    "dist --n 7 --method closed --format text":
+        (0, "3eaa030b7ec2cfdbf3d08a97c1ec626dd7ea85b619635190442b36dfa53e163b"),
+    "dist --n 0 --method closed --format text":
+        (0, "0a1101a38620db73a92d94856d47d3343d958278c5eaa1ad9f6f5e0e0a68baa8"),
+    "dist --n 7 --method closed --format csv":
+        (0, "b7302e4bbe64019fb36c6f7de21f51e61a91578acddfb77a873ac2d29f0d85ca"),
+    "dist --n 0 --method closed --format csv":
+        (0, "bfc6cde36e9f6cf0f8592d280e7ceefc1ba7dc4a4b69636bc19faad202271326"),
+    "dist --n 7 --method closed --format json":
+        (0, "1b61f593d6a8fe7bf17ff7271aee0397ccce380ec6359a805997457032be55fd"),
+    "dist --n 0 --method closed --format json":
+        (0, "b4b8118433d9ea659d9ec325670852f818819e535d200fab44f4ab0e578fcf1f"),
+    "dist --n 5 --format text --precision 0":
+        (0, "a52e758391448a29894261c69d5a6a02ab32e7886cdd7cb910a238b4dbd05d02"),
+    "average --n 10 --format text":
+        (0, "1183594c4edd2444c946ae36b238f5bcfe8eabc2464cd1a7677a36dbb0f08265"),
+    "average --n 40 --format text --precision 5":
+        (0, "cbd62f0ece0f483e84f574d209f8de765d8eca2bc26bfdd48a02ab4179dd04f9"),
+    "limit --k 7 --format text --precision 5":
+        (0, "569d80311186ae731f4f4d7a35921ee878774185430de66ff76727f3dda3fdce"),
+    "sample --n 9 --samples 300 --seed 3 --format text":
+        (0, "233d552198bf15d7ddb9b90625c9bffcabe56afa6d78d4196b9237d12db4a6ca"),
+    "dist --n 5 --format csv --precision 0":
+        (0, "69161b6376d2ac93475c6a7917c19ea2c524e2b0c62714d07962a024377627bc"),
+    "average --n 10 --format csv":
+        (0, "1183594c4edd2444c946ae36b238f5bcfe8eabc2464cd1a7677a36dbb0f08265"),
+    "average --n 40 --format csv --precision 5":
+        (0, "cbd62f0ece0f483e84f574d209f8de765d8eca2bc26bfdd48a02ab4179dd04f9"),
+    "limit --k 7 --format csv --precision 5":
+        (0, "569d80311186ae731f4f4d7a35921ee878774185430de66ff76727f3dda3fdce"),
+    "sample --n 9 --samples 300 --seed 3 --format csv":
+        (0, "5c952b5373b5f62b6192cf5468fbcfadd249321332c1d6e45f101f179fb30ebb"),
+    "dist --n 5 --format json --precision 0":
+        (0, "11a3cdea1555eef6ecb82ad11aecaa41663dc1d8669ff2f3a58606a4827a6abc"),
+    "average --n 10 --format json":
+        (0, "1997aad1d4bee1869ea1bbef1ee4261f48b930109a761818ebff460d7fe596a7"),
+    "average --n 40 --format json --precision 5":
+        (0, "5782ef0e736cb4599623901a77673ee51b58ce1d74a2cb93eb64d96eac6d68be"),
+    "limit --k 7 --format json --precision 5":
+        (0, "0a495fe7d3ce7b0bac21f3728602961b3c749a008f9b34104c2ca586ed06331f"),
+    "sample --n 9 --samples 300 --seed 3 --format json":
+        (0, "2d604d19f6b1a3d9f0c4df37311d31ef233cf0b43c127a3dd579e35ce10d602d"),
+    "verify --max-n 6":
+        (0, "9507ca0bbf479911e39e5bddd36ca9a5a72d167c1edb8546512820ddf64bfc58"),
+    "enumerate --n 4":
+        (0, "da0431a9462b3878c65211d4b210bae984afd82662445bc84488222b7532dbfb"),
+    "average --n 1":
+        (0, "5f688d6b8bc36f9ed4a995a1802851c5aa5d535687e33f34023e089da0edf0f1"),
+    "limit --k 1":
+        (0, "2063e9083cb92713c58ba64bdb8c251033814113f18a98cdfe87fb9cef021cc6"),
+    "dist --n 15 --method exhaustive":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dist --n 5 --method exhaustive --cap 4":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+GOLDEN = {**README, **SMALL}
+
+
+@pytest.mark.parametrize("line", GOLDEN)
+def test_stdout_hash(line):
+    out = io.StringIO()
+    code = main(line.split(), out=out)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert (code, digest) == GOLDEN[line]

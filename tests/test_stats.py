@@ -10,12 +10,28 @@ from spinestat.stats import (
     dist_closed_all,
     dist_exhaustive,
     dist_recurrence,
-    dist_recurrence_table,
     dist_series,
-    dist_series_table,
     render_decimal,
+    render_int,
     weighted_sum,
 )
+
+def parse_digits(text):
+    """int() of a decimal string of any length, 1000 digits at a time, so
+    that no single conversion meets str()/int()'s digit limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def at(route, n):
+    """The distribution of one size by a route that takes a range of sizes."""
+    [dist] = route(range(n, n + 1))
+    return dist
+
 
 # The distribution tables for n = 1..10: counts of trees with k = 1..n
 # right-spine segments.
@@ -50,43 +66,43 @@ AVERAGES = {
 class TestDistExhaustive:
     @pytest.mark.parametrize("n", [1, 6, 10])
     def test_tables(self, n):
-        assert list(dist_exhaustive(n).counts) == TABLES[n]
+        assert list(at(dist_exhaustive, n).counts) == TABLES[n]
 
     def test_size_zero(self):
-        d = dist_exhaustive(0)
+        d = at(dist_exhaustive, 0)
         assert d.counts == () and d.total == 1
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            dist_exhaustive(15)
+            dist_exhaustive(range(15, 16))
 
 
 class TestDistRecurrence:
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_tables(self, n):
-        assert list(dist_recurrence(n).counts) == TABLES[n]
+        assert list(at(dist_recurrence, n).counts) == TABLES[n]
 
     def test_n12_first_entry(self):
-        assert dist_recurrence(12).count(1) == 58786 == catalan(11)
+        assert at(dist_recurrence, 12).count(1) == 58786 == catalan(11)
 
     def test_table_helper_consistent(self):
-        table = dist_recurrence_table(20)
+        table = dist_recurrence(range(21))
         for n in range(21):
-            assert table[n].counts == dist_recurrence(n).counts
+            assert table[n].counts == at(dist_recurrence, n).counts
 
 
 class TestDistSeries:
     @pytest.mark.parametrize("n", [1, 7])
     def test_tables(self, n):
-        assert list(dist_series(n).counts) == TABLES[n]
+        assert list(at(dist_series, n).counts) == TABLES[n]
 
     def test_n9_k6(self):
-        assert dist_series(9).count(6) == 110
+        assert at(dist_series, 9).count(6) == 110
 
     def test_table_helper_consistent(self):
-        table = dist_series_table(15)
+        table = dist_series(range(16))
         for n in range(16):
-            assert table[n].counts == dist_series(n).counts
+            assert table[n].counts == at(dist_series, n).counts
 
 
 class TestDistClosed:
@@ -114,25 +130,25 @@ class TestDistClosed:
 class TestRouteAgreement:
     def test_all_four_routes_small(self):
         for n in range(12):
-            ex = dist_exhaustive(n).counts
-            assert ex == dist_recurrence(n).counts
-            assert ex == dist_series(n).counts
-            assert ex == dist_closed_all(n).counts
+            ex = at(dist_exhaustive, n).counts
+            assert ex == at(dist_recurrence, n).counts
+            assert ex == at(dist_series, n).counts
+            assert ex == at(dist_closed_all, n).counts
 
     def test_three_routes_to_100(self):
-        rec = dist_recurrence_table(100)
-        ser = dist_series_table(100)
+        rec = dist_recurrence(range(101))
+        ser = dist_series(range(101))
         for n in range(101):
-            assert rec[n].counts == ser[n].counts == dist_closed_all(n).counts
+            assert rec[n].counts == ser[n].counts == at(dist_closed_all, n).counts
 
 
 class TestInvariants:
     def test_conservation(self):
-        for dist in dist_recurrence_table(120)[1:]:
+        for dist in dist_recurrence(range(1, 121)):
             assert sum(dist.counts) == catalan(dist.n) == dist.total
 
     def test_monotone_counts(self):
-        for dist in dist_recurrence_table(60)[2:]:
+        for dist in dist_recurrence(range(2, 61)):
             assert dist.counts[0] == dist.counts[1]
             for a, b in zip(dist.counts, dist.counts[1:]):
                 assert a >= b
@@ -193,3 +209,21 @@ class TestRenderDecimal:
     )
     def test_values(self, num, den, places, expected):
         assert render_decimal(Fraction(num, den), places) == expected
+
+
+class TestRenderInt:
+    @pytest.mark.parametrize(
+        "value",
+        [0, 7, -42, 10**4299, -(10**5000), 10**9000 - 1, 10**9000],
+        ids=["0", "7", "-42", "1e4299", "-1e5000", "1e9000-1", "1e9000"],
+    )
+    def test_matches_digits(self, value):
+        text = render_int(value)
+        assert parse_digits(text) == value
+        assert text.lstrip("-")[0] != "0" or value == 0
+
+    def test_about_1e5_digits(self):
+        value = 3**209590  # 100,000 decimal digits
+        text = render_int(value)
+        assert len(text) == 100000
+        assert parse_digits(text) == value
