@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import series
-from .errors import NoRoot
-
-# Bisection stops when the bracket is narrower than this.
-ROOT_TOLERANCE = Fraction(1, 10 ** 12)
-# Give up bracket hunting beyond this abscissa.
-BRACKET_BOUND = 2 ** 20
+from .errors import DomainError, NoRoot
 
 
 @dataclass(frozen=True)
@@ -50,18 +45,6 @@ class Poly:
     def derivative(self) -> Poly:
         return Poly.of(*(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def __sub__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return Poly.of(*(x - y for x, y in zip(a, b)))
-
-    def shift_up(self) -> Poly:
-        """Multiply by x."""
-        if not self.coeffs:
-            return self
-        return Poly((Fraction(0),) + self.coeffs)
-
 
 @dataclass(frozen=True)
 class RationalFn:
@@ -89,39 +72,22 @@ def _exact_sqrt(value: Fraction) -> Fraction | None:
 
 
 def tau(phi: Poly) -> Fraction:
-    """Smallest positive root of phi(x) = x * phi'(x).
+    """Smallest positive root of phi(x) = x * phi'(x), exactly.
 
-    Quadratic phi is solved exactly (the needed case, phi = 1 + x^2, gives
-    tau = 1).  Other polynomials fall back to bisection on exact rationals
-    to within ROOT_TOLERANCE; NoRoot if no sign change is found.
+    For phi = a0 + a1*x + a2*x^2 the linear terms cancel and the equation is
+    a0 - a2*x^2 = 0; the needed case, phi = 1 + x^2, gives tau = 1.  NoRoot
+    if there is no positive root; DomainError for phi of degree above 2 or
+    an irrational root, neither of which has an exact answer here.
     """
-    g = phi - phi.derivative().shift_up()
-    if phi.degree <= 2 and g.degree <= 2:
-        # g = a0 + a1*x + a2*x^2 with a1 = 0 when phi is quadratic.
-        a = list(g.coeffs) + [Fraction(0)] * (3 - len(g.coeffs))
-        if a[2] != 0 and a[1] == 0 and -a[0] / a[2] > 0:
-            root = _exact_sqrt(-a[0] / a[2])
-            if root is not None:
-                return root
-    # Bracket hunt: g(0) = phi(0) > 0, look for the first sign change.
-    lo = Fraction(0)
-    hi = Fraction(1)
-    while g(hi) > 0:
-        lo, hi = hi, hi * 2
-        if hi > BRACKET_BOUND:
-            raise NoRoot("no sign change of phi(x) - x*phi'(x) up to the bound")
-    if g(hi) == 0:
-        return hi
-    while hi - lo > ROOT_TOLERANCE:
-        mid = (lo + hi) / 2
-        v = g(mid)
-        if v == 0:
-            return mid
-        if v > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    if phi.degree > 2:
+        raise DomainError("tau is solved exactly only for phi of degree <= 2")
+    a0, _, a2 = phi.coeffs + (Fraction(0),) * (3 - len(phi.coeffs))
+    if a2 == 0 or a0 / a2 <= 0:
+        raise NoRoot("phi(x) = x*phi'(x) has no positive root")
+    root = _exact_sqrt(a0 / a2)
+    if root is None:
+        raise DomainError("the positive root of phi(x) = x*phi'(x) is irrational")
+    return root
 
 
 def spine_rational(k: int) -> RationalFn:

@@ -26,6 +26,9 @@ EXIT_CAP = 2
 EXIT_VERIFY = 3
 
 METHODS = tuple(stats.ROUTES)
+# verify's enumeration cap: the bijection check climbs to min(max_n, cap-1),
+# so this bound, not --max-n, sets its cost once --max-n passes it.
+VERIFY_CAP = 11
 FORMATS = ("text", "csv", "json")
 
 
@@ -120,10 +123,11 @@ def cmd_average(args, out) -> int:
         print("error: --n must be >= 1 for average", file=sys.stderr)
         return EXIT_USAGE
     n = args.n
-    # The raw Catalan-difference numerator has ~0.6*n digits; past a point
-    # the equivalent 3n/(n+2) form reads better.
-    c = catalan(n)
-    if c < 10 ** 18:
+    # The raw Catalan-difference numerator has ~0.6*n digits; from c_n >= 10^18
+    # on, that is n >= 35 (c_34 < 10^18 <= c_35), the equivalent 3n/(n+2)
+    # form reads better.
+    if n <= 34:
+        c = catalan(n)
         return _ratio(args, out, {"n": n}, catalan(n + 1) - c, c)
     return _ratio(args, out, {"n": n}, 3 * n, n + 2)
 
@@ -145,57 +149,65 @@ def cmd_enumerate(args, out) -> int:
     return EXIT_OK
 
 
-def _check_bijection(max_n: int, cap: int) -> tuple[str, bool]:
+def _check_bijection(max_n: int, cap: int) -> tuple[str, str]:
+    label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
+    if top < 0:
+        return "SKIP", label
+    level = list(trees.enumerate_trees(0, cap=cap))
     for n in range(0, top + 1):
         images = Counter()
-        for t in trees.enumerate_trees(n, cap=cap):
+        for t in level:
             for s in trees.successors(t):
                 images[trees.encode(s)] += 1
-        expected = [trees.encode(u) for u in trees.enumerate_trees(n + 1, cap=cap)]
+        level = list(trees.enumerate_trees(n + 1, cap=cap))
+        expected = [trees.encode(u) for u in level]
         if sorted(images) != sorted(expected) or any(v != 1 for v in images.values()):
-            return f"bijection n={n}", False
-        for u in trees.enumerate_trees(n + 1, cap=cap):
+            return "FAIL", f"bijection n={n}"
+        for u in level:
             p, d = trees.predecessor(u)
             if trees.successors(p)[d] != u:
-                return f"predecessor round trip n={n + 1}", False
-    return f"bijection and predecessor round trip (n <= {top})", True
+                return "FAIL", f"predecessor round trip n={n + 1}"
+    return "PASS", f"{label} (n <= {top})"
 
 
-def _check_routes(max_n: int, cap: int) -> tuple[str, bool]:
+def _check_routes(max_n: int, cap: int) -> tuple[str, str]:
     sizes = range(max_n + 1)
     rec, ser, closed = (stats.ROUTES[name](sizes) for name in ("recurrence", "series", "closed"))
     exhaustive = stats.ROUTES["exhaustive"](range(min(max_n, cap) + 1), cap=cap)
     for n in sizes:
         if not rec[n].counts == ser[n].counts == closed[n].counts:
-            return f"route agreement n={n}", False
+            return "FAIL", f"route agreement n={n}"
         if n < len(exhaustive) and exhaustive[n].counts != rec[n].counts:
-            return f"exhaustive agreement n={n}", False
-    return f"route agreement (n <= {max_n})", True
+            return "FAIL", f"exhaustive agreement n={n}"
+    return "PASS", f"route agreement (n <= {max_n})"
 
 
-def _check_identities(max_n: int) -> tuple[str, bool]:
+def _check_identities(max_n: int) -> tuple[str, str]:
+    label = "conservation and segment-sum identity"
+    if max_n < 1:
+        return "SKIP", label
     for dist in stats.ROUTES["recurrence"](range(1, max_n + 1)):
         n = dist.n
         if sum(dist.counts) != catalan(n):
-            return f"conservation n={n}", False
+            return "FAIL", f"conservation n={n}"
         weighted = sum(k * c for k, c in enumerate(dist.counts, start=1))
         if weighted != catalan(n + 1) - catalan(n):
-            return f"segment-sum identity n={n}", False
-    return f"conservation and segment-sum identity (n <= {max_n})", True
+            return "FAIL", f"segment-sum identity n={n}"
+    return "PASS", f"{label} (n <= {max_n})"
 
 
 def cmd_verify(args, out) -> int:
+    """Print one PASS, FAIL or SKIP line per check; SKIP marks a check that
+    no size fell within, which fails nothing but never reads as PASS."""
     checks = [
         _check_bijection(args.max_n, args.cap),
         _check_routes(args.max_n, args.cap),
         _check_identities(args.max_n),
     ]
-    failed = False
-    for label, ok in checks:
-        print(("PASS" if ok else "FAIL") + f" {label}", file=out)
-        failed |= not ok
-    return EXIT_VERIFY if failed else EXIT_OK
+    for verdict, label in checks:
+        print(f"{verdict} {label}", file=out)
+    return EXIT_VERIFY if any(verdict == "FAIL" for verdict, _ in checks) else EXIT_OK
 
 
 def cmd_sample(args, out) -> int:
@@ -256,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-route and bijection checks")
     p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=VERIFY_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="seeded uniform sampling report")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import CapExceeded, EmptyTree, MalformedCode
@@ -68,29 +67,31 @@ def spine_segments(t: BinaryTree) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
-def _all_trees(n: int) -> tuple[BinaryTree, ...]:
+def _level(smaller: list[tuple[BinaryTree, ...]], n: int) -> Iterator[BinaryTree]:
+    """Trees of size n in canonical order, built from the levels 0..n-1."""
     if n == 0:
-        return (EXTERNAL,)
-    return tuple(
-        BinaryTree(left, right)
-        for i in range(n)
-        for left in _all_trees(i)
-        for right in _all_trees(n - 1 - i)
-    )
+        yield EXTERNAL
+    for i in range(n):
+        for left in smaller[i]:
+            for right in smaller[n - 1 - i]:
+                yield BinaryTree(left, right)
 
 
 def enumerate_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[BinaryTree]:
     """Yield every tree of size n exactly once, in canonical order.
 
     Canonical order: left-subtree size ascending, then recursively the same
-    rule on the left and then the right subtree.
+    rule on the left and then the right subtree.  The smaller levels are
+    built for this call only and released when the generator finishes.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n > cap:
         raise CapExceeded(f"size {n} exceeds the exhaustive cap {cap}")
-    yield from _all_trees(n)
+    smaller: list[tuple[BinaryTree, ...]] = []
+    for m in range(n):
+        smaller.append(tuple(_level(smaller, m)))
+    yield from _level(smaller, n)
 
 
 def successors(t: BinaryTree) -> list[BinaryTree]:

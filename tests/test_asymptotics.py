@@ -12,7 +12,7 @@ from spinestat.asymptotics import (
     substitution_check,
     tau,
 )
-from spinestat.errors import NoRoot
+from spinestat.errors import DomainError, NoRoot
 from spinestat.series import catalan
 
 
@@ -43,10 +43,12 @@ class TestTau:
         # (1+x)^2 = x * 2(1+x) reduces to 1+x = 2x, root 1.
         assert tau(Poly.of(1, 2, 1)) == 1
 
-    def test_bisection_path(self):
-        # phi = 1 + x^3: x = 2^(-... ) root of 1 + x^3 = 3x^3, i.e. x^3 = 1/2.
-        root = tau(Poly.of(1, 0, 0, 1))
-        assert abs(float(root) - 0.5 ** (1 / 3)) < 1e-11
+    def test_no_exact_root_is_domain_error(self):
+        # phi = 1 + x^3 has degree 3; phi = 2 + x^2 has tau = sqrt(2).
+        with pytest.raises(DomainError):
+            tau(Poly.of(1, 0, 0, 1))
+        with pytest.raises(DomainError):
+            tau(Poly.of(2, 0, 1))
 
 
 class TestSpineRational:

@@ -1,12 +1,19 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinestat.cli import main
+from spinestat.cli import FORMATS, METHODS, main
+from spinestat.series import catalan
 from spinestat.stats import render_int
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_main(*args):
@@ -16,8 +23,10 @@ def run_main(*args):
 
 
 def run_subprocess(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "spinestat", *args], capture_output=True, text=True
+        [sys.executable, "-m", "spinestat", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -84,6 +93,18 @@ class TestAverage:
         code, _ = run_main("average", "--n", "0")
         assert code == 1
 
+    def test_catalan_form_up_to_n34(self):
+        # The raw Catalan-difference form is printed while c_n < 10^18.
+        assert catalan(34) < 10 ** 18 <= catalan(35)
+        c34, c35 = catalan(34), catalan(35)
+        assert run_main("average", "--n", "34")[1].startswith(f"{c35 - c34}/{c34} = ")
+        assert run_main("average", "--n", "35")[1] == "105/37 = 2.84\n"
+
+    def test_n1000000(self):
+        code, out = run_main("average", "--n", "1000000")
+        assert code == 0
+        assert out == "3000000/1000002 = 500000/166667 = 3.00\n"
+
 
 class TestLimit:
     def test_k2(self):
@@ -115,9 +136,28 @@ class TestVerify:
         assert all(line.startswith("PASS") for line in lines)
 
     def test_max_n_0_vacuous(self):
+        # The identities start at n=1, so at --max-n 0 they cover nothing.
         code, out = run_main("verify", "--max-n", "0")
         assert code == 0
-        assert all(line.startswith("PASS") for line in out.strip().splitlines())
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS", "PASS", "SKIP"]
+
+    def test_cap_0_skips_bijection(self):
+        code, out = run_main("verify", "--max-n", "3", "--cap", "0")
+        assert code == 0
+        assert out.splitlines() == [
+            "SKIP bijection and predecessor round trip",
+            "PASS route agreement (n <= 3)",
+            "PASS conservation and segment-sum identity (n <= 3)",
+        ]
+
+    def test_default_cap_bounds_bijection(self):
+        code, out = run_main("verify", "--max-n", "12")
+        assert code == 0
+        assert out.splitlines() == [
+            "PASS bijection and predecessor round trip (n <= 10)",
+            "PASS route agreement (n <= 12)",
+            "PASS conservation and segment-sum identity (n <= 12)",
+        ]
 
 
 class TestSample:
@@ -225,3 +265,53 @@ class TestProcessLevel:
             pytest.skip("console script not on PATH")
         assert cp.returncode == 0
         assert cp.stdout.strip() == "28/14 = 2 = 2.00"
+
+
+# Bounded so that every argv runs in milliseconds: exhaustive sizes stay at
+# most 7 and every other size at most 30.
+_BAD_TOKENS = ["--n", "x", "-1", "3.5", "", "--", "--bogus", "--format", "xml",
+               "--method", "--precision", "--cap", "--seed", "frobnicate"]
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), values.map(str))
+
+
+@st.composite
+def _argv(draw):
+    small, sizes = st.integers(-2, 7), st.integers(-2, 30)
+    precision = _flag("--precision", st.integers(-2, 12))
+    fmt = _flag("--format", st.sampled_from(FORMATS))
+    command = draw(st.sampled_from(
+        ["dist", "average", "limit", "verify", "sample", "enumerate"]))
+    if command == "dist":
+        method = draw(st.sampled_from(METHODS))
+        flags = [_flag("--method", st.just(method)), _flag("--cap", small), fmt, precision,
+                 _flag("--n", small if method == "exhaustive" else sizes)]
+    elif command == "average":
+        flags = [_flag("--n", sizes), fmt, precision]
+    elif command == "limit":
+        flags = [_flag("--k", st.integers(-2, 5000)), fmt, precision]
+    elif command == "verify":
+        flags = [_flag("--max-n", small), _flag("--cap", small)]
+    elif command == "sample":
+        flags = [_flag("--n", sizes), _flag("--samples", st.integers(-1, 50)),
+                 _flag("--seed", st.integers(-10**6, 10**6)), fmt, precision]
+    else:
+        flags = [_flag("--n", small), _flag("--cap", small)]
+    argv = [command]
+    for flag in flags:
+        # A required flag is left out now and then, for the usage errors.
+        if draw(st.integers(0, 9)):
+            argv.extend(draw(flag))
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_BAD_TOKENS)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_argv_fuzz(argv):
+    first = run_main(*argv)
+    assert first[0] in (0, 1, 2, 3)
+    assert run_main(*argv) == first

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from spinestat import (
     spine_segments,
     successors,
 )
+from spinestat import trees
 from spinestat.trees import internal, sample_spines
 
 SIZE_ONE = internal(EXTERNAL, EXTERNAL)
@@ -84,6 +86,17 @@ class TestEnumerate:
             list(enumerate_trees(15))
         with pytest.raises(CapExceeded):
             list(enumerate_trees(3, cap=2))
+
+    def test_keeps_nothing_after_return(self):
+        # A process-wide cache of levels would still hold the c_9 trees here.
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in enumerate_trees(9)) == catalan(9)
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, trees.__file__)])
+        finally:
+            tracemalloc.stop()
+        assert sum(stat.size for stat in held.statistics("filename")) < 10_000
 
     def test_canonical_order_is_by_left_subtree_size(self):
         for n in range(2, 7):
