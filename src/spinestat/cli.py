@@ -216,8 +216,9 @@ def cmd_sample(args, out) -> int:
         return EXIT_USAGE
     n, places = args.n, args.precision
     observed = Counter(trees.sample_spines(n, args.samples, args.seed))
-    [exact] = stats.dist_recurrence(range(n, n + 1))
     k_top = max(observed) if observed else 0
+    # Only the printed rows of the exact column, by the ballot formula.
+    total = catalan(n)
     rows = []
     for k in range(1, k_top + 1):
         count = observed.get(k, 0)
@@ -225,7 +226,7 @@ def cmd_sample(args, out) -> int:
             "k": k,
             "observed": count,
             "empirical": render_decimal(Fraction(count, args.samples), places),
-            "exact": render_decimal(Fraction(exact.count(k), exact.total), places)
+            "exact": render_decimal(Fraction(stats.dist_closed(n, k), total), places)
             if k <= n else render_decimal(Fraction(0), places),
             "limit": _limit_str(k, places),
         })

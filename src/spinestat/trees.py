@@ -212,15 +212,6 @@ def _tree_from_arrays(left: list[int], right: list[int], root: int) -> BinaryTre
     return built[root]
 
 
-def _spine_from_arrays(left: list[int], right: list[int], root: int) -> int:
-    count = 0
-    v = root
-    while left[v] >= 0:
-        count += 1
-        v = right[v]
-    return count
-
-
 def sample_uniform(n: int, seed: int) -> BinaryTree:
     """A uniformly random tree of size n; deterministic for a fixed seed."""
     rng = random.Random(seed)
@@ -229,7 +220,35 @@ def sample_uniform(n: int, seed: int) -> BinaryTree:
 
 def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
     """Spine segment counts of `samples` uniform size-n trees from one seeded
-    generator.  Skips building tree objects, so large runs stay cheap."""
-    rng = random.Random(seed)
+    generator: the same values as `samples` successive `_grow_random(n, rng)`
+    calls on `random.Random(seed)`, without building the trees.
+
+    Only the right spine of the growth is followed, as the list of node ids
+    from the root to the terminal leaf.  Step k grafts node m = 2k+1 (and
+    its new leaf m+1) at a uniform node v < m.  If v is at spine index i,
+    side 1 cuts the spine to spine[:i] + [m, m+1] and side 0 inserts m
+    before v; a v off the spine leaves the spine as it is.
+
+    randrange(m) and randrange(2) are replayed with getrandbits and the same
+    rejection loop (Random._randbelow_with_getrandbits draws m.bit_length()
+    bits until the value is below m), which skips randrange's Python-level
+    argument handling but consumes the generator identically.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    steps = [(m, m.bit_length()) for m in range(1, 2 * n, 2)]
     for _ in range(samples):
-        yield _spine_from_arrays(*_grow_random(n, rng))
+        spine = [0]
+        for m, width in steps:
+            v = getrandbits(width)
+            while v >= m:
+                v = getrandbits(width)
+            side = getrandbits(2)
+            while side > 1:
+                side = getrandbits(2)
+            if v in spine:
+                i = spine.index(v)
+                if side:
+                    spine[i:] = (m, m + 1)
+                else:
+                    spine.insert(i, m)
+        yield len(spine) - 1

@@ -110,6 +110,14 @@ SMALL = {
         (0, "0a495fe7d3ce7b0bac21f3728602961b3c749a008f9b34104c2ca586ed06331f"),
     "sample --n 9 --samples 300 --seed 3 --format json":
         (0, "2d604d19f6b1a3d9f0c4df37311d31ef233cf0b43c127a3dd579e35ce10d602d"),
+    # Sampler edges of the bit width of randrange(2k+1): no steps, one step
+    # of width 1 and one of width 2, and the last step past 2^10.
+    "sample --n 0 --samples 3 --seed 1":
+        (0, "0e914612db280cdb03875f53d751a5e92982498f4241fc085040cfba6d54749e"),
+    "sample --n 2 --samples 50 --seed 0 --format csv":
+        (0, "388b0da43ede25e61c06e15c34d47c1d67b448c451bcb8ca5eeba09c5f37a074"),
+    "sample --n 513 --samples 200 --seed 5 --format json":
+        (0, "a3f68c4dad249ea705b572e2b7979146e31de3448af16058fe607ec8e6cbb6c6"),
     "verify --max-n 6":
         (0, "9507ca0bbf479911e39e5bddd36ca9a5a72d167c1edb8546512820ddf64bfc58"),
     "enumerate --n 4":

@@ -214,9 +214,52 @@ class TestSampler:
         for count in freq.values():
             assert abs(count / n_samples - 1 / 14) < 0.02
 
-    def test_spine_stream_matches_tree_sampler(self):
-        spines = list(sample_spines(12, 1, 77))
-        assert spines == [spine_segments(sample_uniform(12, 77))]
+    # 2k+1 crosses a power of two between n and n+1 at n = 1, 2, 4, 8, 16, 512,
+    # where the bit width of randrange(2k+1) grows by one.
+    @pytest.mark.parametrize("seed", [77, 0, 2 ** 64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 12, 16, 17, 512, 513])
+    def test_spine_stream_matches_tree_sampler(self, n, seed):
+        # Draw for draw: successive tree growths on one generator give the
+        # same spines as the spine-only stream with that seed.
+        import random
+
+        from spinestat.trees import _grow_random, _tree_from_arrays
+
+        samples = 20 if n > 100 else 50
+        rng = random.Random(seed)
+        expected = [spine_segments(_tree_from_arrays(*_grow_random(n, rng)))
+                    for _ in range(samples)]
+        assert list(sample_spines(n, samples, seed)) == expected
+        assert expected[0] == spine_segments(sample_uniform(n, seed))
+
+    def test_spine_chain_law_is_exact(self):
+        # The spine-length chain that sample_spines follows, pushed forward in
+        # exact arithmetic: at step k there are 2k+1 nodes; each of the s+1
+        # spine nodes of a length-s spine is hit with probability 1/(2k+1),
+        # and its side is 1 or 0 with probability 1/2 each.  Side 1 at spine
+        # index i leaves length i+1, side 0 leaves s+1, and a miss leaves s.
+        from fractions import Fraction
+
+        from spinestat.stats import dist_closed
+
+        law = {0: Fraction(1)}
+        for n in range(31):
+            if n == 0:
+                expected = {0: Fraction(1)}
+            else:
+                expected = {k: Fraction(dist_closed(n, k), catalan(n))
+                            for k in range(1, n + 1)}
+            assert law == expected, n
+            m = 2 * n + 1
+            step = Counter()
+            for s, p in law.items():
+                hit = p / m
+                for i in range(s + 1):
+                    step[i + 1] += hit / 2
+                    step[s + 1] += hit / 2
+                if m > s + 1:
+                    step[s] += p * (m - s - 1) / m
+            law = dict(step)
 
 
 @given(st.integers(1, 40), st.integers(0, 2 ** 64 - 1))
