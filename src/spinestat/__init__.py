@@ -31,6 +31,7 @@ from .trees import (
     BinaryTree,
     decode,
     encode,
+    enumerate_codes,
     enumerate_trees,
     predecessor,
     sample_uniform,
@@ -58,6 +59,7 @@ __all__ = [
     "dist_recurrence",
     "dist_series",
     "encode",
+    "enumerate_codes",
     "enumerate_trees",
     "limit_fraction",
     "moment_sums",

@@ -141,8 +141,8 @@ def cmd_limit(args, out) -> int:
 
 def cmd_enumerate(args, out) -> int:
     try:
-        for t in trees.enumerate_trees(args.n, cap=args.cap):
-            print(trees.encode(t), file=out)
+        for code in trees.enumerate_codes(args.n, cap=args.cap):
+            print(code, file=out)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -150,25 +150,49 @@ def cmd_enumerate(args, out) -> int:
 
 
 def _check_bijection(max_n: int, cap: int) -> tuple[str, str]:
+    """Check, for each n up to min(max_n, cap - 1), that the growth step maps
+    the pairs (t, d) of a size-n tree and a spine depth one to one onto the
+    size-(n+1) trees and that predecessor inverts it, in one pass over the
+    images: each image's code is struck from the unseen size-(n+1) codes,
+    none may be left, and predecessor must give back (t, d).
+
+    Given the bijection, predecessor undoing every growth step is the same
+    as successors(p)[d] == u, (p, d) = predecessor(u), for every size-(n+1)
+    tree u, so that verdict keeps the label n+1.  A level's bijection
+    verdict comes before its round trip verdict.
+    """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
     if top < 0:
         return "SKIP", label
-    level = list(trees.enumerate_trees(0, cap=cap))
-    for n in range(0, top + 1):
-        images = Counter()
-        for t in level:
-            for s in trees.successors(t):
-                images[trees.encode(s)] += 1
-        level = list(trees.enumerate_trees(n + 1, cap=cap))
-        expected = [trees.encode(u) for u in level]
-        if sorted(images) != sorted(expected) or any(v != 1 for v in images.values()):
+    for n in range(top + 1):
+        unseen = set(trees.enumerate_codes(n + 1, cap=cap))
+        round_trip = True
+        for t in trees.enumerate_trees(n, cap=cap):
+            for d, s in enumerate(trees.successors(t)):
+                try:
+                    unseen.remove(trees.encode(s))
+                except KeyError:
+                    return "FAIL", f"bijection n={n}"
+                if trees.predecessor(s) != (t, d):
+                    round_trip = False
+        if unseen:
             return "FAIL", f"bijection n={n}"
-        for u in level:
-            p, d = trees.predecessor(u)
-            if trees.successors(p)[d] != u:
-                return "FAIL", f"predecessor round trip n={n + 1}"
+        if not round_trip:
+            return "FAIL", f"predecessor round trip n={n + 1}"
     return "PASS", f"{label} (n <= {top})"
+
+
+def _first_difference(label: str, n: int, counts: dict[str, tuple[int, ...]]) -> str:
+    """The stderr detail of a route FAIL: the first k at which the named
+    routes' counts at size n differ, and each route's count there."""
+    def at(row, k):
+        return _text(row[k - 1]) if k <= len(row) else "none"
+
+    width = max(map(len, counts.values()))
+    k = next(k for k in range(1, width + 1) if len({at(row, k) for row in counts.values()}) > 1)
+    values = " ".join(f"{name}={at(row, k)}" for name, row in counts.items())
+    return f"{label} n={n}: first differing k={k}: {values}"
 
 
 def _check_routes(max_n: int, cap: int) -> tuple[str, str]:
@@ -177,9 +201,16 @@ def _check_routes(max_n: int, cap: int) -> tuple[str, str]:
     exhaustive = stats.ROUTES["exhaustive"](range(min(max_n, cap) + 1), cap=cap)
     for n in sizes:
         if not rec[n].counts == ser[n].counts == closed[n].counts:
-            return "FAIL", f"route agreement n={n}"
-        if n < len(exhaustive) and exhaustive[n].counts != rec[n].counts:
-            return "FAIL", f"exhaustive agreement n={n}"
+            counts = {"recurrence": rec[n].counts, "series": ser[n].counts,
+                      "closed": closed[n].counts}
+            label = "route agreement"
+        elif n < len(exhaustive) and exhaustive[n].counts != rec[n].counts:
+            counts = {"exhaustive": exhaustive[n].counts, "recurrence": rec[n].counts}
+            label = "exhaustive agreement"
+        else:
+            continue
+        print(_first_difference(label, n, counts), file=sys.stderr)
+        return "FAIL", f"{label} n={n}"
     return "PASS", f"route agreement (n <= {max_n})"
 
 

@@ -67,31 +67,46 @@ def spine_segments(t: BinaryTree) -> int:
     return count
 
 
-def _level(smaller: list[tuple[BinaryTree, ...]], n: int) -> Iterator[BinaryTree]:
-    """Trees of size n in canonical order, built from the levels 0..n-1."""
+def _level(smaller: list[tuple], n: int, leaf, join) -> Iterator:
+    """Level n of the fold in canonical order, built from the levels 0..n-1."""
     if n == 0:
-        yield EXTERNAL
+        yield leaf
     for i in range(n):
         for left in smaller[i]:
             for right in smaller[n - 1 - i]:
-                yield BinaryTree(left, right)
+                yield join(left, right)
+
+
+def _fold(n: int, cap: int, leaf, join) -> Iterator:
+    """The trees of size n in canonical order, folded: an external node
+    becomes `leaf` and an internal node `join` of its folded subtrees.
+
+    The levels 0..n-1 are built for this call only and released when the
+    generator finishes; the guards raise at the first next().
+    """
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    if n > cap:
+        raise CapExceeded(f"size {n} exceeds the exhaustive cap {cap}")
+    smaller: list[tuple] = []
+    for m in range(n):
+        smaller.append(tuple(_level(smaller, m, leaf, join)))
+    yield from _level(smaller, n, leaf, join)
 
 
 def enumerate_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[BinaryTree]:
     """Yield every tree of size n exactly once, in canonical order.
 
     Canonical order: left-subtree size ascending, then recursively the same
-    rule on the left and then the right subtree.  The smaller levels are
-    built for this call only and released when the generator finishes.
+    rule on the left and then the right subtree.
     """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"size {n} exceeds the exhaustive cap {cap}")
-    smaller: list[tuple[BinaryTree, ...]] = []
-    for m in range(n):
-        smaller.append(tuple(_level(smaller, m)))
-    yield from _level(smaller, n)
+    yield from _fold(n, cap, EXTERNAL, BinaryTree)
+
+
+def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
+    """Yield encode(t) for every t of enumerate_trees(n, cap), in the same
+    order, without building the trees."""
+    yield from _fold(n, cap, "0", lambda left, right: "1" + left + right)
 
 
 def successors(t: BinaryTree) -> list[BinaryTree]:
@@ -125,15 +140,17 @@ def predecessor(t: BinaryTree) -> tuple[BinaryTree, int]:
 def encode(t: BinaryTree) -> TreeCode:
     """Preorder bit encoding: internal -> '1' + left + right, external -> '0'."""
     bits: list[str] = []
+    append = bits.append
     stack = [t]
+    push, pop = stack.append, stack.pop
     while stack:
-        node = stack.pop()
-        if node.is_external:
-            bits.append("0")
+        node = pop()
+        if node.left is None:
+            append("0")
         else:
-            bits.append("1")
-            stack.append(node.right)
-            stack.append(node.left)
+            append("1")
+            push(node.right)
+            push(node.left)
     return "".join(bits)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinestat import stats, trees
 from spinestat.cli import FORMATS, METHODS, main
 from spinestat.series import catalan
 from spinestat.stats import render_int
@@ -160,6 +161,77 @@ class TestVerify:
         ]
 
 
+_successors, _predecessor = trees.successors, trees.predecessor
+
+
+class TestVerifyFailures:
+    """A broken growth step or inverse gives FAIL and exit 3, never a
+    traceback; a broken route gives one stderr line with the first
+    differing k and each route's count there."""
+
+    def verify(self, capsys, max_n=4):
+        code, out = run_main("verify", "--max-n", str(max_n))
+        return code, out.splitlines()[0], capsys.readouterr().err
+
+    def test_duplicated_image(self, monkeypatch, capsys):
+        monkeypatch.setattr(trees, "successors", lambda t: (
+            _successors(t) + _successors(t)[:1] if trees.size(t) == 2 else _successors(t)))
+        assert self.verify(capsys)[:2] == (3, "FAIL bijection n=2")
+
+    def test_missing_image(self, monkeypatch, capsys):
+        monkeypatch.setattr(trees, "successors", lambda t: (
+            _successors(t)[:-1] if trees.size(t) == 3 else _successors(t)))
+        assert self.verify(capsys)[:2] == (3, "FAIL bijection n=3")
+
+    def test_wrong_predecessor_depth(self, monkeypatch, capsys):
+        # Out of range: successors(p)[99] does not exist.
+        monkeypatch.setattr(trees, "predecessor", lambda t: (_predecessor(t)[0], 99))
+        assert self.verify(capsys, max_n=3)[:2] == (3, "FAIL predecessor round trip n=1")
+
+    def test_wrong_predecessor_tree(self, monkeypatch, capsys):
+        monkeypatch.setattr(trees, "predecessor", lambda t: (
+            (trees.EXTERNAL, _predecessor(t)[1]) if trees.size(t) == 3 else _predecessor(t)))
+        assert self.verify(capsys)[:2] == (3, "FAIL predecessor round trip n=3")
+
+    def test_bijection_verdict_comes_first(self, monkeypatch, capsys):
+        # Both fail at level 2: the images miss one tree, and predecessor
+        # gets the depth wrong on every size-3 tree.
+        monkeypatch.setattr(trees, "successors", lambda t: (
+            _successors(t)[:-1] if trees.size(t) == 2 else _successors(t)))
+        monkeypatch.setattr(trees, "predecessor", lambda t: (
+            (_predecessor(t)[0], 99) if trees.size(t) == 3 else _predecessor(t)))
+        assert self.verify(capsys)[:2] == (3, "FAIL bijection n=2")
+
+    def test_route_disagreement_detail(self, monkeypatch, capsys):
+        dist_series = stats.dist_series
+
+        def perturbed(sizes):
+            return [stats.SpineDistribution(d.n, (d.counts[0], d.counts[1] + 1, *d.counts[2:]),
+                                            d.total) if d.n == 5 else d
+                    for d in dist_series(sizes)]
+
+        monkeypatch.setattr(stats, "dist_series", perturbed)
+        code, out = run_main("verify", "--max-n", "6")
+        assert code == 3
+        assert out.splitlines()[1] == "FAIL route agreement n=5"
+        assert capsys.readouterr().err.splitlines() == [
+            "route agreement n=5: first differing k=2: recurrence=14 series=15 closed=14"]
+
+    def test_exhaustive_disagreement_detail(self, monkeypatch, capsys):
+        dist_exhaustive = stats.dist_exhaustive
+
+        def truncated(sizes, cap):
+            return [stats.SpineDistribution(d.n, d.counts[:-1], d.total) if d.n == 3 else d
+                    for d in dist_exhaustive(sizes, cap)]
+
+        monkeypatch.setattr(stats, "dist_exhaustive", truncated)
+        code, out = run_main("verify", "--max-n", "6")
+        assert code == 3
+        assert out.splitlines()[1] == "FAIL exhaustive agreement n=3"
+        assert capsys.readouterr().err.splitlines() == [
+            "exhaustive agreement n=3: first differing k=3: exhaustive=none recurrence=1"]
+
+
 class TestSample:
     def test_n1_all_mass_on_k1(self):
         code, out = run_main("sample", "--n", "1", "--samples", "10", "--seed", "7")
@@ -268,7 +340,7 @@ class TestProcessLevel:
 
 
 # Bounded so that every argv runs in milliseconds: exhaustive sizes stay at
-# most 7 and every other size at most 30.
+# most 9 and every other size at most 30.
 _BAD_TOKENS = ["--n", "x", "-1", "3.5", "", "--", "--bogus", "--format", "xml",
                "--method", "--precision", "--cap", "--seed", "frobnicate"]
 
@@ -279,7 +351,7 @@ def _flag(name, values):
 
 @st.composite
 def _argv(draw):
-    small, sizes = st.integers(-2, 7), st.integers(-2, 30)
+    small, sizes = st.integers(-2, 9), st.integers(-2, 30)
     precision = _flag("--precision", st.integers(-2, 12))
     fmt = _flag("--format", st.sampled_from(FORMATS))
     command = draw(st.sampled_from(

@@ -30,6 +30,16 @@ README = {
         (0, "b5b47384ceff2ac68e8dc6119f22916f9d0790ff2af78c3a60c9642d8d30ae85"),
 }
 
+# The commands of the benchmark's exhaustive workload.
+EXHAUSTIVE = {
+    "enumerate --n 11":
+        (0, "9ee6381c42fc3f6ac2e4bfbfc8c3cb586c37d7b5ee90a591244080f6e528a0e5"),
+    "dist --n 12 --method exhaustive --format csv":
+        (0, "eccca9b21299bd777d0fa191d353bf1f6fc8272b34f5884841e156ab0eae8fb2"),
+    "verify --max-n 10":
+        (0, "d512d49b92b9bcf8ba0de79473883d96a32d4e9b9727c480f42a06acc9b28b88"),
+}
+
 # Each command in each format, at small sizes, plus edge cases.
 SMALL = {
     "dist --n 7 --method exhaustive --format text":
@@ -133,7 +143,7 @@ SMALL = {
 }
 
 
-GOLDEN = {**README, **SMALL}
+GOLDEN = {**README, **SMALL, **EXHAUSTIVE}
 
 
 @pytest.mark.parametrize("line", GOLDEN)

@@ -14,6 +14,7 @@ from spinestat import (
     catalan,
     decode,
     encode,
+    enumerate_codes,
     enumerate_trees,
     predecessor,
     sample_uniform,
@@ -66,6 +67,18 @@ class TestSpineSegments:
         assert spine_segments(t) == 1
 
 
+def held_after_size_9(enumerate_):
+    """Bytes allocated in trees.py still held after enumerating size 9."""
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in enumerate_(9)) == catalan(9)
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, trees.__file__)])
+    finally:
+        tracemalloc.stop()
+    return sum(stat.size for stat in held.statistics("filename"))
+
+
 class TestEnumerate:
     def test_size_zero(self):
         assert list(enumerate_trees(0)) == [EXTERNAL]
@@ -89,19 +102,32 @@ class TestEnumerate:
 
     def test_keeps_nothing_after_return(self):
         # A process-wide cache of levels would still hold the c_9 trees here.
-        tracemalloc.start()
-        try:
-            assert sum(1 for _ in enumerate_trees(9)) == catalan(9)
-            held = tracemalloc.take_snapshot().filter_traces(
-                [tracemalloc.Filter(True, trees.__file__)])
-        finally:
-            tracemalloc.stop()
-        assert sum(stat.size for stat in held.statistics("filename")) < 10_000
+        assert held_after_size_9(enumerate_trees) < 10_000
 
     def test_canonical_order_is_by_left_subtree_size(self):
         for n in range(2, 7):
             left_sizes = [size(t.left) for t in enumerate_trees(n)]
             assert left_sizes == sorted(left_sizes)
+
+
+class TestEnumerateCodes:
+    def test_equals_encoded_trees(self):
+        for n in range(12):
+            assert list(enumerate_codes(n)) == [encode(t) for t in enumerate_trees(n)]
+
+    @pytest.mark.parametrize("enumerate_", [enumerate_codes, enumerate_trees])
+    def test_guards_raise_lazily(self, enumerate_):
+        # The guards fire at the first next(), not at the call.
+        negative, too_big = enumerate_(-1), enumerate_(3, cap=2)
+        with pytest.raises(ValueError):
+            next(negative)
+        with pytest.raises(CapExceeded):
+            next(too_big)
+        with pytest.raises(CapExceeded):
+            next(enumerate_(15))
+
+    def test_keeps_nothing_after_return(self):
+        assert held_after_size_9(enumerate_codes) < 10_000
 
 
 class TestSuccessors:
