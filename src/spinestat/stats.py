@@ -3,9 +3,9 @@
 S_n^k denotes the number of size-n trees with exactly k segments on the right
 spine.  The four routes, registered by name in ROUTES:
 
-  * exhaustive  — count over the full enumeration (bounded by the cap),
+  * exhaustive  — spine lengths folded over the enumeration (bounded by the cap),
   * recurrence  — level-to-level suffix sums derived from the growth step,
-  * series      — coefficient extraction from z^(k+1) * N(z)^k,
+  * series      — coefficients of z^(k+1) * N^k, by N^(k+1) = N^k / z - N^(k-1),
   * closed      — the ballot-number formula S_n^k = k/(2n-k) * C(2n-k, n-k).
 
 Every route takes a range of sizes and returns one SpineDistribution per
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -36,6 +37,8 @@ class SpineDistribution:
     total: int
 
     def count(self, k: int) -> int:
+        if not 1 <= k <= self.n:
+            raise DomainError(f"need 1 <= k <= n, got k={k}, n={self.n}")
         return self.counts[k - 1]
 
 
@@ -44,15 +47,13 @@ def _make(n: int, counts) -> SpineDistribution:
 
 
 def dist_exhaustive(sizes: range, cap: int = DEFAULT_CAP) -> list[SpineDistribution]:
-    """Distributions by direct enumeration; raises CapExceeded above the cap."""
+    """Distributions by direct enumeration; raises CapExceeded above the cap.
+    The canonical fold visits each tree once as its spine length: a leaf has
+    0 segments, and a join one more than its right subtree."""
     dists = []
     for n in sizes:
-        counts = [0] * n
-        for t in trees.enumerate_trees(n, cap=cap):
-            k = trees.spine_segments(t)
-            if k:
-                counts[k - 1] += 1
-        dists.append(_make(n, counts))
+        spines = Counter(trees._fold(n, cap, 0, lambda left, right: right + 1))
+        dists.append(_make(n, (spines[k] for k in range(1, n + 1))))
     return dists
 
 
@@ -77,19 +78,19 @@ def dist_recurrence(sizes: range) -> list[SpineDistribution]:
 
 
 def dist_series(sizes: range) -> list[SpineDistribution]:
-    """Distributions from the generating functions z^(k+1) * N^k, sharing
-    one computation of the powers of N across the sizes."""
+    """Distributions from the generating functions z^(k+1) * N^k.  N = z + z*N^2
+    times N^(k-1) gives N^(k+1) = N^k / z - N^(k-1): one shifted subtraction."""
     n_max = max(sizes, default=0)
-    degree = 2 * n_max + 1
-    n_series = series.node_gf(degree)
     counts: dict[int, list[int]] = {n: [] for n in sizes}
-    power = series.ps_from([1], degree)
+    # z^(k+1) * N^k at index 2n+1 is N^k at index 2n-k, so N^k is needed
+    # to degree 2*n_max - k only.
+    before = [1] + [0] * (2 * n_max)
+    power = list(series.node_gf(2 * n_max - 1).coeffs)
     for k in range(1, n_max + 1):
-        # z^(k+1) * N^k at index 2n+1 is N^k at index 2n-k.
-        power = series.ps_mul(power, n_series, degree - k - 1)
         for n, row in counts.items():
             if n >= k:
                 row.append(power[2 * n - k])
+        before, power = power, [a - b for a, b in zip(power[1:], before)]
     return [_make(n, counts[n]) for n in sizes]
 
 

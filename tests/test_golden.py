@@ -40,6 +40,15 @@ EXHAUSTIVE = {
         (0, "d512d49b92b9bcf8ba0de79473883d96a32d4e9b9727c480f42a06acc9b28b88"),
 }
 
+# Larger sizes of two routes: series past the benchmark's n = 60, and
+# exhaustive one size past the benchmark's n = 12.
+ROUTE_SIZES = {
+    "dist --n 13 --method exhaustive":
+        (0, "933eeb8bdde9c0d61967a5297d4e7b872bbcf73553d0fe8644acfd86844ccac1"),
+    "dist --n 200 --method series --format csv":
+        (0, "1eed2f4fc7c1a2b9a869c78d70f8924197fd8c6ca6b756cee5cc462305b9fb67"),
+}
+
 # Each command in each format, at small sizes, plus edge cases.
 SMALL = {
     "dist --n 7 --method exhaustive --format text":
@@ -143,7 +152,7 @@ SMALL = {
 }
 
 
-GOLDEN = {**README, **SMALL, **EXHAUSTIVE}
+GOLDEN = {**README, **SMALL, **EXHAUSTIVE, **ROUTE_SIZES}
 
 
 @pytest.mark.parametrize("line", GOLDEN)

@@ -1,10 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from spinestat import series, stats, trees
 from spinestat.errors import CapExceeded, DomainError
-from spinestat.series import catalan
+from spinestat.series import catalan, spine_gf
 from spinestat.stats import (
+    ROUTES,
     average,
     dist_closed,
     dist_closed_all,
@@ -76,6 +79,13 @@ class TestDistExhaustive:
         with pytest.raises(CapExceeded):
             dist_exhaustive(range(15, 16))
 
+    def test_fold_matches_tree_count(self):
+        # The fold against counting spine_segments over the built trees.
+        for d in dist_exhaustive(range(12)):
+            expected = Counter(map(trees.spine_segments, trees.enumerate_trees(d.n)))
+            assert d.counts == tuple(expected[k] for k in range(1, d.n + 1))
+            assert sum(expected.values()) == d.total
+
 
 class TestDistRecurrence:
     @pytest.mark.parametrize("n", [2, 5, 9])
@@ -103,6 +113,13 @@ class TestDistSeries:
         table = dist_series(range(16))
         for n in range(16):
             assert table[n].counts == at(dist_series, n).counts
+
+    def test_identity_matches_cauchy_powers(self):
+        # The three-term identity against spine_gf's truncated products.
+        for d in dist_series(range(31)):
+            degree = 2 * d.n + 1
+            for k in range(1, d.n + 1):
+                assert d.count(k) == spine_gf(k, degree)[degree]
 
 
 class TestDistClosed:
@@ -140,6 +157,52 @@ class TestRouteAgreement:
         ser = dist_series(range(101))
         for n in range(101):
             assert rec[n].counts == ser[n].counts == at(dist_closed_all, n).counts
+
+
+class TestRanges:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize(
+        "sizes", [range(0), range(12, 13), range(5, 11), range(3, 12, 4)]
+    )
+    def test_range_equals_single_sizes(self, route, sizes):
+        dists = ROUTES[route](sizes)
+        assert [d.n for d in dists] == list(sizes)
+        for d in dists:
+            assert d == at(ROUTES[route], d.n)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("another route's kernel was called")
+
+
+class TestRouteIndependence:
+    """Each route reproduces the tables with the other routes' kernels
+    disabled: series uses only N's functional equation, and exhaustive only
+    the canonical decomposition."""
+
+    KERNELS = {
+        "series": [(series, "ps_mul"), (trees, "_fold"),
+                   (stats, "dist_recurrence"), (stats, "dist_closed")],
+        "exhaustive": [(trees, "BinaryTree"), (trees, "spine_segments"),
+                       (trees, "successors"), (series, "node_gf"),
+                       (stats, "dist_recurrence"), (stats, "dist_closed")],
+    }
+
+    @pytest.mark.parametrize("route", sorted(KERNELS))
+    def test_tables_without_other_kernels(self, route, monkeypatch):
+        for module, name in self.KERNELS[route]:
+            monkeypatch.setattr(module, name, _refuse)
+        dists = ROUTES[route](range(11))
+        assert dists[0].counts == ()
+        for n in range(1, 11):
+            assert list(dists[n].counts) == TABLES[n]
+
+
+class TestCount:
+    @pytest.mark.parametrize("k", [0, -1, 6])
+    def test_outside_1_to_n(self, k):
+        with pytest.raises(DomainError):
+            at(dist_closed_all, 5).count(k)
 
 
 class TestInvariants:
