@@ -1,8 +1,8 @@
 """spinestat command line: distributions, averages, limits, verification,
 sampling, and raw enumeration.
 
-Exit codes: 0 success, 1 usage error, 2 enumeration cap exceeded,
-3 verification failure.
+Exit codes: 0 success, 1 usage error or a closed output pipe, 2 enumeration
+cap exceeded, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
 
-from . import __version__, stats, trees
+from . import __version__, checks, stats, trees
 from .errors import CapExceeded
 from .series import catalan
 from .stats import render_decimal, render_int
@@ -85,11 +86,7 @@ def _limit_str(k: int, places: int) -> str:
 
 
 def cmd_dist(args, out) -> int:
-    try:
-        [dist] = stats.ROUTES[args.method](range(args.n, args.n + 1), cap=args.cap)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    [dist] = stats.ROUTES[args.method](range(args.n, args.n + 1), cap=args.cap)
     places, total = args.precision, _text(dist.total)
     text = f"n={dist.n} method={args.method} total={total}"
     if dist.n == 0:
@@ -119,9 +116,6 @@ def _ratio(args, out, head: dict, raw_num: int, raw_den: int) -> int:
 
 
 def cmd_average(args, out) -> int:
-    if args.n < 1:
-        print("error: --n must be >= 1 for average", file=sys.stderr)
-        return EXIT_USAGE
     n = args.n
     # The raw Catalan-difference numerator has ~0.6*n digits; from c_n >= 10^18
     # on, that is n >= 35 (c_34 < 10^18 <= c_35), the equivalent 3n/(n+2)
@@ -133,118 +127,26 @@ def cmd_average(args, out) -> int:
 
 
 def cmd_limit(args, out) -> int:
-    if args.k < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     return _ratio(args, out, {"k": args.k}, args.k, 2 ** (args.k + 1))
 
 
 def cmd_enumerate(args, out) -> int:
-    try:
-        for code in trees.enumerate_codes(args.n, cap=args.cap):
-            print(code, file=out)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    for code in trees.enumerate_codes(args.n, cap=args.cap):
+        print(code, file=out)
     return EXIT_OK
 
 
-def _check_bijection(max_n: int, cap: int) -> tuple[str, str]:
-    """Check, for each n up to min(max_n, cap - 1), that the growth step maps
-    the pairs (t, d) of a size-n tree and a spine depth one to one onto the
-    size-(n+1) trees and that predecessor inverts it, in one pass over the
-    images: each image's code is struck from the unseen size-(n+1) codes,
-    none may be left, and predecessor must give back (t, d).
-
-    Given the bijection, predecessor undoing every growth step is the same
-    as successors(p)[d] == u, (p, d) = predecessor(u), for every size-(n+1)
-    tree u, so that verdict keeps the label n+1.  A level's bijection
-    verdict comes before its round trip verdict.
-    """
-    label = "bijection and predecessor round trip"
-    top = min(max_n, cap - 1)
-    if top < 0:
-        return "SKIP", label
-    for n in range(top + 1):
-        unseen = set(trees.enumerate_codes(n + 1, cap=cap))
-        round_trip = True
-        for t in trees.enumerate_trees(n, cap=cap):
-            for d, s in enumerate(trees.successors(t)):
-                try:
-                    unseen.remove(trees.encode(s))
-                except KeyError:
-                    return "FAIL", f"bijection n={n}"
-                if trees.predecessor(s) != (t, d):
-                    round_trip = False
-        if unseen:
-            return "FAIL", f"bijection n={n}"
-        if not round_trip:
-            return "FAIL", f"predecessor round trip n={n + 1}"
-    return "PASS", f"{label} (n <= {top})"
-
-
-def _first_difference(label: str, n: int, counts: dict[str, tuple[int, ...]]) -> str:
-    """The stderr detail of a route FAIL: the first k at which the named
-    routes' counts at size n differ, and each route's count there."""
-    def at(row, k):
-        return _text(row[k - 1]) if k <= len(row) else "none"
-
-    width = max(map(len, counts.values()))
-    k = next(k for k in range(1, width + 1) if len({at(row, k) for row in counts.values()}) > 1)
-    values = " ".join(f"{name}={at(row, k)}" for name, row in counts.items())
-    return f"{label} n={n}: first differing k={k}: {values}"
-
-
-def _check_routes(max_n: int, cap: int) -> tuple[str, str]:
-    sizes = range(max_n + 1)
-    rec, ser, closed = (stats.ROUTES[name](sizes) for name in ("recurrence", "series", "closed"))
-    exhaustive = stats.ROUTES["exhaustive"](range(min(max_n, cap) + 1), cap=cap)
-    for n in sizes:
-        if not rec[n].counts == ser[n].counts == closed[n].counts:
-            counts = {"recurrence": rec[n].counts, "series": ser[n].counts,
-                      "closed": closed[n].counts}
-            label = "route agreement"
-        elif n < len(exhaustive) and exhaustive[n].counts != rec[n].counts:
-            counts = {"exhaustive": exhaustive[n].counts, "recurrence": rec[n].counts}
-            label = "exhaustive agreement"
-        else:
-            continue
-        print(_first_difference(label, n, counts), file=sys.stderr)
-        return "FAIL", f"{label} n={n}"
-    return "PASS", f"route agreement (n <= {max_n})"
-
-
-def _check_identities(max_n: int) -> tuple[str, str]:
-    label = "conservation and segment-sum identity"
-    if max_n < 1:
-        return "SKIP", label
-    for dist in stats.ROUTES["recurrence"](range(1, max_n + 1)):
-        n = dist.n
-        if sum(dist.counts) != catalan(n):
-            return "FAIL", f"conservation n={n}"
-        weighted = sum(k * c for k, c in enumerate(dist.counts, start=1))
-        if weighted != catalan(n + 1) - catalan(n):
-            return "FAIL", f"segment-sum identity n={n}"
-    return "PASS", f"{label} (n <= {max_n})"
-
-
 def cmd_verify(args, out) -> int:
-    """Print one PASS, FAIL or SKIP line per check; SKIP marks a check that
-    no size fell within, which fails nothing but never reads as PASS."""
-    checks = [
-        _check_bijection(args.max_n, args.cap),
-        _check_routes(args.max_n, args.cap),
-        _check_identities(args.max_n),
-    ]
-    for verdict, label in checks:
+    """Print each check's verdict line, and each FAIL's detail to stderr."""
+    results = checks.run(args.max_n, args.cap)
+    for verdict, label, detail in results:
         print(f"{verdict} {label}", file=out)
-    return EXIT_VERIFY if any(verdict == "FAIL" for verdict, _ in checks) else EXIT_OK
+        if detail:
+            print(detail, file=sys.stderr)
+    return EXIT_VERIFY if any(verdict == "FAIL" for verdict, _, _ in results) else EXIT_OK
 
 
 def cmd_sample(args, out) -> int:
-    if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     n, places = args.n, args.precision
     observed = Counter(trees.sample_spines(n, args.samples, args.seed))
     k_top = max(observed) if observed else 0
@@ -257,8 +159,7 @@ def cmd_sample(args, out) -> int:
             "k": k,
             "observed": count,
             "empirical": render_decimal(Fraction(count, args.samples), places),
-            "exact": render_decimal(Fraction(stats.dist_closed(n, k), total), places)
-            if k <= n else render_decimal(Fraction(0), places),
+            "exact": render_decimal(Fraction(stats.dist_closed(n, k), total), places),
             "limit": _limit_str(k, places),
         })
     text = f"n={_text(n)} samples={_text(args.samples)} seed={_text(args.seed)}"
@@ -276,61 +177,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # `minimum` maps each flag's dest to its least value, in main's check order.
     def common(p, precision_default=2):
         p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--precision", type=int, default=precision_default,
                        help="decimal places for rendered fractions")
+        p.set_defaults(minimum={**p.get_default("minimum"), "precision": 0})
 
     p = sub.add_parser("dist", help="spine-segment distribution for one size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=METHODS, default="recurrence")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.set_defaults(func=cmd_dist, minimum={"n": 0})
     common(p)
-    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("average", help="average spine length at one size")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func=cmd_average, minimum={"n": 1})
     common(p)
-    p.set_defaults(func=cmd_average)
 
     p = sub.add_parser("limit", help="limiting fraction k/2^(k+1)")
     p.add_argument("--k", type=int, required=True)
+    p.set_defaults(func=cmd_limit, minimum={"k": 1})
     common(p)
-    p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("verify", help="cross-route and bijection checks")
     p.add_argument("--max-n", dest="max_n", type=int, required=True)
     p.add_argument("--cap", type=int, default=VERIFY_CAP)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, minimum={"max_n": 0})
 
     p = sub.add_parser("sample", help="seeded uniform sampling report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
+    p.set_defaults(func=cmd_sample, minimum={"n": 0, "samples": 1})
     common(p, precision_default=4)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("enumerate", help="print all tree codes for one size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, minimum={"n": 0})
 
     return parser
 
 
 def main(argv=None, out=None) -> int:
     parser = build_parser()
+    out = out if out is not None else sys.stdout
     try:
         args = parser.parse_args(argv)
+        for dest, least in args.minimum.items():
+            if getattr(args, dest) < least:
+                parser.exit(EXIT_USAGE, f"error: --{dest.replace('_', '-')} must be >= {least}\n")
+        code = args.func(args, out)
+        out.flush()
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
-    if getattr(args, "n", 0) < 0 or getattr(args, "max_n", 0) < 0:
-        print("error: sizes must be nonnegative", file=sys.stderr)
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except BrokenPipeError:
+        # The reader has gone; on devnull, the final flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "precision", 0) < 0:
-        print("error: --precision must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    return args.func(args, out if out is not None else sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -23,11 +24,15 @@ def run_main(*args):
     return code, out.getvalue()
 
 
-def run_subprocess(*args):
+def subprocess_env(**extra):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def run_subprocess(*args, **env):
     return subprocess.run(
         [sys.executable, "-m", "spinestat", *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=subprocess_env(**env),
     )
 
 
@@ -289,6 +294,38 @@ class TestNegativePrecision:
         assert capsys.readouterr().err == "error: --precision must be >= 0\n"
 
 
+class TestExitPath:
+    """Every error leaves main by one path: its exit code, empty stdout and
+    one stderr line."""
+
+    @pytest.mark.parametrize("args, line", [
+        (("dist", "--n", "-1"), "error: --n must be >= 0"),
+        (("average", "--n", "0"), "error: --n must be >= 1"),
+        (("limit", "--k", "0"), "error: --k must be >= 1"),
+        (("verify", "--max-n", "-1"), "error: --max-n must be >= 0"),
+        (("sample", "--n", "4", "--samples", "0", "--seed", "1"), "error: --samples must be >= 1"),
+        (("enumerate", "--n", "-1"), "error: --n must be >= 0"),
+    ])
+    def test_lower_bound(self, args, line, capsys):
+        assert run_main(*args) == (1, "")
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_bounds_checked_in_a_fixed_order(self):
+        args = ("average", "--n", "-1", "--precision", "-1")
+        runs = [run_subprocess(*args, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+        assert [(cp.returncode, cp.stdout) for cp in runs] == [(1, "")] * 2
+        assert runs[0].stderr == runs[1].stderr == "error: --n must be >= 1\n"
+
+    @pytest.mark.parametrize("args", [
+        ("dist", "--n", "3", "--method", "exhaustive", "--cap", "2"),
+        ("enumerate", "--n", "3", "--cap", "2"),
+    ])
+    def test_cap_exceeded(self, args, capsys):
+        assert run_main(*args) == (2, "")
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+
+
 class TestBigIntegers:
     # render_int itself is checked against an independent digit parser in
     # test_stats; here the CLI must print exactly its digits.
@@ -327,6 +364,18 @@ class TestProcessLevel:
     def test_byte_identical_output(self):
         args = ("dist", "--n", "7", "--format", "json")
         assert run_subprocess(*args).stdout == run_subprocess(*args).stdout
+
+    def test_closed_pipe_exit_1_without_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spinestat", "enumerate", "--n", "12"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=subprocess_env(),
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     def test_console_script(self):
         try:
@@ -384,6 +433,10 @@ def _argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(_argv())
 def test_argv_fuzz(argv):
-    first = run_main(*argv)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        first = run_main(*argv)
     assert first[0] in (0, 1, 2, 3)
+    if first[0]:
+        assert "error:" in err.getvalue().splitlines()[-1]
     assert run_main(*argv) == first
