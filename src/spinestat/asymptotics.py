@@ -14,44 +14,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import series
+from . import series, stats
 from .errors import DomainError, NoRoot
+from .series import PowerSeries
 
-
-@dataclass(frozen=True)
-class Poly:
-    """Polynomial with exact rational coefficients; coeffs[i] is the
-    coefficient of x^i, trailing zeros trimmed."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(*coeffs) -> Poly:
-        c = [Fraction(v) for v in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        return Poly(tuple(c))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> Poly:
-        return Poly.of(*(i * c for i, c in enumerate(self.coeffs) if i))
+# The polynomial type is the package's one coefficient type, PowerSeries.
+Poly = PowerSeries
 
 
 @dataclass(frozen=True)
 class RationalFn:
     """Quotient of two polynomials; den must not be the zero polynomial."""
 
-    num: Poly
-    den: Poly
+    num: PowerSeries
+    den: PowerSeries
 
     def __call__(self, x: Fraction) -> Fraction:
         return self.num(x) / self.den(x)
@@ -71,7 +47,7 @@ def _exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-def tau(phi: Poly) -> Fraction:
+def tau(phi: PowerSeries) -> Fraction:
     """Smallest positive root of phi(x) = x * phi'(x), exactly.
 
     For phi = a0 + a1*x + a2*x^2 the linear terms cancel and the equation is
@@ -81,7 +57,7 @@ def tau(phi: Poly) -> Fraction:
     """
     if phi.degree > 2:
         raise DomainError("tau is solved exactly only for phi of degree <= 2")
-    a0, _, a2 = phi.coeffs + (Fraction(0),) * (3 - len(phi.coeffs))
+    a0, a2 = Fraction(phi[0]), phi[2]
     if a2 == 0 or a0 / a2 <= 0:
         raise NoRoot("phi(x) = x*phi'(x) has no positive root")
     root = _exact_sqrt(a0 / a2)
@@ -95,8 +71,8 @@ def spine_rational(k: int) -> RationalFn:
     N^(2k+1) / (1+N^2)^(k+1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    num = Poly.of(*([0] * (2 * k + 1) + [1]))
-    den = Poly.of(*_binomial_even_coeffs(k + 1))
+    num = PowerSeries.of(*([0] * (2 * k + 1) + [1]))
+    den = PowerSeries.of(*_binomial_even_coeffs(k + 1))
     return RationalFn(num, den)
 
 
@@ -112,40 +88,28 @@ def limit_fraction(k: int) -> Fraction:
     """Limiting fraction of size-n trees with k spine segments, computed by
     differentiating the rational form at the characteristic root.  Equals
     k / 2^(k+1)."""
-    root = tau(Poly.of(1, 0, 1))
+    root = tau(PowerSeries.of(1, 0, 1))
     return spine_rational(k).derivative_at(root)
 
 
 def substitution_check(k: int, degree: int) -> bool:
     """Verify, through the truncation degree, that substituting
-    z = N/(1+N^2) into the k-segment series yields
-    N^(2k+1) * (1+N^2)^(-(k+1)) as a series in N."""
+    z = N/(1+N^2) into the k-segment series yields spine_rational(k) as a
+    series in N.  Its denominator has constant term 1, so the composed
+    series equals num/den exactly when its product with den equals num."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    inv = _geometric_inverse_one_plus_square(degree)
-    z_of_n = series.ps_shift(inv, 1, degree)
+    form = spine_rational(k)
+    # z = N/(1+N^2) = N - N^3 + N^5 - ...
+    z_of_n = PowerSeries(tuple(i % 2 * (-1) ** (i // 2) for i in range(degree + 1)))
 
-    # Left side: compose the z-series with z := z_of_n (Horner).
+    # Compose the z-series with z := z_of_n (Horner).
     s = series.spine_gf(k, degree)
     lhs = series.ps_from([s.coeffs[-1]], degree)
     for i in range(degree - 1, -1, -1):
         lhs = series.ps_mul(lhs, z_of_n, degree)
         lhs = series.ps_add(lhs, series.ps_from([s[i]], degree), degree)
-
-    # Right side: N^(2k+1) times the (k+1)-st power of the inverse.
-    rhs = series.ps_from([1], degree)
-    for _ in range(k + 1):
-        rhs = series.ps_mul(rhs, inv, degree)
-    rhs = series.ps_shift(rhs, 2 * k + 1, degree)
-    return lhs.coeffs == rhs.coeffs
-
-
-def _geometric_inverse_one_plus_square(degree: int) -> series.PowerSeries:
-    # 1/(1+x^2) = 1 - x^2 + x^4 - ...
-    coeffs = [0] * (degree + 1)
-    for i in range(0, degree + 1, 2):
-        coeffs[i] = 1 if i % 4 == 0 else -1
-    return series.PowerSeries(tuple(coeffs))
+    return series.ps_mul(lhs, form.den, degree) == series.ps_from(form.num.coeffs, degree)
 
 
 def moment_sums(k_max: int) -> tuple[Fraction, Fraction]:
@@ -162,8 +126,6 @@ def empirical_convergence(n: int, k_max: int) -> list[tuple[int, Fraction, Fract
     """Rows (k, S_n^k / c_n, k/2^(k+1)) for k = 1..k_max, exact rationals."""
     if k_max > n:
         raise ValueError("k_max must be <= n")
-    from . import stats
-
     [dist] = stats.dist_recurrence(range(n, n + 1))
     return [
         (k, Fraction(dist.count(k), dist.total), Fraction(k, 2 ** (k + 1)))

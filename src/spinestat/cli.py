@@ -149,7 +149,7 @@ def cmd_verify(args, out) -> int:
 def cmd_sample(args, out) -> int:
     n, places = args.n, args.precision
     observed = Counter(trees.sample_spines(n, args.samples, args.seed))
-    k_top = max(observed) if observed else 0
+    k_top = max(observed)
     # Only the printed rows of the exact column, by the ballot formula.
     total = catalan(n)
     rows = []

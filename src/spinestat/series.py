@@ -10,16 +10,44 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Dense truncated series; coeffs[i] is the coefficient of z^i."""
+    """Dense truncated series; coeffs[i] is the coefficient of z^i.  The
+    package's one coefficient type, also used as a polynomial: `of` builds
+    one, and it can be evaluated and differentiated."""
 
     coeffs: tuple[int, ...]
 
+    @staticmethod
+    def of(*coeffs) -> PowerSeries:
+        """The polynomial with these coefficients, trailing zeros trimmed;
+        the coefficients are kept as given, not converted."""
+        c = list(coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        return PowerSeries(tuple(c))
+
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    @property
+    def degree(self) -> int:
+        """Index of the last stored coefficient: the degree of a polynomial
+        built by `of`, -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def __call__(self, x) -> Fraction:
+        """Value at x by Horner's rule, exact for an int or Fraction x."""
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> PowerSeries:
+        return PowerSeries.of(*(i * c for i, c in enumerate(self.coeffs) if i))
 
 
 def ps_from(coeffs, degree: int) -> PowerSeries:

@@ -41,10 +41,6 @@ class BinaryTree:
 EXTERNAL = BinaryTree()
 
 
-def internal(left: BinaryTree, right: BinaryTree) -> BinaryTree:
-    return BinaryTree(left, right)
-
-
 def size(t: BinaryTree) -> int:
     """Number of internal nodes."""
     count = 0

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinestat import asymptotics, series
 from spinestat.asymptotics import (
     Poly,
     RationalFn,
@@ -148,3 +149,51 @@ def test_rational_fn_derivative_quotient_rule():
     # d/dx (x^2 / (1+x)) at 2 = (2x(1+x) - x^2)/(1+x)^2 = 8/9.
     f = RationalFn(Poly.of(0, 0, 1), Poly.of(1, 1))
     assert f.derivative_at(Fraction(2)) == Fraction(8, 9)
+
+
+def test_poly_is_the_series_type():
+    assert Poly is series.PowerSeries
+    value = spine_rational(1)(1)
+    assert type(value) is Fraction and value == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("guarded", [lambda: substitution_check(0, 5), lambda: moment_sums(0)],
+                         ids=["substitution_check", "moment_sums"])
+def test_k_guards(guarded):
+    with pytest.raises(ValueError):
+        guarded()
+
+
+def _denominator_mutant(monkeypatch):
+    # Adds x^2 - 2x^4 + x^6 = x^2 (1 - x^2)^2 to (1+x^2)^(k+1) for k >= 3: the
+    # value and the slope at x = 1 stay, so limit_fraction cannot see it.
+    even_coeffs = asymptotics._binomial_even_coeffs
+
+    def mutated(power):
+        coeffs = even_coeffs(power)
+        if power >= 4:
+            for i, c in ((2, 1), (4, -2), (6, 1)):
+                coeffs[i] += c
+        return coeffs
+
+    monkeypatch.setattr(asymptotics, "_binomial_even_coeffs", mutated)
+
+
+def _spine_gf_mutant(monkeypatch):
+    # One tree too many with 2k+1 nodes.
+    spine_gf = series.spine_gf
+
+    def mutated(k, degree):
+        coeffs = list(spine_gf(k, degree).coeffs)
+        coeffs[2 * k + 1] += 1
+        return series.PowerSeries(tuple(coeffs))
+
+    monkeypatch.setattr(series, "spine_gf", mutated)
+
+
+@pytest.mark.parametrize("mutate", [_denominator_mutant, _spine_gf_mutant],
+                         ids=["denominator", "spine_gf"])
+def test_substitution_check_sees_either_side(mutate, monkeypatch):
+    mutate(monkeypatch)
+    assert all(limit_fraction(k) == Fraction(k, 2 ** (k + 1)) for k in range(1, 65))
+    assert not substitution_check(3, 20)

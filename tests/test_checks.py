@@ -1,9 +1,13 @@
 """verify's checks as a library: each returns (verdict, label, detail) and
 prints nothing."""
 
+import dataclasses
+import io
+
 import pytest
 
 from spinestat import checks, stats
+from spinestat.cli import EXIT_VERIFY, main
 
 BIJECTION = "bijection and predecessor round trip"
 IDENTITIES = "conservation and segment-sum identity"
@@ -45,3 +49,29 @@ def test_run_builds_the_recurrence_route_once(monkeypatch):
     monkeypatch.setattr(stats, "dist_recurrence", counted)
     assert all(verdict == "PASS" for verdict, _, _ in checks.run(6, 11))
     assert calls == [range(7)]
+
+
+def _with_counts(rec, n, counts):
+    return [dataclasses.replace(d, counts=counts(d.counts)) if d.n == n else d for d in rec]
+
+
+# Size 4 loses its sum; size 5 keeps its sum, 42, with 14 and 9 swapped.
+BROKEN = {
+    "conservation n=4": (4, lambda c: (c[0] + 1, *c[1:])),
+    "segment-sum identity n=5": (5, lambda c: (c[0], c[2], c[1], *c[3:])),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BROKEN))
+def test_identities_fail(label):
+    rec = _with_counts(stats.dist_recurrence(range(7)), *BROKEN[label])
+    assert checks.identities(rec) == ("FAIL", label, "")
+
+
+@pytest.mark.parametrize("label", sorted(BROKEN))
+def test_verify_exits_3_on_broken_identities(label, monkeypatch):
+    rec = _with_counts(stats.dist_recurrence(range(7)), *BROKEN[label])
+    monkeypatch.setattr(stats, "dist_recurrence", lambda sizes: rec)
+    out = io.StringIO()
+    assert main(["verify", "--max-n", "6"], out=out) == EXIT_VERIFY == 3
+    assert f"FAIL {label}" in out.getvalue().splitlines()

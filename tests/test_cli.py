@@ -377,6 +377,16 @@ class TestProcessLevel:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
 
+    def test_imports_only_the_standard_library(self):
+        # -S: no site module, whose .pth files may import third-party packages.
+        code = ("import sys, spinestat, spinestat.cli, spinestat.checks, spinestat.asymptotics; "
+                "print(*sorted({name.partition('.')[0] for name in sys.modules}))")
+        cp = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": SRC})
+        assert cp.returncode == 0, cp.stderr
+        outside = set(cp.stdout.split()) - sys.stdlib_module_names - {"spinestat", "__main__"}
+        assert not outside
+
     def test_console_script(self):
         try:
             cp = subprocess.run(

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from spinestat.series import (
     PowerSeries,
     catalan,
     node_gf,
+    ps_add,
     ps_from,
     ps_mul,
     ps_shift,
@@ -138,3 +141,21 @@ class TestSpineGf:
             assert spine_gf(1, degree)[degree] == catalan(n - 1)
             if n >= 2:
                 assert spine_gf(2, degree)[degree] == catalan(n - 1)
+
+
+class TestAsPolynomial:
+    def test_of_keeps_int_coefficients(self):
+        p = PowerSeries.of(1, 0, 2, 0)
+        assert p.coeffs == (1, 0, 2) and p.degree == 2
+        assert all(type(c) is int for c in p.coeffs + p.derivative().coeffs)
+
+    def test_value_at_int_is_an_exact_fraction(self):
+        value = PowerSeries.of(1, 0, 1)(3)
+        assert type(value) is Fraction and value == 10
+        assert PowerSeries.of(1, 2)(Fraction(1, 2)) == 2
+
+    def test_series_functions_return_int_coefficients(self):
+        n = node_gf(15)
+        results = [n, spine_gf(3, 15), ps_from([1, 2], 6), ps_add(n, n, 15),
+                   ps_mul(n, n, 15), ps_shift(n, 2, 15)]
+        assert all(type(c) is int for r in results for c in r.coeffs)

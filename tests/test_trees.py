@@ -23,16 +23,22 @@ from spinestat import (
     successors,
 )
 from spinestat import trees
-from spinestat.trees import internal, sample_spines
+from spinestat.trees import sample_spines
 
-SIZE_ONE = internal(EXTERNAL, EXTERNAL)
+SIZE_ONE = BinaryTree(EXTERNAL, EXTERNAL)
 
 
 def right_comb(n):
     t = EXTERNAL
     for _ in range(n):
-        t = internal(EXTERNAL, t)
+        t = BinaryTree(EXTERNAL, t)
     return t
+
+
+@pytest.mark.parametrize("left, right", [(EXTERNAL, None), (None, EXTERNAL)])
+def test_node_has_zero_or_two_children(left, right):
+    with pytest.raises(ValueError):
+        BinaryTree(left, right)
 
 
 class TestSize:
@@ -63,7 +69,7 @@ class TestSpineSegments:
     def test_left_comb_has_one_segment(self):
         t = EXTERNAL
         for _ in range(5):
-            t = internal(t, EXTERNAL)
+            t = BinaryTree(t, EXTERNAL)
         assert spine_segments(t) == 1
 
 
@@ -166,10 +172,10 @@ class TestPredecessor:
         # Spine tree with left subtrees A,B,C,D (here combs of sizes 1..4)
         # comes from the tree with A,B on the spine and C with D hanging right.
         a, b, c, d = (right_comb(i) for i in range(1, 5))
-        t = internal(a, internal(b, internal(c, internal(d, EXTERNAL))))
+        t = BinaryTree(a, BinaryTree(b, BinaryTree(c, BinaryTree(d, EXTERNAL))))
         p, depth = predecessor(t)
         assert depth == 3
-        assert p == internal(a, internal(b, internal(c, d)))
+        assert p == BinaryTree(a, BinaryTree(b, BinaryTree(c, d)))
         assert successors(p)[depth] == t
 
     def test_size_one(self):
