@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import __version__, checks, stats, trees
 from .errors import CapExceeded
 from .series import catalan
-from .stats import render_decimal, render_int
+from .stats import render_decimal, render_int, render_ratio
 from .trees import DEFAULT_CAP
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
 
 
 def _limit_str(k: int, places: int) -> str:
-    return render_decimal(Fraction(k, 2 ** (k + 1)), places)
+    return render_ratio(k, 2 ** (k + 1), places)
 
 
 def cmd_dist(args, out) -> int:
@@ -93,7 +93,7 @@ def cmd_dist(args, out) -> int:
         text += "\n(size 0: the single external node, no spine segments)"
     rows = [
         {"k": k, "count": _text(c),
-         "fraction": render_decimal(Fraction(c, dist.total), places),
+         "fraction": render_ratio(c, dist.total, places),
          "limit": _limit_str(k, places)}
         for k, c in enumerate(dist.counts, start=1)
     ]
@@ -158,8 +158,8 @@ def cmd_sample(args, out) -> int:
         rows.append({
             "k": k,
             "observed": count,
-            "empirical": render_decimal(Fraction(count, args.samples), places),
-            "exact": render_decimal(Fraction(stats.dist_closed(n, k), total), places),
+            "empirical": render_ratio(count, args.samples, places),
+            "exact": render_ratio(stats.dist_closed(n, k), total, places),
             "limit": _limit_str(k, places),
         })
     text = f"n={_text(n)} samples={_text(args.samples)} seed={_text(args.seed)}"

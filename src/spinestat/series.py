@@ -93,13 +93,17 @@ def node_gf(degree: int) -> PowerSeries:
 
     Comparing coefficients gives N_1 = 1 and N_i = sum_j N_j * N_(i-1-j):
     each coefficient is a Cauchy-product term of lower ones, so one pass
-    computes them in order.  Even coefficients vanish.
+    computes them in order.  Even coefficients vanish.  The terms for j and
+    i-1-j are equal, so each pair is summed once and doubled, and the middle
+    term j = (i-1)/2 is a square, present when that j is odd.
     """
     c = [0] * (degree + 1)
     if degree >= 1:
         c[1] = 1
     for i in range(3, degree + 1, 2):
-        c[i] = sum(c[j] * c[i - 1 - j] for j in range(1, i - 1, 2))
+        half = (i - 1) // 2
+        pairs = sum(c[j] * c[i - 1 - j] for j in range(1, half, 2))
+        c[i] = 2 * pairs + (c[half] ** 2 if half & 1 else 0)
     return PowerSeries(tuple(c))
 
 

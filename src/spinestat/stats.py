@@ -6,7 +6,8 @@ spine.  The four routes, registered by name in ROUTES:
   * exhaustive  — spine lengths folded over the enumeration (bounded by the cap),
   * recurrence  — level-to-level suffix sums derived from the growth step,
   * series      — coefficients of z^(k+1) * N^k, by N^(k+1) = N^k / z - N^(k-1),
-  * closed      — the ballot-number formula S_n^k = k/(2n-k) * C(2n-k, n-k).
+  * closed      — the ballot-number formula S_n^k = k/(2n-k) * C(2n-k, n-k),
+                  its binomials walked along k within each size.
 
 Every route takes a range of sizes and returns one SpineDistribution per
 size, in the order of the range.
@@ -102,8 +103,19 @@ def dist_closed(n: int, k: int) -> int:
 
 
 def dist_closed_all(sizes: range) -> list[SpineDistribution]:
-    """Distributions by the ballot formula, for the requested sizes only."""
-    return [_make(n, (dist_closed(n, k) for k in range(1, n + 1))) for n in sizes]
+    """Distributions by the ballot formula, for the requested sizes only.
+    Within a size, b = C(2n-k, n-k) starts at C(n, 0) = 1 for k = n and steps
+    to k-1 by C(m+1, r+1) = C(m, r) * (m+1)/(r+1); both divisions are exact."""
+    dists = []
+    for n in sizes:
+        counts = []
+        b = 1
+        for k in range(n, 0, -1):
+            counts.append(k * b // (2 * n - k))
+            b = b * (2 * n - k + 1) // (n - k + 1)
+        counts.reverse()
+        dists.append(_make(n, counts))
+    return dists
 
 
 # Called as ROUTES[name](sizes, cap=...); the cap only bounds enumeration.
@@ -136,7 +148,13 @@ def average(n: int) -> Fraction:
 
 def render_decimal(value: Fraction, places: int = 2) -> str:
     """Decimal rendering of an exact rational, round-half-even."""
-    num, den = value.numerator, value.denominator
+    return render_ratio(value.numerator, value.denominator, places)
+
+
+def render_ratio(num: int, den: int, places: int = 2) -> str:
+    """Decimal rendering of num/den (den > 0), round-half-even, without
+    reducing the fraction first: scaling num and den by g leaves the quotient
+    and scales the remainder by g, so the rounding is the same."""
     sign = "-" if num < 0 else ""
     scaled = abs(num) * 10 ** places
     q, r = divmod(scaled, den)

@@ -40,9 +40,14 @@ EXHAUSTIVE = {
         (0, "d512d49b92b9bcf8ba0de79473883d96a32d4e9b9727c480f42a06acc9b28b88"),
 }
 
-# Larger sizes of two routes: series past the benchmark's n = 60, and
-# exhaustive one size past the benchmark's n = 12.
+# Larger sizes of three routes: series past the benchmark's n = 60,
+# exhaustive one size past the benchmark's n = 12, and closed at and near the
+# benchmark's n of about 1400.
 ROUTE_SIZES = {
+    "dist --n 1402 --method closed --format json":
+        (0, "1866b4f65c59063c80e290cfb6f88ead3ec33f6f2bbdc1f0f23cc07ced37d2d2"),
+    "dist --n 1000 --method closed --format csv --precision 30":
+        (0, "35496e925c16f3305ec9993e628aae8d39213ebb43e5a4ecb3aac19a61fd2c31"),
     "dist --n 13 --method exhaustive":
         (0, "933eeb8bdde9c0d61967a5297d4e7b872bbcf73553d0fe8644acfd86844ccac1"),
     "dist --n 200 --method series --format csv":

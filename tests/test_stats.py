@@ -2,6 +2,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinestat import series, stats, trees
 from spinestat.errors import CapExceeded, DomainError
@@ -16,6 +18,7 @@ from spinestat.stats import (
     dist_series,
     render_decimal,
     render_int,
+    render_ratio,
     weighted_sum,
 )
 
@@ -138,6 +141,14 @@ class TestDistClosed:
             for k in range(1, n + 1):
                 assert k * math.comb(2 * n - k, n - k) % (2 * n - k) == 0
 
+    @pytest.mark.parametrize("sizes", [range(201), range(1402, 1403)])
+    def test_walk_matches_one_shot(self, sizes):
+        # dist_closed_all walks the binomials along k; dist_closed is the
+        # one-shot math.comb form of the same count.
+        for dist in dist_closed_all(sizes):
+            assert list(dist.counts) == [dist_closed(dist.n, k)
+                                         for k in range(1, dist.n + 1)]
+
     @pytest.mark.parametrize("n,k", [(5, 0), (5, 6), (3, -1)])
     def test_domain(self, n, k):
         with pytest.raises(DomainError):
@@ -177,10 +188,13 @@ def _refuse(*args, **kwargs):
 
 class TestRouteIndependence:
     """Each route reproduces the tables with the other routes' kernels
-    disabled: series uses only N's functional equation, and exhaustive only
-    the canonical decomposition."""
+    disabled: series uses only N's functional equation, exhaustive only the
+    canonical decomposition, and closed only the ballot formula within one
+    size.  math.comb stays, because the totals come from catalan."""
 
     KERNELS = {
+        "closed": [(stats, "dist_recurrence"), (stats, "dist_closed"),
+                   (series, "node_gf"), (series, "ps_mul"), (trees, "_fold")],
         "series": [(series, "ps_mul"), (trees, "_fold"),
                    (stats, "dist_recurrence"), (stats, "dist_closed")],
         "exhaustive": [(trees, "BinaryTree"), (trees, "spine_segments"),
@@ -272,6 +286,18 @@ class TestRenderDecimal:
     )
     def test_values(self, num, den, places, expected):
         assert render_decimal(Fraction(num, den), places) == expected
+
+    @given(num=st.integers(-10**8, 10**8), den=st.integers(1, 10**8),
+           g=st.integers(1, 10**6), places=st.integers(0, 6))
+    @example(num=5, den=2, g=7, places=0)      # 35/14 -> "2", half even, down
+    @example(num=7, den=2, g=7, places=0)      # 49/14 -> "4", half even, up
+    @example(num=-5, den=2, g=7, places=0)     # -35/14 -> "-2"
+    @example(num=-7, den=2, g=7, places=0)     # -49/14 -> "-4"
+    @example(num=-1, den=8, g=3, places=2)     # -0.125 -> "-0.12"
+    @settings(max_examples=300, deadline=None)
+    def test_unreduced_ratio(self, num, den, g, places):
+        assert (render_ratio(g * num, g * den, places)
+                == render_decimal(Fraction(num, den), places))
 
 
 class TestRenderInt:
