@@ -39,7 +39,19 @@ from .trees import (
     spine_segments,
     successors,
 )
-from .asymptotics import limit_fraction, moment_sums, tau
+
+# The limit theory (and the fractions module it computes in) loads on first
+# use of one of these names, so a CLI start does not pay for it.
+_ASYMPTOTICS = ("limit_fraction", "moment_sums", "tau")
+
+
+def __getattr__(name):
+    if name in _ASYMPTOTICS:
+        from . import asymptotics
+
+        return getattr(asymptotics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BinaryTree",

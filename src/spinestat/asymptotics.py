@@ -11,7 +11,7 @@ segments: k / 2^(k+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import series, stats
@@ -22,12 +22,11 @@ from .series import PowerSeries
 Poly = PowerSeries
 
 
-@dataclass(frozen=True)
-class RationalFn:
-    """Quotient of two polynomials; den must not be the zero polynomial."""
+class RationalFn(namedtuple("RationalFn", "num den")):
+    """Quotient of two polynomials; den must not be the zero polynomial.
+    An immutable pair of PowerSeries, compared and hashed by value."""
 
-    num: PowerSeries
-    den: PowerSeries
+    __slots__ = ()
 
     def __call__(self, x: Fraction) -> Fraction:
         return self.num(x) / self.den(x)

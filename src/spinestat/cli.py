@@ -8,17 +8,15 @@ cap exceeded, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
+import math
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 
-from . import __version__, checks, stats, trees
+from . import __version__, stats, trees
 from .errors import CapExceeded
 from .series import catalan
-from .stats import render_decimal, render_int, render_ratio
+from .stats import render_int, render_ratio
 from .trees import DEFAULT_CAP
 
 EXIT_OK = 0
@@ -45,10 +43,6 @@ def _text(value) -> str:
     """Report text of a value; ints of any length go through render_int."""
     if isinstance(value, int):
         return render_int(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return render_int(value.numerator)
-        return f"{render_int(value.numerator)}/{render_int(value.denominator)}"
     return value
 
 
@@ -60,16 +54,21 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
     ahead of the version.  A table report names its `columns`, the keys of
     each row; its csv form puts the document's n in front of every row, and
     its json form ends with the rows.  A report without columns has no csv
-    form and prints its text instead.  Ints and Fractions are rendered by
-    `_text`, so no size of number meets str()'s digit limit.
+    form and prints its text instead.  Ints are rendered by `_text`, so no
+    size of number meets str()'s digit limit.  Each format's module is
+    imported only when that format is written.
     """
     if fmt == "json":
+        import json
+
         doc = {**meta, "version": __version__}
         if columns is not None:
             doc["rows"] = rows
         json.dump(doc, out, indent=2)
         out.write("\n")
     elif fmt == "csv" and columns is not None:
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", *columns])
         for row in rows:
@@ -104,13 +103,17 @@ def cmd_dist(args, out) -> int:
 
 def _ratio(args, out, head: dict, raw_num: int, raw_den: int) -> int:
     # Text is "<raw> = <reduced> = <decimal>", dropping the middle form when
-    # the raw fraction is already reduced.
-    value = Fraction(raw_num, raw_den)
-    num, den, decimal = _text(raw_num), _text(raw_den), render_decimal(value, args.precision)
+    # the raw fraction is already reduced.  raw_den > 0.
+    g = math.gcd(raw_num, raw_den)
+    num, den = _text(raw_num), _text(raw_den)
+    reduced = _text(raw_num // g)
+    if raw_den != g:
+        reduced += f"/{_text(raw_den // g)}"
+    decimal = render_ratio(raw_num, raw_den, args.precision)
     parts = [f"{num}/{den}"]
-    if (value.numerator, value.denominator) != (raw_num, raw_den):
-        parts.append(_text(value))
-    meta = {**head, "numerator": num, "denominator": den, "reduced": _text(value),
+    if g != 1:
+        parts.append(reduced)
+    meta = {**head, "numerator": num, "denominator": den, "reduced": reduced,
             "decimal": decimal}
     return _report(out, args.format, " = ".join([*parts, decimal]), meta)
 
@@ -138,6 +141,8 @@ def cmd_enumerate(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     """Print each check's verdict line, and each FAIL's detail to stderr."""
+    from . import checks
+
     results = checks.run(args.max_n, args.cap)
     for verdict, label, detail in results:
         print(f"{verdict} {label}", file=out)

@@ -9,17 +9,22 @@ the series of trees with exactly k right-spine segments is z^(k+1) * N^k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+
+# `fractions` is imported inside `PowerSeries.__call__`, which no CLI
+# command runs.
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(namedtuple("PowerSeries", "coeffs")):
     """Dense truncated series; coeffs[i] is the coefficient of z^i.  The
     package's one coefficient type, also used as a polynomial: `of` builds
-    one, and it can be evaluated and differentiated."""
+    one, and it can be evaluated and differentiated.
 
-    coeffs: tuple[int, ...]
+    An immutable one-field tuple, compared and hashed by value; indexing it
+    reads coefficients, not the tuple's fields.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def of(*coeffs) -> PowerSeries:
@@ -41,6 +46,8 @@ class PowerSeries:
 
     def __call__(self, x) -> Fraction:
         """Value at x by Horner's rule, exact for an int or Fraction x."""
+        from fractions import Fraction
+
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c

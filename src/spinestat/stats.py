@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, namedtuple
 from itertools import accumulate
 
 from . import series, trees
@@ -28,14 +26,15 @@ from .errors import DomainError
 from .series import catalan
 from .trees import DEFAULT_CAP
 
+# `fractions` is imported inside `average`, its one user here, so the CLI,
+# which renders ratios from ints, does not load it at start-up.
 
-@dataclass(frozen=True)
-class SpineDistribution:
-    """counts[k-1] = number of size-n trees with k spine segments, k = 1..n."""
 
-    n: int
-    counts: tuple[int, ...]
-    total: int
+class SpineDistribution(namedtuple("SpineDistribution", "n counts total")):
+    """counts[k-1] = number of size-n trees with k spine segments, k = 1..n,
+    and total = c_n.  An immutable tuple, compared and hashed by value."""
+
+    __slots__ = ()
 
     def count(self, k: int) -> int:
         if not 1 <= k <= self.n:
@@ -141,14 +140,11 @@ def weighted_sum(n: int) -> int:
 def average(n: int) -> Fraction:
     """Average spine length of a size-n tree: (c_{n+1} - c_n) / c_n,
     which reduces to 3n/(n+2); tends to 3."""
+    from fractions import Fraction
+
     if n < 1:
         raise DomainError("n must be >= 1")
     return Fraction(catalan(n + 1) - catalan(n), catalan(n))
-
-
-def render_decimal(value: Fraction, places: int = 2) -> str:
-    """Decimal rendering of an exact rational, round-half-even."""
-    return render_ratio(value.numerator, value.denominator, places)
 
 
 def render_ratio(num: int, den: int, places: int = 2) -> str:

@@ -8,11 +8,12 @@ tree has n+1 external nodes and 2n+1 nodes in total.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import CapExceeded, EmptyTree, MalformedCode
+
+# `random` is imported inside the samplers, so the commands that do not
+# sample do not load it at start-up.
 
 # Exhaustive enumeration above this size (~2.7M trees at 14) is refused
 # unless the caller raises the cap explicitly.
@@ -22,16 +23,42 @@ DEFAULT_CAP = 14
 TreeCode = str
 
 
-@dataclass(frozen=True, slots=True)
 class BinaryTree:
-    """Either an external node (no children) or an internal node (two children)."""
+    """Either an external node (no children) or an internal node (two children).
 
-    left: BinaryTree | None = None
-    right: BinaryTree | None = None
+    Immutable, compared and hashed by value.  The fields are slots, not a
+    tuple: attribute loads of slots are specialised by the interpreter, and
+    enumeration and encoding read them per node.
+    """
 
-    def __post_init__(self) -> None:
-        if (self.left is None) != (self.right is None):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: BinaryTree | None = None, right: BinaryTree | None = None) -> None:
+        if (left is None) != (right is None):
             raise ValueError("a node has either zero or two children")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(left={self.left!r}, right={self.right!r})"
+
+    def __reduce__(self):
+        # The default reduce restores slots through __setattr__, which raises.
+        return self.__class__, (self.left, self.right)
 
     @property
     def is_external(self) -> bool:
@@ -227,6 +254,8 @@ def _tree_from_arrays(left: list[int], right: list[int], root: int) -> BinaryTre
 
 def sample_uniform(n: int, seed: int) -> BinaryTree:
     """A uniformly random tree of size n; deterministic for a fixed seed."""
+    import random
+
     rng = random.Random(seed)
     return _tree_from_arrays(*_grow_random(n, rng))
 
@@ -247,6 +276,8 @@ def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
     bits until the value is below m), which skips randrange's Python-level
     argument handling but consumes the generator identically.
     """
+    import random
+
     getrandbits = random.Random(seed).getrandbits
     steps = [(m, m.bit_length()) for m in range(1, 2 * n, 2)]
     for _ in range(samples):

@@ -1,7 +1,6 @@
 """verify's checks as a library: each returns (verdict, label, detail) and
 prints nothing."""
 
-import dataclasses
 import io
 
 import pytest
@@ -52,7 +51,8 @@ def test_run_builds_the_recurrence_route_once(monkeypatch):
 
 
 def _with_counts(rec, n, counts):
-    return [dataclasses.replace(d, counts=counts(d.counts)) if d.n == n else d for d in rec]
+    return [stats.SpineDistribution(d.n, counts(d.counts), d.total) if d.n == n else d
+            for d in rec]
 
 
 # Size 4 loses its sum; size 5 keeps its sum, 42, with 14 and 9 swapped.

@@ -16,7 +16,6 @@ from spinestat.stats import (
     dist_exhaustive,
     dist_recurrence,
     dist_series,
-    render_decimal,
     render_int,
     render_ratio,
     weighted_sum,
@@ -285,7 +284,8 @@ class TestRenderDecimal:
         ],
     )
     def test_values(self, num, den, places, expected):
-        assert render_decimal(Fraction(num, den), places) == expected
+        f = Fraction(num, den)
+        assert render_ratio(f.numerator, f.denominator, places) == expected
 
     @given(num=st.integers(-10**8, 10**8), den=st.integers(1, 10**8),
            g=st.integers(1, 10**6), places=st.integers(0, 6))
@@ -296,8 +296,9 @@ class TestRenderDecimal:
     @example(num=-1, den=8, g=3, places=2)     # -0.125 -> "-0.12"
     @settings(max_examples=300, deadline=None)
     def test_unreduced_ratio(self, num, den, g, places):
+        f = Fraction(num, den)
         assert (render_ratio(g * num, g * den, places)
-                == render_decimal(Fraction(num, den), places))
+                == render_ratio(f.numerator, f.denominator, places))
 
 
 class TestRenderInt:
