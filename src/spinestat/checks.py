@@ -1,8 +1,8 @@
 """The checks behind `spinestat verify`.  Each returns a plain tuple
 (verdict, label, detail) and prints nothing: PASS, FAIL, or SKIP when no size
-fell within the check; `detail` is the stderr line of a route or exhaustive
-FAIL, else "".  Checks call trees and stats through their modules, so a
-function replaced there is the one checked.
+fell within the check; `detail` is the stderr line of a bijection, route
+or exhaustive FAIL, else "".  Checks call trees and stats through their
+modules, so a function replaced there is the one checked.
 """
 
 from __future__ import annotations
@@ -15,30 +15,57 @@ from .stats import SpineDistribution, render_int
 def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     """Check, for each n up to min(max_n, cap - 1), that the growth step maps
     the pairs (t, d) of a size-n tree and a spine depth one to one onto the
-    size-(n+1) trees, in one pass striking each image's code from the unseen
-    codes, and that predecessor gives back (t, d).  Given the bijection, that
-    covers every size-(n+1) tree, so a round trip FAIL is labelled n+1 and
-    comes after its level's bijection verdict.
+    size-(n+1) trees, and that the inverse gives back (t, d).  Given the
+    bijection, that covers every size-(n+1) tree, so a round trip FAIL is
+    labelled n+1 and comes after its level's bijection verdict; the detail
+    of a FAIL names n, the code and the depth at fault.
+
+    The check runs on preorder codes through trees.successor_codes and
+    trees.predecessor_code, and builds no tree.  The size-(n+1) codes are
+    keyed by int(code, 2), one to one there since every code has the same
+    length and starts with '1'.  Each key maps to its code's spine_tail,
+    read from the level-(n+1) fold and packed below 256 for n <= 14, so the
+    values are cached small ints.  Each image of the level-n codes, streamed
+    from their fold, pops its key: a missing key is a duplicate or foreign
+    image, and a key left over is a code that no pair reaches.  The
+    inverse reads the popped spine_tail, never the depth the image was
+    grown at.
     """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
     if top < 0:
         return "SKIP", label, ""
     for n in range(top + 1):
-        unseen = set(trees.enumerate_codes(n + 1, cap=cap))
-        round_trip = True
-        for t in trees.enumerate_trees(n, cap=cap):
-            for d, s in enumerate(trees.successors(t)):
+        # Spine positions are even (each left subtree's code has odd
+        # length), so last // 2 <= n and segments <= n + 1 pack in width.
+        width, length = n + 2, 2 * n + 3
+        tails = {}
+        for marked in trees.enumerate_marked(n + 1, cap=cap):
+            last, segments = trees.spine_tail(marked)
+            tails[int(trees.unmark(marked), 2)] = last // 2 * width + segments
+        fault = ""
+        for marked in trees.enumerate_marked(n, cap=cap):
+            code = trees.unmark(marked)
+            for d, image in enumerate(trees.successor_codes(marked)):
                 try:
-                    unseen.remove(trees.encode(s))
-                except KeyError:
-                    return "FAIL", f"bijection n={n}", ""
-                if trees.predecessor(s) != (t, d):
-                    round_trip = False
-        if unseen:
-            return "FAIL", f"bijection n={n}", ""
-        if not round_trip:
-            return "FAIL", f"predecessor round trip n={n + 1}", ""
+                    tail = tails.pop(int(image, 2)) if len(image) == length else None
+                except (KeyError, ValueError):
+                    tail = None
+                if tail is None:
+                    return "FAIL", f"bijection n={n}", (
+                        f"bijection n={n}: code {code} at depth {d} gives image {image},"
+                        f" a duplicate or not a size-{n + 1} code")
+                half, segments = divmod(tail, width)
+                returned = trees.predecessor_code(image, 2 * half, segments)
+                if not fault and returned != (code, d):
+                    fault = (f"predecessor round trip n={n + 1}: image {image} returns"
+                             f" {returned}, expected {(code, d)}")
+        if tails:
+            first = format(next(iter(tails)), "b")
+            return "FAIL", f"bijection n={n}", (
+                f"bijection n={n}: no code and depth gives the size-{n + 1} code {first}")
+        if fault:
+            return "FAIL", f"predecessor round trip n={n + 1}", fault
     return "PASS", f"{label} (n <= {top})", ""
 
 

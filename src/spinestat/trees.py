@@ -1,5 +1,6 @@
 """Binary trees: representation, canonical enumeration, right-spine statistics,
-the level-to-level growth step and its inverse, and a uniform random sampler.
+the level-to-level growth step and its inverse (on trees and on preorder
+codes), and a uniform random sampler.
 
 A tree is either a single external node or an internal node with a left and a
 right subtree.  "Size" always means the number of internal nodes; a size-n
@@ -130,6 +131,61 @@ def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
     """Yield encode(t) for every t of enumerate_trees(n, cap), in the same
     order, without building the trees."""
     yield from _fold(n, cap, "0", lambda left, right: "1" + left + right)
+
+
+def unmark(marked: str) -> TreeCode:
+    """The preorder code of a spine-marked code: 'R' -> '1', 'T' -> '0'."""
+    return marked.replace("R", "1").replace("T", "0")
+
+
+def enumerate_marked(n: int, cap: int = DEFAULT_CAP) -> Iterator[str]:
+    """Yield every code of enumerate_codes(n, cap), in the same order, with
+    its right spine marked: 'R' for an internal node on the spine and 'T' for
+    the terminal external node.
+
+    A spine-marked code is 'R' + left subtree's code + right subtree's
+    spine-marked code, so one fold carries the spine with the code.  The
+    join inlines unmark(left): it runs once per code.
+    """
+    yield from _fold(n, cap, "T", lambda left, right: (
+        "R" + left.replace("R", "1").replace("T", "0") + right))
+
+
+def successor_codes(marked: str) -> list[TreeCode]:
+    """encode of each tree of successors(decode(unmark(marked))), in the
+    same order, without building a tree.
+
+    The subtree at a spine node is a suffix of the code, so the image at the
+    spine node in position p is code[:p] + '1' + code[p:] + '0'.
+    """
+    code = unmark(marked)
+    images = []
+    p = marked.find("R")
+    while p >= 0:
+        images.append(code[:p] + "1" + code[p:] + "0")
+        p = marked.find("R", p + 1)
+    images.append(code[:-1] + "100")  # p = len(code) - 1, the terminal leaf
+    return images
+
+
+def spine_tail(marked: str) -> tuple[int, int]:
+    """(position of the last internal node on the right spine, number of
+    spine segments) of a spine-marked code of size >= 1: the part of the
+    spine that predecessor_code reads."""
+    last = marked.rfind("R")
+    if last < 0:
+        raise EmptyTree("the size-0 tree has no predecessor")
+    return last, marked.count("R")
+
+
+def predecessor_code(code: TreeCode, last: int, segments: int) -> tuple[TreeCode, int]:
+    """predecessor on codes: (encode(p), d) for (p, d) = predecessor(t), where
+    code = encode(t) and (last, segments) is its spine_tail.
+
+    The '1' of the last internal spine node and the final '0' (the terminal
+    external node, its right child) are removed.
+    """
+    return code[:last] + code[last + 1:-1], segments - 1
 
 
 def successors(t: BinaryTree) -> list[BinaryTree]:

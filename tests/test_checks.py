@@ -2,10 +2,11 @@
 prints nothing."""
 
 import io
+import tracemalloc
 
 import pytest
 
-from spinestat import checks, stats
+from spinestat import checks, stats, trees
 from spinestat.cli import EXIT_VERIFY, main
 
 BIJECTION = "bijection and predecessor round trip"
@@ -36,6 +37,36 @@ def test_route_detail_is_returned_not_printed(monkeypatch, capsys):
         "FAIL", "route agreement n=5",
         "route agreement n=5: first differing k=2: recurrence=14 series=15 closed=14")
     assert capsys.readouterr() == ("", "")
+
+
+_successor_codes = trees.successor_codes
+
+
+@pytest.mark.parametrize("foreign", [
+    lambda image: "0" + image,         # int(image, 2) of a size-2 code, one bit longer
+    lambda image: image[:-1],          # one bit short
+    lambda image: image[:2] + "R" + image[3:],   # not binary: int() raises
+])
+def test_foreign_image_fails_bijection(foreign, monkeypatch, capsys):
+    monkeypatch.setattr(trees, "successor_codes", lambda m: (
+        [foreign(image) for image in _successor_codes(m)] if m == "R0T" else _successor_codes(m)))
+    image = foreign("11000")
+    assert checks.bijection(3, 11) == (
+        "FAIL", "bijection n=1",
+        f"bijection n=1: code 100 at depth 0 gives image {image}, a duplicate or not a size-2 code")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_bijection_peak_memory():
+    # A dict from each code to a tuple of its spine positions peaks far above
+    # this; the packed small-int dict peaks at about 6.7 MiB.
+    tracemalloc.start()
+    try:
+        assert checks.bijection(10, 11)[0] == "PASS"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.3 * 2 ** 20
 
 
 def test_run_builds_the_recurrence_route_once(monkeypatch):

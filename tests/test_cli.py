@@ -166,46 +166,60 @@ class TestVerify:
         ]
 
 
-_successors, _predecessor = trees.successors, trees.predecessor
+_successor_codes, _predecessor_code = trees.successor_codes, trees.predecessor_code
+
+
+def _size(code):
+    return len(code) // 2
 
 
 class TestVerifyFailures:
     """A broken growth step or inverse gives FAIL and exit 3, never a
-    traceback; a broken route gives one stderr line with the first
-    differing k and each route's count there."""
+    traceback, and one stderr line with the code and depth at fault; a
+    broken route gives one stderr line with the first differing k and each
+    route's count there."""
 
     def verify(self, capsys, max_n=4):
         code, out = run_main("verify", "--max-n", str(max_n))
-        return code, out.splitlines()[0], capsys.readouterr().err
+        return code, out.splitlines()[0], capsys.readouterr().err.splitlines()
 
     def test_duplicated_image(self, monkeypatch, capsys):
-        monkeypatch.setattr(trees, "successors", lambda t: (
-            _successors(t) + _successors(t)[:1] if trees.size(t) == 2 else _successors(t)))
-        assert self.verify(capsys)[:2] == (3, "FAIL bijection n=2")
+        monkeypatch.setattr(trees, "successor_codes", lambda m: (
+            _successor_codes(m) + _successor_codes(m)[:1] if _size(m) == 2
+            else _successor_codes(m)))
+        assert self.verify(capsys) == (3, "FAIL bijection n=2", [
+            "bijection n=2: code 10100 at depth 3 gives image 1101000,"
+            " a duplicate or not a size-3 code"])
 
     def test_missing_image(self, monkeypatch, capsys):
-        monkeypatch.setattr(trees, "successors", lambda t: (
-            _successors(t)[:-1] if trees.size(t) == 3 else _successors(t)))
-        assert self.verify(capsys)[:2] == (3, "FAIL bijection n=3")
+        monkeypatch.setattr(trees, "successor_codes", lambda m: (
+            _successor_codes(m)[:-1] if _size(m) == 3 else _successor_codes(m)))
+        assert self.verify(capsys) == (3, "FAIL bijection n=3", [
+            "bijection n=3: no code and depth gives the size-4 code 101010100"])
 
     def test_wrong_predecessor_depth(self, monkeypatch, capsys):
-        # Out of range: successors(p)[99] does not exist.
-        monkeypatch.setattr(trees, "predecessor", lambda t: (_predecessor(t)[0], 99))
-        assert self.verify(capsys, max_n=3)[:2] == (3, "FAIL predecessor round trip n=1")
+        # Out of range: successor_codes of the size-0 code has no image at 99.
+        monkeypatch.setattr(trees, "predecessor_code", lambda code, last, segments: (
+            _predecessor_code(code, last, segments)[0], 99))
+        assert self.verify(capsys, max_n=3) == (3, "FAIL predecessor round trip n=1", [
+            "predecessor round trip n=1: image 100 returns ('0', 99), expected ('0', 0)"])
 
     def test_wrong_predecessor_tree(self, monkeypatch, capsys):
-        monkeypatch.setattr(trees, "predecessor", lambda t: (
-            (trees.EXTERNAL, _predecessor(t)[1]) if trees.size(t) == 3 else _predecessor(t)))
-        assert self.verify(capsys)[:2] == (3, "FAIL predecessor round trip n=3")
+        monkeypatch.setattr(trees, "predecessor_code", lambda code, last, segments: (
+            ("0", segments - 1) if _size(code) == 3 else _predecessor_code(code, last, segments)))
+        assert self.verify(capsys) == (3, "FAIL predecessor round trip n=3", [
+            "predecessor round trip n=3: image 1101000 returns ('0', 0), expected ('10100', 0)"])
 
     def test_bijection_verdict_comes_first(self, monkeypatch, capsys):
-        # Both fail at level 2: the images miss one tree, and predecessor
-        # gets the depth wrong on every size-3 tree.
-        monkeypatch.setattr(trees, "successors", lambda t: (
-            _successors(t)[:-1] if trees.size(t) == 2 else _successors(t)))
-        monkeypatch.setattr(trees, "predecessor", lambda t: (
-            (_predecessor(t)[0], 99) if trees.size(t) == 3 else _predecessor(t)))
-        assert self.verify(capsys)[:2] == (3, "FAIL bijection n=2")
+        # Both fail at level 2: the images miss one code, and predecessor_code
+        # gets the depth wrong on every size-3 code.
+        monkeypatch.setattr(trees, "successor_codes", lambda m: (
+            _successor_codes(m)[:-1] if _size(m) == 2 else _successor_codes(m)))
+        monkeypatch.setattr(trees, "predecessor_code", lambda code, last, segments: (
+            (_predecessor_code(code, last, segments)[0], 99) if _size(code) == 3
+            else _predecessor_code(code, last, segments)))
+        assert self.verify(capsys) == (3, "FAIL bijection n=2", [
+            "bijection n=2: no code and depth gives the size-3 code 1010100"])
 
     def test_route_disagreement_detail(self, monkeypatch, capsys):
         dist_series = stats.dist_series

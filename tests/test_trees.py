@@ -23,7 +23,14 @@ from spinestat import (
     successors,
 )
 from spinestat import trees
-from spinestat.trees import sample_spines
+from spinestat.trees import (
+    enumerate_marked,
+    predecessor_code,
+    sample_spines,
+    spine_tail,
+    successor_codes,
+    unmark,
+)
 
 SIZE_ONE = BinaryTree(EXTERNAL, EXTERNAL)
 
@@ -121,7 +128,7 @@ class TestEnumerateCodes:
         for n in range(12):
             assert list(enumerate_codes(n)) == [encode(t) for t in enumerate_trees(n)]
 
-    @pytest.mark.parametrize("enumerate_", [enumerate_codes, enumerate_trees])
+    @pytest.mark.parametrize("enumerate_", [enumerate_codes, enumerate_marked, enumerate_trees])
     def test_guards_raise_lazily(self, enumerate_):
         # The guards fire at the first next(), not at the call.
         negative, too_big = enumerate_(-1), enumerate_(3, cap=2)
@@ -134,6 +141,62 @@ class TestEnumerateCodes:
 
     def test_keeps_nothing_after_return(self):
         assert held_after_size_9(enumerate_codes) < 10_000
+
+
+def marked(t):
+    """The spine-marked code of t, built from the tree."""
+    if t.is_external:
+        return "T"
+    return "R" + encode(t.left) + marked(t.right)
+
+
+class TestGrowthOnCodes:
+    """The growth step and its inverse on spine-marked codes are successors
+    and predecessor through encode."""
+
+    def test_marked_fold_unmarks_to_codes(self):
+        for n in range(12):
+            assert [unmark(m) for m in enumerate_marked(n)] == list(enumerate_codes(n))
+
+    def test_marked_fold_marks_the_spine(self):
+        for n in range(8):
+            assert list(enumerate_marked(n)) == [marked(t) for t in enumerate_trees(n)]
+
+    def test_marked_fold_keeps_nothing_after_return(self):
+        assert held_after_size_9(enumerate_marked) < 10_000
+
+    def test_size_one(self):
+        assert list(enumerate_marked(1)) == ["R0T"]
+        assert successor_codes("R0T") == ["11000", "10100"]
+        assert spine_tail("R0T") == (0, 1)
+        assert predecessor_code("100", 0, 1) == ("0", 0)
+
+    def test_external(self):
+        assert successor_codes("T") == ["100"]
+        with pytest.raises(EmptyTree):
+            spine_tail("T")
+
+    def test_equal_to_tree_step_up_to_10(self):
+        for n in range(11):
+            for t, m in zip(enumerate_trees(n), enumerate_marked(n), strict=True):
+                assert successor_codes(m) == [encode(s) for s in successors(t)]
+                if n:
+                    p, d = predecessor(t)
+                    assert predecessor_code(encode(t), *spine_tail(m)) == (encode(p), d)
+
+    @given(st.integers(0, 40), st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_to_tree_step_on_random_codes(self, n, seed):
+        t = sample_uniform(n, seed)
+        m = marked(t)
+        assert unmark(m) == encode(t)
+        images = successor_codes(m)
+        assert images == [encode(s) for s in successors(t)]
+        if n:
+            p, d = predecessor(t)
+            assert predecessor_code(encode(t), *spine_tail(m)) == (encode(p), d)
+        for d, s in enumerate(successors(t)):
+            assert predecessor_code(images[d], *spine_tail(marked(s))) == (encode(t), d)
 
 
 class TestSuccessors:
