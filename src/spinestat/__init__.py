@@ -24,7 +24,6 @@ from .stats import (
     dist_exhaustive,
     dist_recurrence,
     dist_series,
-    weighted_sum,
 )
 from .trees import (
     EXTERNAL,
@@ -34,7 +33,6 @@ from .trees import (
     enumerate_codes,
     enumerate_trees,
     predecessor,
-    sample_uniform,
     size,
     spine_segments,
     successors,
@@ -77,11 +75,9 @@ __all__ = [
     "moment_sums",
     "node_gf",
     "predecessor",
-    "sample_uniform",
     "size",
     "spine_gf",
     "spine_segments",
     "successors",
     "tau",
-    "weighted_sum",
 ]

@@ -14,12 +14,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from . import series, stats
+from . import series
 from .errors import DomainError, NoRoot
 from .series import PowerSeries
-
-# The polynomial type is the package's one coefficient type, PowerSeries.
-Poly = PowerSeries
 
 
 class RationalFn(namedtuple("RationalFn", "num den")):
@@ -104,11 +101,12 @@ def substitution_check(k: int, degree: int) -> bool:
 
     # Compose the z-series with z := z_of_n (Horner).
     s = series.spine_gf(k, degree)
-    lhs = series.ps_from([s.coeffs[-1]], degree)
+    lhs = PowerSeries((s[degree],) + (0,) * degree)
     for i in range(degree - 1, -1, -1):
-        lhs = series.ps_mul(lhs, z_of_n, degree)
-        lhs = series.ps_add(lhs, series.ps_from([s[i]], degree), degree)
-    return series.ps_mul(lhs, form.den, degree) == series.ps_from(form.num.coeffs, degree)
+        low, *high = series.ps_mul(lhs, z_of_n, degree).coeffs
+        lhs = PowerSeries((low + s[i], *high))
+    num = tuple(form.num[i] for i in range(degree + 1))
+    return series.ps_mul(lhs, form.den, degree).coeffs == num
 
 
 def moment_sums(k_max: int) -> tuple[Fraction, Fraction]:
@@ -120,13 +118,3 @@ def moment_sums(k_max: int) -> tuple[Fraction, Fraction]:
     second = sum(Fraction(k * k, 2 ** (k + 1)) for k in range(1, k_max + 1))
     return first, second
 
-
-def empirical_convergence(n: int, k_max: int) -> list[tuple[int, Fraction, Fraction]]:
-    """Rows (k, S_n^k / c_n, k/2^(k+1)) for k = 1..k_max, exact rationals."""
-    if k_max > n:
-        raise ValueError("k_max must be <= n")
-    [dist] = stats.dist_recurrence(range(n, n + 1))
-    return [
-        (k, Fraction(dist.count(k), dist.total), Fraction(k, 2 ** (k + 1)))
-        for k in range(1, k_max + 1)
-    ]

@@ -2,8 +2,9 @@
 
 Series here are indexed by total node count i (internal + external), so the
 size-n trees sit at index i = 2n+1.  The node-count series N satisfies
-N = z + z*N^2, and its coefficients follow from that equation one at a time;
-the series of trees with exactly k right-spine segments is z^(k+1) * N^k.
+N = z + z*N^2, and its coefficients follow from a two-term recurrence derived
+from that equation alone; the series of trees with exactly k right-spine
+segments is z^(k+1) * N^k.
 """
 
 from __future__ import annotations
@@ -57,17 +58,6 @@ class PowerSeries(namedtuple("PowerSeries", "coeffs")):
         return PowerSeries.of(*(i * c for i, c in enumerate(self.coeffs) if i))
 
 
-def ps_from(coeffs, degree: int) -> PowerSeries:
-    """Series with the given low-order coefficients, zero-padded to degree."""
-    c = list(coeffs)[: degree + 1]
-    c += [0] * (degree + 1 - len(c))
-    return PowerSeries(tuple(c))
-
-
-def ps_add(a: PowerSeries, b: PowerSeries, degree: int) -> PowerSeries:
-    return PowerSeries(tuple(a[i] + b[i] for i in range(degree + 1)))
-
-
 def ps_mul(a: PowerSeries, b: PowerSeries, degree: int) -> PowerSeries:
     """Cauchy product truncated at degree, exact integer coefficients."""
     out = [0] * (degree + 1)
@@ -82,12 +72,6 @@ def ps_mul(a: PowerSeries, b: PowerSeries, degree: int) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
-def ps_shift(a: PowerSeries, s: int, degree: int) -> PowerSeries:
-    """Multiply by z^s, truncated at degree."""
-    return PowerSeries(tuple(0 for _ in range(min(s, degree + 1)))
-                       + a.coeffs[: max(0, degree + 1 - s)])
-
-
 def catalan(n: int) -> int:
     """Number of binary trees of size n: binomial(2n, n) / (n+1), exactly."""
     if n < 0:
@@ -98,19 +82,19 @@ def catalan(n: int) -> int:
 def node_gf(degree: int) -> PowerSeries:
     """Truncation of the node-count series N, the solution of N = z + z*N^2.
 
-    Comparing coefficients gives N_1 = 1 and N_i = sum_j N_j * N_(i-1-j):
-    each coefficient is a Cauchy-product term of lower ones, so one pass
-    computes them in order.  Even coefficients vanish.  The terms for j and
-    i-1-j are equal, so each pair is summed once and doubled, and the middle
-    term j = (i-1)/2 is a square, present when that j is odd.
+    Differentiating the equation gives N'(1 - 2zN) = 1 + N^2, and by the
+    equation itself (1 - 2zN)^2 = 1 - 4zN + 4z(N - z) = 1 - 4z^2.  So
+    (1 - 4z^2) N' = (1 + N^2)(1 - 2zN); times z, with zN^2 = N - z used
+    twice, this is z(1 - 4z^2) N' + N = 2z.  Comparing coefficients of z^i:
+    (i+1) N_i = 4(i-2) N_(i-2) + 2[i = 1].  So N_1 = 1, even coefficients
+    vanish, and each odd one is 4(i-2)/(i+1) times the one two below, a
+    division that is exact because N_i is an integer.
     """
     c = [0] * (degree + 1)
     if degree >= 1:
         c[1] = 1
     for i in range(3, degree + 1, 2):
-        half = (i - 1) // 2
-        pairs = sum(c[j] * c[i - 1 - j] for j in range(1, half, 2))
-        c[i] = 2 * pairs + (c[half] ** 2 if half & 1 else 0)
+        c[i] = 4 * (i - 2) * c[i - 2] // (i + 1)
     return PowerSeries(tuple(c))
 
 
@@ -121,9 +105,8 @@ def spine_gf(k: int, degree: int) -> PowerSeries:
         raise ValueError("k must be >= 1")
     inner = degree - (k + 1)
     if inner < 0:
-        return ps_from([], degree)
-    n = node_gf(inner)
-    power = ps_from([1], inner)
-    for _ in range(k):
+        return PowerSeries((0,) * (degree + 1))
+    n = power = node_gf(inner)
+    for _ in range(k - 1):
         power = ps_mul(power, n, inner)
-    return ps_shift(power, k + 1, degree)
+    return PowerSeries((0,) * (k + 1) + power.coeffs)

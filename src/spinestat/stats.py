@@ -128,15 +128,6 @@ ROUTES = {
 }
 
 
-def weighted_sum(n: int) -> int:
-    """Total number of spine segments over all size-n trees; equals
-    catalan(n+1) - catalan(n)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    [dist] = ROUTES["recurrence"](range(n, n + 1))
-    return sum(k * c for k, c in enumerate(dist.counts, start=1))
-
-
 def average(n: int) -> Fraction:
     """Average spine length of a size-n tree: (c_{n+1} - c_n) / c_n,
     which reduces to 3n/(n+2); tends to 3."""

@@ -1,6 +1,6 @@
 """Binary trees: representation, canonical enumeration, right-spine statistics,
 the level-to-level growth step and its inverse (on trees and on preorder
-codes), and a uniform random sampler.
+codes), and a seeded sampler of spine lengths of uniform random trees.
 
 A tree is either a single external node or an internal node with a left and a
 right subtree.  "Size" always means the number of internal nodes; a size-n
@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 from .errors import CapExceeded, EmptyTree, MalformedCode
 
-# `random` is imported inside the samplers, so the commands that do not
+# `random` is imported inside the sampler, so the commands that do not
 # sample do not load it at start-up.
 
 # Exhaustive enumeration above this size (~2.7M trees at 14) is refused
@@ -195,25 +195,37 @@ def successors(t: BinaryTree) -> list[BinaryTree]:
     being the terminal external node) the subtree there is replaced by an
     internal node with the old subtree on the left and an external node on
     the right.  The result at spine depth d has d+1 spine segments.
+    A loop walks the spine, so no recursion limit bounds its length.
     """
-    result = [BinaryTree(t, EXTERNAL)]
-    if not t.is_external:
-        result.extend(BinaryTree(t.left, s) for s in successors(t.right))
-    return result
+    result = []
+    lefts: list[BinaryTree] = []
+    while True:
+        image = BinaryTree(t, EXTERNAL)
+        for left in reversed(lefts):
+            image = BinaryTree(left, image)
+        result.append(image)
+        if t.is_external:
+            return result
+        lefts.append(t.left)
+        t = t.right
 
 
 def predecessor(t: BinaryTree) -> tuple[BinaryTree, int]:
     """Invert the growth step: return (p, d) with successors(p)[d] == t.
 
     The subtree at the last-but-one node on the right spine is replaced by
-    its left subtree.
+    its left subtree, and a loop rebuilds the spine above it.
     """
     if t.is_external:
         raise EmptyTree("the size-0 tree has no predecessor")
-    if t.right.is_external:
-        return t.left, 0
-    p, d = predecessor(t.right)
-    return BinaryTree(t.left, p), d + 1
+    lefts: list[BinaryTree] = []
+    while not t.right.is_external:
+        lefts.append(t.left)
+        t = t.right
+    p = t.left
+    for left in reversed(lefts):
+        p = BinaryTree(left, p)
+    return p, len(lefts)
 
 
 def encode(t: BinaryTree) -> TreeCode:
@@ -254,72 +266,12 @@ def decode(code: TreeCode) -> BinaryTree:
     return stack[0]
 
 
-def _grow_random(n: int, rng: random.Random) -> tuple[list[int], list[int], int]:
-    """Leaf-insertion growth (Remy-style) in array form.
-
-    Returns (left, right, root) child-index arrays; -1 marks an external
-    node.  Each step picks a uniform node of the current tree and a side,
-    and grafts a new internal node with a fresh leaf there; after n steps
-    the result is uniform over all trees of size n.
-    """
-    left = [-1]
-    right = [-1]
-    parent = [-1]
-    root = 0
-    for k in range(n):
-        v = rng.randrange(2 * k + 1)
-        side = rng.randrange(2)
-        a = len(left)      # new internal node
-        b = a + 1          # new external node
-        p = parent[v]
-        if side:
-            left.append(v)
-            right.append(b)
-        else:
-            left.append(b)
-            right.append(v)
-        parent.append(p)
-        left.append(-1)
-        right.append(-1)
-        parent.append(a)
-        parent[v] = a
-        if p < 0:
-            root = a
-        elif left[p] == v:
-            left[p] = a
-        else:
-            right[p] = a
-    return left, right, root
-
-
-def _tree_from_arrays(left: list[int], right: list[int], root: int) -> BinaryTree:
-    built: dict[int, BinaryTree] = {}
-    stack = [(root, False)]
-    while stack:
-        v, ready = stack.pop()
-        if left[v] < 0:
-            built[v] = EXTERNAL
-        elif ready:
-            built[v] = BinaryTree(built[left[v]], built[right[v]])
-        else:
-            stack.append((v, True))
-            stack.append((left[v], False))
-            stack.append((right[v], False))
-    return built[root]
-
-
-def sample_uniform(n: int, seed: int) -> BinaryTree:
-    """A uniformly random tree of size n; deterministic for a fixed seed."""
-    import random
-
-    rng = random.Random(seed)
-    return _tree_from_arrays(*_grow_random(n, rng))
-
-
 def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
     """Spine segment counts of `samples` uniform size-n trees from one seeded
-    generator: the same values as `samples` successive `_grow_random(n, rng)`
-    calls on `random.Random(seed)`, without building the trees.
+    generator: the same values as `samples` successive Remy growths of size-n
+    trees on `random.Random(seed)`, without building the trees.  The
+    tree-building sampler `grow_random` in tests/remy.py is the draw-for-draw
+    reference.
 
     Only the right spine of the growth is followed, as the list of node ids
     from the root to the terminal leaf.  Step k grafts node m = 2k+1 (and

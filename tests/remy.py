@@ -1,0 +1,73 @@
+"""Remy's leaf-insertion sampler of uniform random binary trees, building
+the trees.
+
+`spinestat.trees.sample_spines` follows only the right spine of this growth;
+these functions are its draw-for-draw reference and the tests' generator of
+random trees.
+"""
+
+from __future__ import annotations
+
+import random
+
+from spinestat.trees import EXTERNAL, BinaryTree
+
+
+def grow_random(n: int, rng: random.Random) -> tuple[list[int], list[int], int]:
+    """Leaf-insertion growth (Remy-style) in array form.
+
+    Returns (left, right, root) child-index arrays; -1 marks an external
+    node.  Each step picks a uniform node of the current tree and a side,
+    and grafts a new internal node with a fresh leaf there; after n steps
+    the result is uniform over all trees of size n.
+    """
+    left = [-1]
+    right = [-1]
+    parent = [-1]
+    root = 0
+    for k in range(n):
+        v = rng.randrange(2 * k + 1)
+        side = rng.randrange(2)
+        a = len(left)      # new internal node
+        b = a + 1          # new external node
+        p = parent[v]
+        if side:
+            left.append(v)
+            right.append(b)
+        else:
+            left.append(b)
+            right.append(v)
+        parent.append(p)
+        left.append(-1)
+        right.append(-1)
+        parent.append(a)
+        parent[v] = a
+        if p < 0:
+            root = a
+        elif left[p] == v:
+            left[p] = a
+        else:
+            right[p] = a
+    return left, right, root
+
+
+def tree_from_arrays(left: list[int], right: list[int], root: int) -> BinaryTree:
+    built: dict[int, BinaryTree] = {}
+    stack = [(root, False)]
+    while stack:
+        v, ready = stack.pop()
+        if left[v] < 0:
+            built[v] = EXTERNAL
+        elif ready:
+            built[v] = BinaryTree(built[left[v]], built[right[v]])
+        else:
+            stack.append((v, True))
+            stack.append((left[v], False))
+            stack.append((right[v], False))
+    return built[root]
+
+
+def sample_uniform(n: int, seed: int) -> BinaryTree:
+    """A uniformly random tree of size n; deterministic for a fixed seed."""
+    rng = random.Random(seed)
+    return tree_from_arrays(*grow_random(n, rng))

@@ -4,9 +4,7 @@ import pytest
 
 from spinestat import asymptotics, series
 from spinestat.asymptotics import (
-    Poly,
     RationalFn,
-    empirical_convergence,
     limit_fraction,
     moment_sums,
     spine_rational,
@@ -14,42 +12,45 @@ from spinestat.asymptotics import (
     tau,
 )
 from spinestat.errors import DomainError, NoRoot
-from spinestat.series import catalan
+from spinestat.series import PowerSeries, catalan
+from spinestat.stats import dist_recurrence
 
 
 class TestPoly:
+    """PowerSeries, the package's one coefficient type, used as a polynomial."""
+
     def test_trailing_zeros_trimmed(self):
-        assert Poly.of(1, 2, 0, 0).coeffs == (Fraction(1), Fraction(2))
-        assert Poly.of(0, 0).coeffs == ()
+        assert PowerSeries.of(1, 2, 0, 0).coeffs == (Fraction(1), Fraction(2))
+        assert PowerSeries.of(0, 0).coeffs == ()
 
     def test_evaluation(self):
-        p = Poly.of(1, 0, 1)
+        p = PowerSeries.of(1, 0, 1)
         assert p(Fraction(2)) == 5
 
     def test_derivative(self):
-        p = Poly.of(3, 2, 1)  # 3 + 2x + x^2
+        p = PowerSeries.of(3, 2, 1)  # 3 + 2x + x^2
         assert p.derivative().coeffs == (Fraction(2), Fraction(2))
-        assert Poly.of(7).derivative().coeffs == ()
+        assert PowerSeries.of(7).derivative().coeffs == ()
 
 
 class TestTau:
     def test_tree_case(self):
-        assert tau(Poly.of(1, 0, 1)) == 1
+        assert tau(PowerSeries.of(1, 0, 1)) == 1
 
     def test_no_root_for_linear(self):
         with pytest.raises(NoRoot):
-            tau(Poly.of(1, 1))
+            tau(PowerSeries.of(1, 1))
 
     def test_squared_binomial(self):
         # (1+x)^2 = x * 2(1+x) reduces to 1+x = 2x, root 1.
-        assert tau(Poly.of(1, 2, 1)) == 1
+        assert tau(PowerSeries.of(1, 2, 1)) == 1
 
     def test_no_exact_root_is_domain_error(self):
         # phi = 1 + x^3 has degree 3; phi = 2 + x^2 has tau = sqrt(2).
         with pytest.raises(DomainError):
-            tau(Poly.of(1, 0, 0, 1))
+            tau(PowerSeries.of(1, 0, 0, 1))
         with pytest.raises(DomainError):
-            tau(Poly.of(2, 0, 1))
+            tau(PowerSeries.of(2, 0, 1))
 
 
 class TestSpineRational:
@@ -128,31 +129,40 @@ class TestMomentSums:
 
 
 class TestEmpiricalConvergence:
+    """Exact fractions S_n^k / c_n of the recurrence route next to their
+    limits k/2^(k+1)."""
+
+    @staticmethod
+    def fraction(n, k):
+        [dist] = dist_recurrence(range(n, n + 1))
+        return Fraction(dist.count(k), dist.total)
+
     def test_n1000_k1(self):
-        rows = empirical_convergence(1000, 1)
-        assert rows[0][1] == Fraction(catalan(999), catalan(1000)) == Fraction(1001, 3998)
+        assert self.fraction(1000, 1) == Fraction(catalan(999), catalan(1000))
+        assert self.fraction(1000, 1) == Fraction(1001, 3998)
 
     def test_n10_k10(self):
-        rows = empirical_convergence(10, 10)
-        assert rows[-1] == (10, Fraction(1, 16796), Fraction(10, 2048))
+        assert self.fraction(10, 10) == Fraction(1, 16796)
+        assert limit_fraction(10) == Fraction(10, 2048)
 
     def test_n4_k2(self):
-        rows = empirical_convergence(4, 2)
-        assert rows[1] == (2, Fraction(5, 14), Fraction(1, 4))
+        assert self.fraction(4, 2) == Fraction(5, 14)
+        assert limit_fraction(2) == Fraction(1, 4)
 
     def test_k_max_bounded(self):
-        with pytest.raises(ValueError):
-            empirical_convergence(3, 4)
+        with pytest.raises(DomainError):
+            self.fraction(3, 4)
 
 
 def test_rational_fn_derivative_quotient_rule():
     # d/dx (x^2 / (1+x)) at 2 = (2x(1+x) - x^2)/(1+x)^2 = 8/9.
-    f = RationalFn(Poly.of(0, 0, 1), Poly.of(1, 1))
+    f = RationalFn(PowerSeries.of(0, 0, 1), PowerSeries.of(1, 1))
     assert f.derivative_at(Fraction(2)) == Fraction(8, 9)
 
 
 def test_poly_is_the_series_type():
-    assert Poly is series.PowerSeries
+    form = spine_rational(1)
+    assert type(form.num) is type(form.den) is series.PowerSeries
     value = spine_rational(1)(1)
     assert type(value) is Fraction and value == Fraction(1, 4)
 

@@ -8,12 +8,29 @@ from spinestat.series import (
     PowerSeries,
     catalan,
     node_gf,
-    ps_add,
-    ps_from,
     ps_mul,
-    ps_shift,
     spine_gf,
 )
+
+
+def padded(coeffs, degree):
+    """The series with these low-order coefficients, zero-padded to degree."""
+    c = tuple(coeffs)[: degree + 1]
+    return PowerSeries(c + (0,) * (degree + 1 - len(c)))
+
+
+def node_gf_by_cauchy(degree):
+    """Coefficients of N = z + z*N^2 by comparing coefficients directly:
+    N_1 = 1 and N_i = sum_j N_j * N_(i-1-j), each pair of equal terms
+    summed once and doubled.  The reference for node_gf's recurrence."""
+    c = [0] * (degree + 1)
+    if degree >= 1:
+        c[1] = 1
+    for i in range(3, degree + 1, 2):
+        half = (i - 1) // 2
+        pairs = sum(c[j] * c[i - 1 - j] for j in range(1, half, 2))
+        c[i] = 2 * pairs + (c[half] ** 2 if half & 1 else 0)
+    return PowerSeries(tuple(c))
 
 
 class TestCatalan:
@@ -42,12 +59,12 @@ class TestCatalan:
 
 class TestPsMul:
     def test_hand_expansion(self):
-        one_plus_z = ps_from([1, 1], 2)
+        one_plus_z = PowerSeries((1, 1, 0))
         assert ps_mul(one_plus_z, one_plus_z, 2).coeffs == (1, 2, 1)
 
     def test_identity(self):
-        a = ps_from([3, 0, 7, 5], 3)
-        one = ps_from([1], 3)
+        a = PowerSeries((3, 0, 7, 5))
+        one = PowerSeries((1, 0, 0, 0))
         assert ps_mul(a, one, 3) == a
 
     def test_square_of_node_series(self):
@@ -56,7 +73,7 @@ class TestPsMul:
         assert sq[2] == 1 and sq[4] == 2 and sq[6] == 5
 
     def test_truncation(self):
-        a = ps_from([0, 1], 1)
+        a = PowerSeries((0, 1))
         assert ps_mul(a, a, 1).coeffs == (0, 0)
 
     @given(
@@ -67,19 +84,21 @@ class TestPsMul:
     @settings(max_examples=100, deadline=None)
     def test_mul_associative_commutative(self, xs, ys, zs):
         d = 10
-        a, b, c = ps_from(xs, d), ps_from(ys, d), ps_from(zs, d)
+        a, b, c = padded(xs, d), padded(ys, d), padded(zs, d)
         assert ps_mul(a, b, d) == ps_mul(b, a, d)
         assert ps_mul(ps_mul(a, b, d), c, d) == ps_mul(a, ps_mul(b, c, d), d)
 
 
 class TestPsShift:
+    """Multiplying by z^s shifts the coefficients up by s, truncated."""
+
     def test_basic(self):
-        a = ps_from([1, 2, 3], 2)
-        assert ps_shift(a, 1, 3).coeffs == (0, 1, 2, 3)
+        a = PowerSeries((1, 2, 3))
+        assert ps_mul(PowerSeries((0, 1)), a, 3).coeffs == (0, 1, 2, 3)
 
     def test_shift_past_degree(self):
-        a = ps_from([1, 2], 1)
-        assert ps_shift(a, 5, 1).coeffs == (0, 0)
+        a = PowerSeries((1, 2))
+        assert ps_mul(PowerSeries((0,) * 5 + (1,)), a, 1).coeffs == (0, 0)
 
 
 class TestNodeGf:
@@ -107,10 +126,21 @@ class TestNodeGf:
         # Substituting back into z + z*N^2 reproduces the series.
         d = 25
         n = node_gf(d)
-        z = ps_from([0, 1], d)
-        rhs = ps_shift(ps_mul(n, n, d - 1), 1, d)
-        combined = PowerSeries(tuple(z[i] + rhs[i] for i in range(d + 1)))
+        z_n_squared = (0,) + ps_mul(n, n, d - 1).coeffs
+        combined = PowerSeries(tuple(z_n_squared[i] + (i == 1) for i in range(d + 1)))
         assert combined == n
+
+    def test_equals_cauchy_reference(self):
+        assert node_gf(801) == node_gf_by_cauchy(801)
+        for d in range(-1, 40):
+            assert node_gf(d) == node_gf_by_cauchy(d)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 8, 25, 200])
+    def test_ode(self, d):
+        # z(1 - 4z^2) N' + N = 2z, coefficient by coefficient up to z^d.
+        n = node_gf(d)
+        z_n_prime = ps_mul(PowerSeries((0, 1, 0, -4)), n.derivative(), d)
+        assert [z_n_prime[i] + n[i] for i in range(d + 1)] == [2 * (i == 1) for i in range(d + 1)]
 
 
 class TestSpineGf:
@@ -157,6 +187,5 @@ class TestAsPolynomial:
 
     def test_series_functions_return_int_coefficients(self):
         n = node_gf(15)
-        results = [n, spine_gf(3, 15), ps_from([1, 2], 6), ps_add(n, n, 15),
-                   ps_mul(n, n, 15), ps_shift(n, 2, 15)]
+        results = [n, spine_gf(3, 15), spine_gf(3, 2), ps_mul(n, n, 15)]
         assert all(type(c) is int for r in results for c in r.coeffs)

@@ -87,7 +87,12 @@ def test_limit_names_come_from_asymptotics():
 
 
 def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
-        spinestat.nonesuch
+    # Removed public names raise as an unknown name does.
+    for name in ("nonesuch", "weighted_sum", "sample_uniform"):
+        with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+            getattr(spinestat, name)
+        assert name not in spinestat.__all__
     with pytest.raises(ImportError):
         from spinestat import nonesuch  # noqa: F401
+    with pytest.raises(ImportError):
+        from spinestat.series import ps_from  # noqa: F401

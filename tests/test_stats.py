@@ -18,7 +18,6 @@ from spinestat.stats import (
     dist_series,
     render_int,
     render_ratio,
-    weighted_sum,
 )
 
 def parse_digits(text):
@@ -195,7 +194,8 @@ class TestRouteIndependence:
         "closed": [(stats, "dist_recurrence"), (stats, "dist_closed"),
                    (series, "node_gf"), (series, "ps_mul"), (trees, "_fold")],
         "series": [(series, "ps_mul"), (trees, "_fold"),
-                   (stats, "dist_recurrence"), (stats, "dist_closed")],
+                   (stats, "dist_recurrence"), (stats, "dist_closed"),
+                   (stats, "dist_closed_all")],
         "exhaustive": [(trees, "BinaryTree"), (trees, "spine_segments"),
                        (trees, "successors"), (series, "node_gf"),
                        (stats, "dist_recurrence"), (stats, "dist_closed")],
@@ -232,20 +232,28 @@ class TestInvariants:
 
 
 class TestWeightedSum:
+    """The total number of spine segments over all size-n trees, from the
+    recurrence route's counts, is c_(n+1) - c_n."""
+
+    @staticmethod
+    def weighted_sum(n):
+        return sum(k * c for k, c in enumerate(at(dist_recurrence, n).counts, start=1))
+
     def test_paper_values(self):
-        assert weighted_sum(9) == 11934
-        assert weighted_sum(1) == 1
+        assert self.weighted_sum(9) == 11934
+        assert self.weighted_sum(1) == 1
 
     def test_n12(self):
-        assert weighted_sum(12) == 742900 - 208012 == catalan(13) - catalan(12)
+        assert self.weighted_sum(12) == 742900 - 208012 == catalan(13) - catalan(12)
 
     def test_catalan_difference_identity(self):
         for n in range(1, 80):
-            assert weighted_sum(n) == catalan(n + 1) - catalan(n)
+            assert self.weighted_sum(n) == catalan(n + 1) - catalan(n)
 
     def test_n0_rejected(self):
+        # Size 0 has no spine segment to count: k = 0 is outside 1..n.
         with pytest.raises(DomainError):
-            weighted_sum(0)
+            at(dist_recurrence, 0).count(0)
 
 
 class TestAverage:

@@ -17,11 +17,11 @@ from spinestat import (
     enumerate_codes,
     enumerate_trees,
     predecessor,
-    sample_uniform,
     size,
     spine_segments,
     successors,
 )
+from remy import grow_random, sample_uniform, tree_from_arrays
 from spinestat import trees
 from spinestat.trees import (
     enumerate_marked,
@@ -254,6 +254,27 @@ class TestPredecessor:
             assert successors(p)[d] == t
 
 
+class TestLongSpine:
+    """The growth step and its inverse walk the spine in a loop: a spine far
+    longer than the recursion limit is handled.  Codes are compared, as
+    BinaryTree's own equality and hash recurse."""
+
+    def test_predecessor_of_a_5000_comb(self):
+        t = decode("10" * 5000 + "0")
+        p, d = predecessor(t)
+        assert (encode(p), d) == ("10" * 4999 + "0", 4999)
+
+    def test_successors_of_a_1200_comb(self):
+        # Every image rebuilds the spine above its graft, so a comb of s
+        # nodes costs s^2/2 tree nodes; 1200 already passes the default limit.
+        t = decode("10" * 1201 + "0")
+        p, d = predecessor(t)
+        images = successors(p)
+        assert len(images) == 1201
+        assert [spine_segments(s) for s in images] == list(range(1, 1202))
+        assert encode(images[d]) == encode(t)
+
+
 class TestCodec:
     def test_external(self):
         assert encode(EXTERNAL) == "0"
@@ -298,13 +319,11 @@ class TestSampler:
     def test_uniform_over_size_four(self):
         import random
 
-        from spinestat.trees import _grow_random, _tree_from_arrays
-
         rng = random.Random(42)
         freq = Counter()
         n_samples = 14000
         for _ in range(n_samples):
-            freq[encode(_tree_from_arrays(*_grow_random(4, rng)))] += 1
+            freq[encode(tree_from_arrays(*grow_random(4, rng)))] += 1
         assert len(freq) == 14
         for count in freq.values():
             assert abs(count / n_samples - 1 / 14) < 0.02
@@ -318,11 +337,9 @@ class TestSampler:
         # same spines as the spine-only stream with that seed.
         import random
 
-        from spinestat.trees import _grow_random, _tree_from_arrays
-
         samples = 20 if n > 100 else 50
         rng = random.Random(seed)
-        expected = [spine_segments(_tree_from_arrays(*_grow_random(n, rng)))
+        expected = [spine_segments(tree_from_arrays(*grow_random(n, rng)))
                     for _ in range(samples)]
         assert list(sample_spines(n, samples, seed)) == expected
         assert expected[0] == spine_segments(sample_uniform(n, seed))
