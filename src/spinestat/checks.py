@@ -25,26 +25,31 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     keyed by int(code, 2), one to one there since every code has the same
     length and starts with '1'.  Each key maps to its code's spine_tail,
     read from the level-(n+1) fold and packed below 256 for n <= 14, so the
-    values are cached small ints.  Each image of the level-n codes, streamed
-    from their fold, pops its key: a missing key is a duplicate or foreign
-    image, and a key left over is a code that no pair reaches.  The
-    inverse reads the popped spine_tail, never the depth the image was
-    grown at.
+    values are cached small ints.  trees.marked_levels folds each level once
+    per call.  Each image of the level-n codes pops its key: a missing key
+    is a duplicate or foreign image, and a key left over is a code that no
+    pair reaches.  The inverse reads the popped spine_tail, never the depth
+    the image was grown at.
     """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
     if top < 0:
         return "SKIP", label, ""
+    levels = trees.marked_levels(top + 1, cap=cap)
+    upper = next(levels)
     for n in range(top + 1):
+        # Level n+1 is a tuple, kept for the fold above it, except the last,
+        # which is streamed into `tails` and never held.
+        lower, upper = upper, next(levels)
         # Spine positions are even (each left subtree's code has odd
         # length), so last // 2 <= n and segments <= n + 1 pack in width.
         width, length = n + 2, 2 * n + 3
         tails = {}
-        for marked in trees.enumerate_marked(n + 1, cap=cap):
+        for marked in upper:
             last, segments = trees.spine_tail(marked)
             tails[int(trees.unmark(marked), 2)] = last // 2 * width + segments
         fault = ""
-        for marked in trees.enumerate_marked(n, cap=cap):
+        for marked in lower:
             code = trees.unmark(marked)
             for d, image in enumerate(trees.successor_codes(marked)):
                 try:

@@ -46,16 +46,53 @@ class BinaryTree:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    # Equality, hash and repr walk the tree with an explicit stack, so no
+    # recursion limit bounds its depth.
+
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is b.__class__ and isinstance(a, BinaryTree):
+                pairs.append((a.right, b.right))
+                pairs.append((a.left, b.left))
+            elif not a == b:
+                return False
+        return True
 
     def __hash__(self):
-        return hash((self.left, self.right))
+        # The hash of (left's hash, right's hash), children first.
+        hashes: list = []
+        todo = [(self, False)]
+        while todo:
+            node, ready = todo.pop()
+            if ready:
+                right = hashes.pop()
+                hashes.append(hash((hashes.pop(), right)))
+            elif isinstance(node, BinaryTree):
+                todo += ((node, True), (node.right, False), (node.left, False))
+            else:
+                hashes.append(node)
+        return hashes[0]
 
     def __repr__(self):
-        return f"{self.__class__.__qualname__}(left={self.left!r}, right={self.right!r})"
+        # Items are (True, text to emit) or (False, value to render).
+        out: list[str] = []
+        todo = [(False, self)]
+        while todo:
+            literal, item = todo.pop()
+            if literal:
+                out.append(item)
+            elif isinstance(item, BinaryTree):
+                out.append(f"{item.__class__.__qualname__}(left=")
+                todo += ((True, ")"), (False, item.right), (True, ", right="), (False, item.left))
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
     def __reduce__(self):
         # The default reduce restores slots through __setattr__, which raises.
@@ -101,12 +138,14 @@ def _level(smaller: list[tuple], n: int, leaf, join) -> Iterator:
                 yield join(left, right)
 
 
-def _fold(n: int, cap: int, leaf, join) -> Iterator:
-    """The trees of size n in canonical order, folded: an external node
-    becomes `leaf` and an internal node `join` of its folded subtrees.
+def _levels(n: int, cap: int, leaf, join) -> Iterator:
+    """The levels 0..n of the fold, each built once, in order: the levels
+    below n as tuples, which the fold reads to build the levels above, and
+    level n as a stream.  An external node becomes `leaf` and an internal
+    node `join` of its folded subtrees.
 
-    The levels 0..n-1 are built for this call only and released when the
-    generator finishes; the guards raise at the first next().
+    The levels are built for this call only and released with the last
+    stream; the guards raise at the first next().
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
@@ -115,7 +154,15 @@ def _fold(n: int, cap: int, leaf, join) -> Iterator:
     smaller: list[tuple] = []
     for m in range(n):
         smaller.append(tuple(_level(smaller, m, leaf, join)))
-    yield from _level(smaller, n, leaf, join)
+        yield smaller[m]
+    yield _level(smaller, n, leaf, join)
+
+
+def _fold(n: int, cap: int, leaf, join) -> Iterator:
+    """The trees of size n in canonical order, folded: the last of _levels."""
+    for level in _levels(n, cap, leaf, join):
+        pass
+    yield from level
 
 
 def enumerate_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[BinaryTree]:
@@ -138,17 +185,26 @@ def unmark(marked: str) -> TreeCode:
     return marked.replace("R", "1").replace("T", "0")
 
 
+def _marked_join(left: str, right: str) -> str:
+    # unmark(left), inlined: it runs once per code.
+    return "R" + left.replace("R", "1").replace("T", "0") + right
+
+
 def enumerate_marked(n: int, cap: int = DEFAULT_CAP) -> Iterator[str]:
     """Yield every code of enumerate_codes(n, cap), in the same order, with
     its right spine marked: 'R' for an internal node on the spine and 'T' for
     the terminal external node.
 
     A spine-marked code is 'R' + left subtree's code + right subtree's
-    spine-marked code, so one fold carries the spine with the code.  The
-    join inlines unmark(left): it runs once per code.
+    spine-marked code, so one fold carries the spine with the code.
     """
-    yield from _fold(n, cap, "T", lambda left, right: (
-        "R" + left.replace("R", "1").replace("T", "0") + right))
+    yield from _fold(n, cap, "T", _marked_join)
+
+
+def marked_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator:
+    """The levels 0..n of enumerate_marked, each folded once: the sizes
+    below n as tuples and size n as a stream, as _levels gives them."""
+    return _levels(n, cap, "T", _marked_join)
 
 
 def successor_codes(marked: str) -> list[TreeCode]:
@@ -268,39 +324,45 @@ def decode(code: TreeCode) -> BinaryTree:
 
 def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
     """Spine segment counts of `samples` uniform size-n trees from one seeded
-    generator: the same values as `samples` successive Remy growths of size-n
-    trees on `random.Random(seed)`, without building the trees.  The
-    tree-building sampler `grow_random` in tests/remy.py is the draw-for-draw
-    reference.
+    generator, by Remy's growth followed on the spine length alone.
 
-    Only the right spine of the growth is followed, as the list of node ids
-    from the root to the terminal leaf.  Step k grafts node m = 2k+1 (and
-    its new leaf m+1) at a uniform node v < m.  If v is at spine index i,
-    side 1 cuts the spine to spine[:i] + [m, m+1] and side 0 inserts m
-    before v; a v off the spine leaves the spine as it is.
+    Step k (k = 0..n-1) grafts onto a tree of m = 2k+1 nodes whose right
+    spine has L segments, so L+1 spine nodes.  Remy picks a node v < m and a
+    side < 2, each pair with probability 1/(2m).  Side 1 at spine index i
+    leaves i+1 segments, side 0 at any spine index leaves L+1, and a v off
+    the spine leaves L.  So one uniform u < 2m decides the step:
 
-    randrange(m) and randrange(2) are replayed with getrandbits and the same
-    rejection loop (Random._randbelow_with_getrandbits draws m.bit_length()
-    bits until the value is below m), which skips randrange's Python-level
-    argument handling but consumes the generator identically.
+        u <= L            L = u + 1   (side 1 at spine index u)
+        L < u <= 2L + 1   L = L + 1   (side 0 at spine index u - L - 1)
+        otherwise         L unchanged (the graft is off the spine)
+
+    Each (spine index, side) pair keeps its probability 1/(2m), so L has
+    the law of the spine of a uniform size-n tree, the ballot law.  The
+    draw-for-draw reference is `spine_chain` in tests/remy.py, and the tests
+    check its law exactly and against every draw sequence of Remy's growth
+    to size 5.  u is drawn as random.Random(seed).randrange(2m) draws it:
+    getrandbits((2m).bit_length()) until the value is below 2m.  The bounds
+    2m = 4k+2 run as one range per bit width, so a sample keeps O(log n)
+    state and no per-step list.
     """
     import random
 
     getrandbits = random.Random(seed).getrandbits
-    steps = [(m, m.bit_length()) for m in range(1, 2 * n, 2)]
+    runs = []
+    bound, top = 2, 4 * n + 2
+    while bound < top:
+        width = bound.bit_length()
+        bounds = range(bound, min(1 << width, top), 4)
+        runs.append((width, bounds))
+        bound += 4 * len(bounds)
     for _ in range(samples):
-        spine = [0]
-        for m, width in steps:
-            v = getrandbits(width)
-            while v >= m:
-                v = getrandbits(width)
-            side = getrandbits(2)
-            while side > 1:
-                side = getrandbits(2)
-            if v in spine:
-                i = spine.index(v)
-                if side:
-                    spine[i:] = (m, m + 1)
-                else:
-                    spine.insert(i, m)
-        yield len(spine) - 1
+        spine, edge = 0, 1  # edge = 2 * spine + 1, the last u that reaches the spine
+        for width, bounds in runs:
+            for bound in bounds:
+                u = getrandbits(width)
+                while u >= bound:
+                    u = getrandbits(width)
+                if u <= edge:
+                    spine = u + 1 if u <= spine else spine + 1
+                    edge = 2 * spine + 1
+        yield spine

@@ -1,9 +1,9 @@
 """Remy's leaf-insertion sampler of uniform random binary trees, building
-the trees.
+the trees, and the spine-length chain it projects to.
 
-`spinestat.trees.sample_spines` follows only the right spine of this growth;
-these functions are its draw-for-draw reference and the tests' generator of
-random trees.
+`spine_chain` is the draw-for-draw reference of
+`spinestat.trees.sample_spines`; the tests check its law against Remy's
+growth, which is also their generator of random trees.
 """
 
 from __future__ import annotations
@@ -71,3 +71,24 @@ def sample_uniform(n: int, seed: int) -> BinaryTree:
     """A uniformly random tree of size n; deterministic for a fixed seed."""
     rng = random.Random(seed)
     return tree_from_arrays(*grow_random(n, rng))
+
+
+def spine_step(spine: int, u: int) -> int:
+    """The spine length after a step that draws u on a spine of `spine`
+    segments: u <= L is side 1 at spine index u and leaves u+1 segments;
+    L < u <= 2L+1 is side 0 at spine index u-L-1 and leaves L+1; any other
+    u grafts off the spine and leaves L."""
+    if u <= spine:
+        return u + 1
+    if u <= 2 * spine + 1:
+        return spine + 1
+    return spine
+
+
+def spine_chain(n: int, rng: random.Random) -> int:
+    """The right-spine length of Remy's growth to size n, one draw a step:
+    step k draws u < 2m over the m = 2k+1 nodes and their two sides."""
+    spine = 0
+    for k in range(n):
+        spine = spine_step(spine, rng.randrange(2 * (2 * k + 1)))
+    return spine

@@ -106,3 +106,16 @@ def test_verify_exits_3_on_broken_identities(label, monkeypatch):
     out = io.StringIO()
     assert main(["verify", "--max-n", "6"], out=out) == EXIT_VERIFY == 3
     assert f"FAIL {label}" in out.getvalue().splitlines()
+
+
+def test_bijection_folds_each_level_once(monkeypatch):
+    # Levels 0..11 are folded once each: c_1 + ... + c_11 = 82,499 joins.
+    marked_join, joins = trees._marked_join, []
+
+    def counted(left, right):
+        joins.append(None)
+        return marked_join(left, right)
+
+    monkeypatch.setattr(trees, "_marked_join", counted)
+    assert checks.bijection(10, 11)[0] == "PASS"
+    assert len(joins) == 82_499

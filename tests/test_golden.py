@@ -25,7 +25,7 @@ README = {
     "verify --max-n 9":
         (0, "4f397ba3de3e2f85bcfd2bcc32afa37c713a5feb32da9f0ccf7aa9a7494be0e3"),
     "sample --n 50 --samples 100000 --seed 42":
-        (0, "224541a89307cc33c4f37993e461b575b4871a6a2206f16a043bafe5213ccbca"),
+        (0, "8f931cef9ead99da48356f38b57c906f7a8c34464e564848fd492c8301257f7e"),
     "enumerate --n 3":
         (0, "b5b47384ceff2ac68e8dc6119f22916f9d0790ff2af78c3a60c9642d8d30ae85"),
 }
@@ -113,7 +113,7 @@ SMALL = {
     "limit --k 7 --format text --precision 5":
         (0, "569d80311186ae731f4f4d7a35921ee878774185430de66ff76727f3dda3fdce"),
     "sample --n 9 --samples 300 --seed 3 --format text":
-        (0, "233d552198bf15d7ddb9b90625c9bffcabe56afa6d78d4196b9237d12db4a6ca"),
+        (0, "23720c8577d19f9c37ef47ea2a7d190d175372a531433ba810ce52cfdc3f6fbe"),
     "dist --n 5 --format csv --precision 0":
         (0, "69161b6376d2ac93475c6a7917c19ea2c524e2b0c62714d07962a024377627bc"),
     "average --n 10 --format csv":
@@ -123,7 +123,7 @@ SMALL = {
     "limit --k 7 --format csv --precision 5":
         (0, "569d80311186ae731f4f4d7a35921ee878774185430de66ff76727f3dda3fdce"),
     "sample --n 9 --samples 300 --seed 3 --format csv":
-        (0, "5c952b5373b5f62b6192cf5468fbcfadd249321332c1d6e45f101f179fb30ebb"),
+        (0, "643cf40464a3066009be7a6e6ade43ba4091ba68eab97ccd960ef355afaebc80"),
     "dist --n 5 --format json --precision 0":
         (0, "11a3cdea1555eef6ecb82ad11aecaa41663dc1d8669ff2f3a58606a4827a6abc"),
     "average --n 10 --format json":
@@ -133,15 +133,15 @@ SMALL = {
     "limit --k 7 --format json --precision 5":
         (0, "0a495fe7d3ce7b0bac21f3728602961b3c749a008f9b34104c2ca586ed06331f"),
     "sample --n 9 --samples 300 --seed 3 --format json":
-        (0, "2d604d19f6b1a3d9f0c4df37311d31ef233cf0b43c127a3dd579e35ce10d602d"),
-    # Sampler edges of the bit width of randrange(2k+1): no steps, one step
-    # of width 1 and one of width 2, and the last step past 2^10.
+        (0, "8cf6aa7aded46831973fb86c25988cf0df4e8ca03a4fc91fbd72155ecf363851"),
+    # Sampler edges of the bit width of the draw u < 4k+2: no steps, one
+    # step of width 2 and one of width 3, and the last step past 2^11.
     "sample --n 0 --samples 3 --seed 1":
         (0, "0e914612db280cdb03875f53d751a5e92982498f4241fc085040cfba6d54749e"),
     "sample --n 2 --samples 50 --seed 0 --format csv":
-        (0, "388b0da43ede25e61c06e15c34d47c1d67b448c451bcb8ca5eeba09c5f37a074"),
+        (0, "194bc4bd2b5b4eef7057c62eed22052c7232772b437845c340746032804657e7"),
     "sample --n 513 --samples 200 --seed 5 --format json":
-        (0, "a3f68c4dad249ea705b572e2b7979146e31de3448af16058fe607ec8e6cbb6c6"),
+        (0, "0d0f5e5accede722e3bcdd1daf1bf703714eef7a1f08f5370d843740c8ac0808"),
     "verify --max-n 6":
         (0, "9507ca0bbf479911e39e5bddd36ca9a5a72d167c1edb8546512820ddf64bfc58"),
     "enumerate --n 4":

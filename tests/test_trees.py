@@ -21,7 +21,7 @@ from spinestat import (
     spine_segments,
     successors,
 )
-from remy import grow_random, sample_uniform, tree_from_arrays
+from remy import grow_random, sample_uniform, spine_chain, spine_step, tree_from_arrays
 from spinestat import trees
 from spinestat.trees import (
     enumerate_marked,
@@ -328,50 +328,101 @@ class TestSampler:
         for count in freq.values():
             assert abs(count / n_samples - 1 / 14) < 0.02
 
-    # 2k+1 crosses a power of two between n and n+1 at n = 1, 2, 4, 8, 16, 512,
-    # where the bit width of randrange(2k+1) grows by one.
+    # The bound 4k+2 of step k gains a bit at k = 1, 2, 4, ..., 256, 512, so
+    # the last step of n = 2, 3, 5, 9, 17, 257, 513 is the first of its width.
     @pytest.mark.parametrize("seed", [77, 0, 2 ** 64 - 1])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 12, 16, 17, 512, 513])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 12, 16, 17, 256, 257, 512, 513])
     def test_spine_stream_matches_tree_sampler(self, n, seed):
-        # Draw for draw: successive tree growths on one generator give the
-        # same spines as the spine-only stream with that seed.
+        # Draw for draw: successive spine chains on one generator give the
+        # same spines as sample_spines with that seed.
         import random
 
         samples = 20 if n > 100 else 50
         rng = random.Random(seed)
-        expected = [spine_segments(tree_from_arrays(*grow_random(n, rng)))
-                    for _ in range(samples)]
+        expected = [spine_chain(n, rng) for _ in range(samples)]
         assert list(sample_spines(n, samples, seed)) == expected
-        assert expected[0] == spine_segments(sample_uniform(n, seed))
 
     def test_spine_chain_law_is_exact(self):
-        # The spine-length chain that sample_spines follows, pushed forward in
-        # exact arithmetic: at step k there are 2k+1 nodes; each of the s+1
-        # spine nodes of a length-s spine is hit with probability 1/(2k+1),
-        # and its side is 1 or 0 with probability 1/2 each.  Side 1 at spine
-        # index i leaves length i+1, side 0 leaves s+1, and a miss leaves s.
+        # The spine chain pushed forward in exact arithmetic: at step n each
+        # of its 2(2n+1) outcomes u has probability 1/(2(2n+1)).
         from fractions import Fraction
-
-        from spinestat.stats import dist_closed
 
         law = {0: Fraction(1)}
         for n in range(31):
-            if n == 0:
-                expected = {0: Fraction(1)}
-            else:
-                expected = {k: Fraction(dist_closed(n, k), catalan(n))
-                            for k in range(1, n + 1)}
-            assert law == expected, n
-            m = 2 * n + 1
+            assert law == ballot_law(n), n
+            bound = 2 * (2 * n + 1)
             step = Counter()
-            for s, p in law.items():
-                hit = p / m
-                for i in range(s + 1):
-                    step[i + 1] += hit / 2
-                    step[s + 1] += hit / 2
-                if m > s + 1:
-                    step[s] += p * (m - s - 1) / m
+            for spine, p in law.items():
+                for u in range(bound):
+                    step[spine_step(spine, u)] += p / bound
             law = dict(step)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_remy_growth_is_uniform_over_every_draw_sequence(self, n):
+        # Every sequence of Remy's draws, v < 2k+1 then a side < 2 at step k,
+        # is equally likely: 2^n (2n-1)!! sequences, 30,240 at n = 5.  Each
+        # of the c_n trees comes from as many of them, so their spines have
+        # the ballot law.  From every tree the sequences reach at size n-1,
+        # the last step's 2(2n-1) pairs give the spines that spine_step gives
+        # over its 2(2n-1) draws: the chain is the spine of Remy's growth.
+        from collections import defaultdict
+        from fractions import Fraction
+        from itertools import product
+
+        class Scripted:
+            def __init__(self, draws):
+                self.draws = iter(draws)
+
+            def randrange(self, bound):
+                u = next(self.draws)
+                assert 0 <= u < bound
+                return u
+
+        bounds = [b for k in range(n) for b in (2 * k + 1, 2)]
+        trees_seen, spines, last_step = Counter(), Counter(), defaultdict(Counter)
+        for draws in product(*map(range, bounds)):
+            t = tree_from_arrays(*grow_random(n, Scripted(draws)))
+            trees_seen[encode(t)] += 1
+            spines[spine_segments(t)] += 1
+            last_step[draws[:-2]][spine_segments(t)] += 1
+        total = sum(trees_seen.values())
+        assert len(trees_seen) == catalan(n)
+        assert set(trees_seen.values()) == {total // catalan(n)}
+        assert {k: Fraction(c, total) for k, c in spines.items()} == ballot_law(n)
+        if n:
+            for prefix, after in last_step.items():
+                before = tree_from_arrays(*grow_random(n - 1, Scripted(prefix)))
+                draws = range(2 * (2 * n - 1))
+                assert after == Counter(spine_step(spine_segments(before), u) for u in draws)
+
+    def test_chi_square_against_ballot_law_at_n8(self):
+        # 7 degrees of freedom; 24.32 is the 0.1% upper point.
+        samples = 100_000
+        observed = Counter(sample_spines(8, samples, 2026))
+        law = ballot_law(8)
+        assert set(observed) <= set(law)
+        chi2 = sum((observed[k] - samples * p) ** 2 / (samples * p) for k, p in law.items())
+        assert chi2 < 24.32
+
+    def test_sampler_keeps_no_per_step_state(self):
+        tracemalloc.start()
+        try:
+            assert len(list(sample_spines(100_000, 1, 7))) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+def ballot_law(n):
+    """The exact spine law of a uniform size-n tree, from the ballot formula."""
+    from fractions import Fraction
+
+    from spinestat.stats import dist_closed
+
+    if n == 0:
+        return {0: Fraction(1)}
+    return {k: Fraction(dist_closed(n, k), catalan(n)) for k in range(1, n + 1)}
 
 
 @given(st.integers(1, 40), st.integers(0, 2 ** 64 - 1))

@@ -86,3 +86,31 @@ def test_binary_tree_keywords_and_defaults():
 ])
 def test_repr(value, text):
     assert repr(value) == text
+
+
+LEAF_TEXT = "BinaryTree(left=None, right=None)"
+DEEP = 5000
+
+
+def _comb(n, side):
+    t = EXTERNAL
+    for _ in range(n):
+        t = BinaryTree(EXTERNAL, t) if side == "right" else BinaryTree(t, EXTERNAL)
+    return t
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_deep_combs_compare_hash_and_print_without_recursion(side):
+    # Equality, hash and repr walk the tree in loops: a comb of 5,000
+    # internal nodes is far past the interpreter's recursion limit.
+    a, b = _comb(DEEP, side), _comb(DEEP, side)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != _comb(DEEP - 1, side) and a != _comb(DEEP, "left" if side == "right" else "right")
+    if side == "right":
+        text = f"BinaryTree(left={LEAF_TEXT}, right=" * DEEP + LEAF_TEXT + ")" * DEEP
+    else:
+        text = "BinaryTree(left=" * DEEP + LEAF_TEXT + f", right={LEAF_TEXT})" * DEEP
+    assert repr(a) == text
