@@ -155,8 +155,8 @@ def cmd_sample(args, out) -> int:
     n, places = args.n, args.precision
     observed = Counter(trees.sample_spines(n, args.samples, args.seed))
     k_top = max(observed)
-    # Only the printed rows of the exact column, by the ballot formula.
-    total = catalan(n)
+    # The exact column, by the ballot formula.
+    [exact] = stats.ROUTES["closed"](range(n, n + 1))
     rows = []
     for k in range(1, k_top + 1):
         count = observed.get(k, 0)
@@ -164,7 +164,7 @@ def cmd_sample(args, out) -> int:
             "k": k,
             "observed": count,
             "empirical": render_ratio(count, args.samples, places),
-            "exact": render_ratio(stats.dist_closed(n, k), total, places),
+            "exact": render_ratio(exact.count(k), exact.total, places),
             "limit": _limit_str(k, places),
         })
     text = f"n={_text(n)} samples={_text(args.samples)} seed={_text(args.seed)}"

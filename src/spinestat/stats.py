@@ -3,20 +3,20 @@
 S_n^k denotes the number of size-n trees with exactly k segments on the right
 spine.  The four routes, registered by name in ROUTES:
 
-  * exhaustive  — spine lengths folded over the enumeration (bounded by the cap),
+  * exhaustive  — spine lengths folded over the enumeration, each level once
+                  up to the largest size (bounded by the cap),
   * recurrence  — level-to-level suffix sums derived from the growth step,
   * series      — coefficients of z^(k+1) * N^k, by N^(k+1) = N^k / z - N^(k-1),
   * closed      — the ballot-number formula S_n^k = k/(2n-k) * C(2n-k, n-k),
                   its binomials walked along k within each size.
 
-Every route takes a range of sizes and returns one SpineDistribution per
-size, in the order of the range.
+Each route has one entry point, dist_<route>(sizes): it takes a range of
+sizes and returns one SpineDistribution per size, in the order of the range.
 All agree wherever defined; the test suite holds them against each other.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import Counter, namedtuple
 from itertools import accumulate
@@ -47,14 +47,21 @@ def _make(n: int, counts) -> SpineDistribution:
 
 
 def dist_exhaustive(sizes: range, cap: int = DEFAULT_CAP) -> list[SpineDistribution]:
-    """Distributions by direct enumeration; raises CapExceeded above the cap.
-    The canonical fold visits each tree once as its spine length: a leaf has
-    0 segments, and a join one more than its right subtree."""
-    dists = []
-    for n in sizes:
-        spines = Counter(trees._fold(n, cap, 0, lambda left, right: right + 1))
-        dists.append(_make(n, (spines[k] for k in range(1, n + 1))))
-    return dists
+    """Distributions by one canonical fold up to the largest size, each level
+    folded once, each tree visited as its spine length: a leaf has 0 segments,
+    and a join one more than its right subtree.  A negative size raises
+    ValueError and a size above the cap CapExceeded, before any fold."""
+    if not sizes:
+        return []
+    if min(sizes) < 0:
+        raise ValueError("size must be nonnegative")
+    found = {}
+    levels = trees._levels(max(sizes), cap, 0, lambda left, right: right + 1)
+    for n, level in enumerate(levels):
+        if n in sizes:
+            spines = Counter(level)
+            found[n] = _make(n, (spines[k] for k in range(1, n + 1)))
+    return [found[n] for n in sizes]
 
 
 def dist_recurrence(sizes: range) -> list[SpineDistribution]:
@@ -94,14 +101,7 @@ def dist_series(sizes: range) -> list[SpineDistribution]:
     return [_make(n, counts[n]) for n in sizes]
 
 
-def dist_closed(n: int, k: int) -> int:
-    """Ballot-number count of size-n trees with k spine segments."""
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return k * math.comb(2 * n - k, n - k) // (2 * n - k)
-
-
-def dist_closed_all(sizes: range) -> list[SpineDistribution]:
+def dist_closed(sizes: range) -> list[SpineDistribution]:
     """Distributions by the ballot formula, for the requested sizes only.
     Within a size, b = C(2n-k, n-k) starts at C(n, 0) = 1 for k = n and steps
     to k-1 by C(m+1, r+1) = C(m, r) * (m+1)/(r+1); both divisions are exact."""
@@ -124,7 +124,7 @@ ROUTES = {
     "exhaustive": lambda sizes, cap=DEFAULT_CAP: dist_exhaustive(sizes, cap),
     "recurrence": lambda sizes, cap=None: dist_recurrence(sizes),
     "series": lambda sizes, cap=None: dist_series(sizes),
-    "closed": lambda sizes, cap=None: dist_closed_all(sizes),
+    "closed": lambda sizes, cap=None: dist_closed(sizes),
 }
 
 

@@ -190,20 +190,15 @@ def _marked_join(left: str, right: str) -> str:
     return "R" + left.replace("R", "1").replace("T", "0") + right
 
 
-def enumerate_marked(n: int, cap: int = DEFAULT_CAP) -> Iterator[str]:
-    """Yield every code of enumerate_codes(n, cap), in the same order, with
-    its right spine marked: 'R' for an internal node on the spine and 'T' for
-    the terminal external node.
+def marked_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator:
+    """The levels 0..n of enumerate_codes, each folded once, with each code's
+    right spine marked: 'R' for an internal node on the spine and 'T' for the
+    terminal external node.  The sizes below n come as tuples and size n as
+    a stream, as _levels gives them.
 
     A spine-marked code is 'R' + left subtree's code + right subtree's
     spine-marked code, so one fold carries the spine with the code.
     """
-    yield from _fold(n, cap, "T", _marked_join)
-
-
-def marked_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator:
-    """The levels 0..n of enumerate_marked, each folded once: the sizes
-    below n as tuples and size n as a stream, as _levels gives them."""
     return _levels(n, cap, "T", _marked_join)
 
 

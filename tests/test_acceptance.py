@@ -61,7 +61,7 @@ def test_criterion_1_tables_all_routes():
             assert stats.dist_exhaustive(range(n, n + 1))[0].counts == expected
             assert stats.dist_recurrence(range(n, n + 1))[0].counts == expected
             assert stats.dist_series(range(n, n + 1))[0].counts == expected
-            assert stats.dist_closed_all(range(n, n + 1))[0].counts == expected
+            assert stats.dist_closed(range(n, n + 1))[0].counts == expected
 
 
 def test_criterion_2_averages_exact():
@@ -129,12 +129,12 @@ def test_criterion_9_oracle_agreement():
     with _Criterion(9, "closed-form oracle vs the other routes, n <= 300", 120):
         # Admission check: ballot formula against exhaustive counts, n <= 9.
         for n in range(10):
-            assert (stats.dist_closed_all(range(n, n + 1))[0].counts
+            assert (stats.dist_closed(range(n, n + 1))[0].counts
                     == stats.dist_exhaustive(range(n, n + 1))[0].counts)
         rec = stats.dist_recurrence(range(301))
         ser = stats.dist_series(range(301))
         for n in range(301):
-            closed = stats.dist_closed_all(range(n, n + 1))[0].counts
+            closed = stats.dist_closed(range(n, n + 1))[0].counts
             assert closed == rec[n].counts == ser[n].counts
 
 

@@ -41,8 +41,8 @@ EXHAUSTIVE = {
 }
 
 # Larger sizes of three routes: series past the benchmark's n = 60,
-# exhaustive one size past the benchmark's n = 12, and closed at and near the
-# benchmark's n of about 1400.
+# exhaustive one size past the benchmark's n = 12, closed at and near the
+# benchmark's n of about 1400, and closed as the exact column of sample.
 ROUTE_SIZES = {
     "dist --n 1402 --method closed --format json":
         (0, "1866b4f65c59063c80e290cfb6f88ead3ec33f6f2bbdc1f0f23cc07ced37d2d2"),
@@ -52,6 +52,10 @@ ROUTE_SIZES = {
         (0, "933eeb8bdde9c0d61967a5297d4e7b872bbcf73553d0fe8644acfd86844ccac1"),
     "dist --n 200 --method series --format csv":
         (0, "1eed2f4fc7c1a2b9a869c78d70f8924197fd8c6ca6b756cee5cc462305b9fb67"),
+    # sample's exact column at n = 4000, where the ballot counts have about
+    # 8,000 bits.
+    "sample --n 4000 --samples 3 --seed 9 --format csv":
+        (0, "6c43033d85d4e94574388a5d68746e828a58aa128375ecc4e8c08428afc241e5"),
 }
 
 # Each command in each format, at small sizes, plus edge cases.

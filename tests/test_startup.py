@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import spinestat
-from spinestat import asymptotics
+from spinestat import asymptotics, stats, trees
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -96,3 +96,6 @@ def test_unknown_name_raises_attribute_error():
         from spinestat import nonesuch  # noqa: F401
     with pytest.raises(ImportError):
         from spinestat.series import ps_from  # noqa: F401
+    for module, name in ((trees, "enumerate_marked"), (stats, "dist_closed_all")):
+        with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+            getattr(module, name)

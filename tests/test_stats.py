@@ -12,7 +12,6 @@ from spinestat.stats import (
     ROUTES,
     average,
     dist_closed,
-    dist_closed_all,
     dist_exhaustive,
     dist_recurrence,
     dist_series,
@@ -35,6 +34,30 @@ def at(route, n):
     """The distribution of one size by a route that takes a range of sizes."""
     [dist] = route(range(n, n + 1))
     return dist
+
+
+def one_shot(n, k):
+    """The ballot count k/(2n-k) * C(2n-k, n-k), by math.comb: the closed
+    route's reference."""
+    import math
+
+    return k * math.comb(2 * n - k, n - k) // (2 * n - k)
+
+
+@pytest.fixture
+def joins(monkeypatch):
+    """The joins of every level fold, counted by wrapping trees._level."""
+    level, made = trees._level, []
+
+    def counted(smaller, n, leaf, join):
+        def counted_join(left, right):
+            made.append(None)
+            return join(left, right)
+
+        return level(smaller, n, leaf, counted_join)
+
+    monkeypatch.setattr(trees, "_level", counted)
+    return made
 
 
 # The distribution tables for n = 1..10: counts of trees with k = 1..n
@@ -87,6 +110,21 @@ class TestDistExhaustive:
             assert d.counts == tuple(expected[k] for k in range(1, d.n + 1))
             assert sum(expected.values()) == d.total
 
+    def test_folds_each_level_once(self, joins):
+        # Levels 0..10 are folded once each: c_1 + ... + c_10 = 23,713 joins.
+        assert [d.n for d in dist_exhaustive(range(11), cap=11)] == list(range(11))
+        assert len(joins) == 23_713 == sum(map(catalan, range(1, 11)))
+
+    def test_range_guards(self, joins):
+        # A negative size or one above the cap raises before any fold; an
+        # empty range gives no distribution, also one with a negative stop.
+        with pytest.raises(ValueError):
+            dist_exhaustive(range(-1, 3))
+        with pytest.raises(CapExceeded):
+            dist_exhaustive(range(3, 16))
+        assert dist_exhaustive(range(0)) == dist_exhaustive(range(-4)) == []
+        assert joins == []
+
 
 class TestDistRecurrence:
     @pytest.mark.parametrize("n", [2, 5, 9])
@@ -125,12 +163,12 @@ class TestDistSeries:
 
 class TestDistClosed:
     def test_paper_spot_checks(self):
-        assert dist_closed(7, 4) == 48
-        assert dist_closed(8, 6) == 27
+        assert at(dist_closed, 7).count(4) == one_shot(7, 4) == 48
+        assert at(dist_closed, 8).count(6) == one_shot(8, 6) == 27
 
     def test_right_comb_unique(self):
-        for n in range(1, 40):
-            assert dist_closed(n, n) == 1
+        for dist in dist_closed(range(1, 40)):
+            assert dist.count(dist.n) == one_shot(dist.n, dist.n) == 1
 
     def test_division_is_exact(self):
         import math
@@ -141,16 +179,11 @@ class TestDistClosed:
 
     @pytest.mark.parametrize("sizes", [range(201), range(1402, 1403)])
     def test_walk_matches_one_shot(self, sizes):
-        # dist_closed_all walks the binomials along k; dist_closed is the
-        # one-shot math.comb form of the same count.
-        for dist in dist_closed_all(sizes):
-            assert list(dist.counts) == [dist_closed(dist.n, k)
+        # dist_closed walks the binomials along k; one_shot is the math.comb
+        # form of the same count.
+        for dist in dist_closed(sizes):
+            assert list(dist.counts) == [one_shot(dist.n, k)
                                          for k in range(1, dist.n + 1)]
-
-    @pytest.mark.parametrize("n,k", [(5, 0), (5, 6), (3, -1)])
-    def test_domain(self, n, k):
-        with pytest.raises(DomainError):
-            dist_closed(n, k)
 
 
 class TestRouteAgreement:
@@ -159,19 +192,20 @@ class TestRouteAgreement:
             ex = at(dist_exhaustive, n).counts
             assert ex == at(dist_recurrence, n).counts
             assert ex == at(dist_series, n).counts
-            assert ex == at(dist_closed_all, n).counts
+            assert ex == at(dist_closed, n).counts
 
     def test_three_routes_to_100(self):
         rec = dist_recurrence(range(101))
         ser = dist_series(range(101))
         for n in range(101):
-            assert rec[n].counts == ser[n].counts == at(dist_closed_all, n).counts
+            assert rec[n].counts == ser[n].counts == at(dist_closed, n).counts
 
 
 class TestRanges:
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize(
-        "sizes", [range(0), range(12, 13), range(5, 11), range(3, 12, 4)]
+        "sizes",
+        [range(0), range(12, 13), range(5, 11), range(3, 12, 4), range(11, -1, -3)],
     )
     def test_range_equals_single_sizes(self, route, sizes):
         dists = ROUTES[route](sizes)
@@ -191,11 +225,10 @@ class TestRouteIndependence:
     size.  math.comb stays, because the totals come from catalan."""
 
     KERNELS = {
-        "closed": [(stats, "dist_recurrence"), (stats, "dist_closed"),
-                   (series, "node_gf"), (series, "ps_mul"), (trees, "_fold")],
-        "series": [(series, "ps_mul"), (trees, "_fold"),
-                   (stats, "dist_recurrence"), (stats, "dist_closed"),
-                   (stats, "dist_closed_all")],
+        "closed": [(stats, "dist_recurrence"), (series, "node_gf"),
+                   (series, "ps_mul"), (trees, "_levels")],
+        "series": [(series, "ps_mul"), (trees, "_levels"),
+                   (stats, "dist_recurrence"), (stats, "dist_closed")],
         "exhaustive": [(trees, "BinaryTree"), (trees, "spine_segments"),
                        (trees, "successors"), (series, "node_gf"),
                        (stats, "dist_recurrence"), (stats, "dist_closed")],
@@ -212,10 +245,12 @@ class TestRouteIndependence:
 
 
 class TestCount:
-    @pytest.mark.parametrize("k", [0, -1, 6])
-    def test_outside_1_to_n(self, k):
+    # n = 5 where the id names k alone.
+    @pytest.mark.parametrize("n,k", [(5, 0), (5, -1), (5, 6), (3, -1)],
+                             ids=["0", "-1", "6", "3--1"])
+    def test_outside_1_to_n(self, n, k):
         with pytest.raises(DomainError):
-            at(dist_closed_all, 5).count(k)
+            at(dist_closed, n).count(k)
 
 
 class TestInvariants:

@@ -24,7 +24,8 @@ from spinestat import (
 from remy import grow_random, sample_uniform, spine_chain, spine_step, tree_from_arrays
 from spinestat import trees
 from spinestat.trees import (
-    enumerate_marked,
+    DEFAULT_CAP,
+    marked_levels,
     predecessor_code,
     sample_spines,
     spine_tail,
@@ -80,6 +81,13 @@ class TestSpineSegments:
         assert spine_segments(t) == 1
 
 
+def marked_codes(n, cap=DEFAULT_CAP):
+    """The size-n spine-marked codes: the last level of marked_levels."""
+    for level in marked_levels(n, cap):
+        pass
+    yield from level
+
+
 def held_after_size_9(enumerate_):
     """Bytes allocated in trees.py still held after enumerating size 9."""
     tracemalloc.start()
@@ -128,7 +136,8 @@ class TestEnumerateCodes:
         for n in range(12):
             assert list(enumerate_codes(n)) == [encode(t) for t in enumerate_trees(n)]
 
-    @pytest.mark.parametrize("enumerate_", [enumerate_codes, enumerate_marked, enumerate_trees])
+    @pytest.mark.parametrize("enumerate_",
+                             [enumerate_codes, marked_codes, marked_levels, enumerate_trees])
     def test_guards_raise_lazily(self, enumerate_):
         # The guards fire at the first next(), not at the call.
         negative, too_big = enumerate_(-1), enumerate_(3, cap=2)
@@ -156,17 +165,17 @@ class TestGrowthOnCodes:
 
     def test_marked_fold_unmarks_to_codes(self):
         for n in range(12):
-            assert [unmark(m) for m in enumerate_marked(n)] == list(enumerate_codes(n))
+            assert [unmark(m) for m in marked_codes(n)] == list(enumerate_codes(n))
 
     def test_marked_fold_marks_the_spine(self):
         for n in range(8):
-            assert list(enumerate_marked(n)) == [marked(t) for t in enumerate_trees(n)]
+            assert list(marked_codes(n)) == [marked(t) for t in enumerate_trees(n)]
 
     def test_marked_fold_keeps_nothing_after_return(self):
-        assert held_after_size_9(enumerate_marked) < 10_000
+        assert held_after_size_9(marked_codes) < 10_000
 
     def test_size_one(self):
-        assert list(enumerate_marked(1)) == ["R0T"]
+        assert list(marked_codes(1)) == ["R0T"]
         assert successor_codes("R0T") == ["11000", "10100"]
         assert spine_tail("R0T") == (0, 1)
         assert predecessor_code("100", 0, 1) == ("0", 0)
@@ -178,7 +187,7 @@ class TestGrowthOnCodes:
 
     def test_equal_to_tree_step_up_to_10(self):
         for n in range(11):
-            for t, m in zip(enumerate_trees(n), enumerate_marked(n), strict=True):
+            for t, m in zip(enumerate_trees(n), marked_codes(n), strict=True):
                 assert successor_codes(m) == [encode(s) for s in successors(t)]
                 if n:
                     p, d = predecessor(t)
@@ -422,7 +431,8 @@ def ballot_law(n):
 
     if n == 0:
         return {0: Fraction(1)}
-    return {k: Fraction(dist_closed(n, k), catalan(n)) for k in range(1, n + 1)}
+    [dist] = dist_closed(range(n, n + 1))
+    return {k: Fraction(dist.count(k), catalan(n)) for k in range(1, n + 1)}
 
 
 @given(st.integers(1, 40), st.integers(0, 2 ** 64 - 1))
