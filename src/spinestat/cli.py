@@ -2,7 +2,8 @@
 sampling, and raw enumeration.
 
 Exit codes: 0 success, 1 usage error or a closed output pipe, 2 enumeration
-cap exceeded, 3 verification failure.
+cap exceeded, 3 verification failure.  Stdout is written in batches of about
+BATCH characters (see _Batches).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import os
 import sys
 from collections import Counter
+from itertools import islice
 
 from . import __version__, stats, trees
 from .errors import CapExceeded
@@ -29,6 +31,10 @@ METHODS = tuple(stats.ROUTES)
 # so this bound, not --max-n, sets its cost once --max-n passes it.
 VERIFY_CAP = 11
 FORMATS = ("text", "csv", "json")
+# Characters per write to stdout.  Unbuffered stdout (PYTHONUNBUFFERED=1)
+# turns each write into a system call, so line-sized writes cost more than
+# the lines; a larger batch only holds more text in memory.
+BATCH = 8192
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,6 +43,39 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+class _Batches:
+    """A text stream that writes `out` in batches: it keeps what it is given
+    until it holds BATCH characters or more, then writes all of it at once.
+    Every write but the last therefore has at least BATCH characters, and
+    none more than BATCH - 1 plus the last text given."""
+
+    def __init__(self, out):
+        self._out = out
+        self._held: list[str] = []
+        self._size = 0
+
+    def write(self, text: str) -> int:
+        self._held.append(text)
+        self._size += len(text)
+        if self._size >= BATCH:
+            self._write_held()
+        return len(text)
+
+    def _write_held(self) -> None:
+        # Emptied before the write, so text is not written again after a
+        # write that raised.
+        text = "".join(self._held)
+        self._held.clear()
+        self._size = 0
+        self._out.write(text)
+
+    def flush(self) -> None:
+        """Write what is held, and flush `out`."""
+        if self._held:
+            self._write_held()
+        self._out.flush()
 
 
 def _text(value) -> str:
@@ -56,7 +95,10 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
     its json form ends with the rows.  A report without columns has no csv
     form and prints its text instead.  Ints are rendered by `_text`, so no
     size of number meets str()'s digit limit.  Each format's module is
-    imported only when that format is written.
+    imported only when that format is written.  `out` is main's `_Batches`:
+    print, csv.writer and json.dump write it a line, a row or an encoder
+    chunk at a time, and it writes stdout in batches of about BATCH
+    characters.
     """
     if fmt == "json":
         import json
@@ -134,19 +176,25 @@ def cmd_limit(args, out) -> int:
 
 
 def cmd_enumerate(args, out) -> int:
-    for code in trees.enumerate_codes(args.n, cap=args.cap):
-        print(code, file=out)
+    codes = trees.enumerate_codes(args.n, cap=args.cap)
+    # A size-n code and its newline take 2n+2 characters, so each chunk just
+    # reaches BATCH, and `out` writes it as it comes.  Every code is nonempty.
+    per_chunk = BATCH // (2 * args.n + 2) + 1
+    while chunk := "\n".join(islice(codes, per_chunk)):
+        out.write(chunk + "\n")
     return EXIT_OK
 
 
 def cmd_verify(args, out) -> int:
-    """Print each check's verdict line, and each FAIL's detail to stderr."""
+    """Print each check's verdict line, and each FAIL's detail to stderr
+    right after its verdict line."""
     from . import checks
 
     results = checks.run(args.max_n, args.cap)
     for verdict, label, detail in results:
         print(f"{verdict} {label}", file=out)
         if detail:
+            out.flush()
             print(detail, file=sys.stderr)
     return EXIT_VERIFY if any(verdict == "FAIL" for verdict, _, _ in results) else EXIT_OK
 
@@ -228,14 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     parser = build_parser()
-    out = out if out is not None else sys.stdout
+    out = _Batches(out if out is not None else sys.stdout)
     try:
-        args = parser.parse_args(argv)
-        for dest, least in args.minimum.items():
-            if getattr(args, dest) < least:
-                parser.exit(EXIT_USAGE, f"error: --{dest.replace('_', '-')} must be >= {least}\n")
-        code = args.func(args, out)
-        out.flush()
+        try:
+            args = parser.parse_args(argv)
+            for dest, least in args.minimum.items():
+                if getattr(args, dest) < least:
+                    parser.exit(EXIT_USAGE,
+                                f"error: --{dest.replace('_', '-')} must be >= {least}\n")
+            code = args.func(args, out)
+        finally:
+            # Text written before an error, too, reaches stdout.
+            out.flush()
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     except CapExceeded as exc:

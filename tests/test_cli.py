@@ -1,17 +1,20 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinestat import stats, trees
+from spinestat import cli, stats, trees
 from spinestat.cli import FORMATS, METHODS, main
+from spinestat.errors import CapExceeded
 from spinestat.series import catalan
 from spinestat.stats import render_int
 
@@ -34,6 +37,19 @@ def run_subprocess(*args, **env):
         [sys.executable, "-m", "spinestat", *args], capture_output=True, text=True,
         env=subprocess_env(**env),
     )
+
+
+# Stdout's two modes: with PYTHONUNBUFFERED=1 every write to it is a write(2)
+# call; without, a pipe is written a buffer at a time.
+STDOUT_MODES = pytest.mark.parametrize("unbuffered", [True, False],
+                                       ids=["PYTHONUNBUFFERED=1", "PYTHONUNBUFFERED unset"])
+
+
+def stdout_mode_env(unbuffered):
+    env = subprocess_env(PYTHONUNBUFFERED="1")
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
+    return env
 
 
 class TestDist:
@@ -250,6 +266,35 @@ class TestVerifyFailures:
         assert capsys.readouterr().err.splitlines() == [
             "exhaustive agreement n=3: first differing k=3: exhaustive=none recurrence=1"]
 
+    @STDOUT_MODES
+    def test_detail_follows_its_verdict_on_a_shared_stream(self, unbuffered):
+        # The duplicated image and the route disagreement above, in one
+        # process whose stdout and stderr are one pipe.
+        faults = textwrap.dedent("""
+            import sys
+            from spinestat import cli, stats, trees
+            successor_codes, dist_series = trees.successor_codes, stats.dist_series
+            trees.successor_codes = lambda m: (
+                successor_codes(m) + successor_codes(m)[:1] if len(m) == 5
+                else successor_codes(m))
+            stats.dist_series = lambda sizes: [
+                stats.SpineDistribution(d.n, (d.counts[0], d.counts[1] + 1, *d.counts[2:]),
+                                        d.total) if d.n == 5 else d
+                for d in dist_series(sizes)]
+            sys.exit(cli.main(["verify", "--max-n", "6"]))
+        """)
+        cp = subprocess.run([sys.executable, "-c", faults], stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True, env=stdout_mode_env(unbuffered))
+        assert cp.returncode == 3
+        assert cp.stdout.splitlines() == [
+            "FAIL bijection n=2",
+            "bijection n=2: code 10100 at depth 3 gives image 1101000,"
+            " a duplicate or not a size-3 code",
+            "FAIL route agreement n=5",
+            "route agreement n=5: first differing k=2: recurrence=14 series=15 closed=14",
+            "PASS conservation and segment-sum identity (n <= 6)",
+        ]
+
 
 class TestSample:
     def test_n1_all_mass_on_k1(self):
@@ -292,6 +337,33 @@ class TestEnumerate:
     def test_cap_exit_2(self):
         code, _ = run_main("enumerate", "--n", "3", "--cap", "2")
         assert code == 2
+
+
+class _CountedWrites(io.StringIO):
+    """A StringIO that keeps the length of each text written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    "enumerate --n 11",
+    "dist --n 1402 --method closed --format json",
+])
+def test_stdout_written_in_batches(argv):
+    # A code per line, and a json encoder chunk, would each be one write.
+    out = _CountedWrites()
+    assert main(argv.split(), out=out) == 0
+    text = out.getvalue()
+    assert len(out.lengths) <= math.ceil(len(text) / cli.BATCH) + 1
+    # Memory stays bounded: no write holds more than a batch and one line.
+    longest_line = max(map(len, text.splitlines(keepends=True)))
+    assert max(out.lengths) <= cli.BATCH + longest_line
 
 
 class TestNegativePrecision:
@@ -339,6 +411,15 @@ class TestExitPath:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ")
 
+    def test_output_before_an_error_is_written(self, monkeypatch, capsys):
+        def write_then_fail(args, out):
+            print("a line", file=out)
+            raise CapExceeded("size 9 exceeds the exhaustive cap 1")
+
+        monkeypatch.setattr(cli, "cmd_limit", write_then_fail)
+        assert run_main("limit", "--k", "2") == (2, "a line\n")
+        assert capsys.readouterr().err == "error: size 9 exceeds the exhaustive cap 1\n"
+
 
 class TestBigIntegers:
     # render_int itself is checked against an independent digit parser in
@@ -379,17 +460,36 @@ class TestProcessLevel:
         args = ("dist", "--n", "7", "--format", "json")
         assert run_subprocess(*args).stdout == run_subprocess(*args).stdout
 
-    def test_closed_pipe_exit_1_without_traceback(self):
+    @STDOUT_MODES
+    def test_closed_pipe_exit_1_without_traceback(self, unbuffered):
         proc = subprocess.Popen(
             [sys.executable, "-m", "spinestat", "enumerate", "--n", "12"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=subprocess_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=stdout_mode_env(unbuffered),
         )
         assert proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
+
+    @STDOUT_MODES
+    def test_enumerate_into_head(self, unbuffered):
+        # spinestat enumerate --n 12 | head -1
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spinestat", "enumerate", "--n", "12"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=stdout_mode_env(unbuffered),
+        )
+        head = subprocess.run(["head", "-1"], stdin=proc.stdout, capture_output=True,
+                              timeout=60)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert head.stdout == b"10" * 12 + b"0\n"
+        assert err == b"error: output pipe closed\n"
 
     def test_imports_only_the_standard_library(self):
         # -S: no site module, whose .pth files may import third-party packages.

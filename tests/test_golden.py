@@ -58,6 +58,16 @@ ROUTE_SIZES = {
         (0, "6c43033d85d4e94574388a5d68746e828a58aa128375ecc4e8c08428afc241e5"),
 }
 
+# Outputs that span many of the CLI's stdout batches: enumerate's 5.4 MB
+# cross about 660 batch edges, and the recurrence route's 0.8 MB of csv
+# about 95.
+BATCH_EDGES = {
+    "enumerate --n 12":
+        (0, "918e315191a02296f6f32270c6ed05a256b60c907535c9e5f9eb73ab52ec963d"),
+    "dist --n 1402 --method recurrence --format csv":
+        (0, "df25f81f5198cd2eff8b0b696619a8d67b66b6fc0482d909cd8a815e41fa00aa"),
+}
+
 # Each command in each format, at small sizes, plus edge cases.
 SMALL = {
     "dist --n 7 --method exhaustive --format text":
@@ -161,7 +171,7 @@ SMALL = {
 }
 
 
-GOLDEN = {**README, **SMALL, **EXHAUSTIVE, **ROUTE_SIZES}
+GOLDEN = {**README, **SMALL, **EXHAUSTIVE, **ROUTE_SIZES, **BATCH_EDGES}
 
 
 @pytest.mark.parametrize("line", GOLDEN)
