@@ -12,7 +12,6 @@ from .errors import (
     CapExceeded,
     DomainError,
     EmptyTree,
-    MalformedCode,
     NoRoot,
     SpinestatError,
 )
@@ -25,18 +24,7 @@ from .stats import (
     dist_recurrence,
     dist_series,
 )
-from .trees import (
-    EXTERNAL,
-    BinaryTree,
-    decode,
-    encode,
-    enumerate_codes,
-    enumerate_trees,
-    predecessor,
-    size,
-    spine_segments,
-    successors,
-)
+from .trees import enumerate_codes
 
 # The limit theory (and the fractions module it computes in) loads on first
 # use of one of these names, so a CLI start does not pay for it.
@@ -52,32 +40,22 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BinaryTree",
     "CapExceeded",
     "DomainError",
     "EmptyTree",
-    "EXTERNAL",
-    "MalformedCode",
     "NoRoot",
     "SpineDistribution",
     "SpinestatError",
     "average",
     "catalan",
-    "decode",
     "dist_closed",
     "dist_exhaustive",
     "dist_recurrence",
     "dist_series",
-    "encode",
     "enumerate_codes",
-    "enumerate_trees",
     "limit_fraction",
     "moment_sums",
     "node_gf",
-    "predecessor",
-    "size",
     "spine_gf",
-    "spine_segments",
-    "successors",
     "tau",
 ]

@@ -279,7 +279,13 @@ def main(argv=None, out=None) -> int:
     out = _Batches(out if out is not None else sys.stdout)
     try:
         try:
-            args = parser.parse_args(argv)
+            # argparse writes --help and --version to sys.stdout, which is
+            # `out` while it parses.
+            sys.stdout, stdout = out, sys.stdout
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                sys.stdout = stdout
             for dest, least in args.minimum.items():
                 if getattr(args, dest) < least:
                     parser.exit(EXIT_USAGE,

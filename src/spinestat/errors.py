@@ -13,10 +13,6 @@ class EmptyTree(SpinestatError):
     """Operation requires at least one internal node."""
 
 
-class MalformedCode(SpinestatError):
-    """Bit string is not a valid preorder tree encoding."""
-
-
 class NoRoot(SpinestatError):
     """Characteristic equation has no positive root in the search range."""
 

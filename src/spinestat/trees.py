@@ -1,17 +1,19 @@
-"""Binary trees: representation, canonical enumeration, right-spine statistics,
-the level-to-level growth step and its inverse (on trees and on preorder
-codes), and a seeded sampler of spine lengths of uniform random trees.
+"""Binary trees as preorder codes: canonical enumeration by a fold over the
+sizes, the right spine carried through that fold, the level-to-level growth
+step and its inverse on spine-marked codes, and a seeded sampler of spine
+lengths of uniform random trees.
 
 A tree is either a single external node or an internal node with a left and a
 right subtree.  "Size" always means the number of internal nodes; a size-n
-tree has n+1 external nodes and 2n+1 nodes in total.
+tree has n+1 external nodes and 2n+1 nodes in total.  The tree-level
+reference of the growth step, on nested tuples, is tests/treeref.py.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .errors import CapExceeded, EmptyTree, MalformedCode
+from .errors import CapExceeded, EmptyTree
 
 # `random` is imported inside the sampler, so the commands that do not
 # sample do not load it at start-up.
@@ -22,110 +24,6 @@ DEFAULT_CAP = 14
 
 # Preorder bit encoding of a tree: '1' for internal, '0' for external.
 TreeCode = str
-
-
-class BinaryTree:
-    """Either an external node (no children) or an internal node (two children).
-
-    Immutable, compared and hashed by value.  The fields are slots, not a
-    tuple: attribute loads of slots are specialised by the interpreter, and
-    enumeration and encoding read them per node.
-    """
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: BinaryTree | None = None, right: BinaryTree | None = None) -> None:
-        if (left is None) != (right is None):
-            raise ValueError("a node has either zero or two children")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    # Equality, hash and repr walk the tree with an explicit stack, so no
-    # recursion limit bounds its depth.
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.__class__ is b.__class__ and isinstance(a, BinaryTree):
-                pairs.append((a.right, b.right))
-                pairs.append((a.left, b.left))
-            elif not a == b:
-                return False
-        return True
-
-    def __hash__(self):
-        # The hash of (left's hash, right's hash), children first.
-        hashes: list = []
-        todo = [(self, False)]
-        while todo:
-            node, ready = todo.pop()
-            if ready:
-                right = hashes.pop()
-                hashes.append(hash((hashes.pop(), right)))
-            elif isinstance(node, BinaryTree):
-                todo += ((node, True), (node.right, False), (node.left, False))
-            else:
-                hashes.append(node)
-        return hashes[0]
-
-    def __repr__(self):
-        # Items are (True, text to emit) or (False, value to render).
-        out: list[str] = []
-        todo = [(False, self)]
-        while todo:
-            literal, item = todo.pop()
-            if literal:
-                out.append(item)
-            elif isinstance(item, BinaryTree):
-                out.append(f"{item.__class__.__qualname__}(left=")
-                todo += ((True, ")"), (False, item.right), (True, ", right="), (False, item.left))
-            else:
-                out.append(repr(item))
-        return "".join(out)
-
-    def __reduce__(self):
-        # The default reduce restores slots through __setattr__, which raises.
-        return self.__class__, (self.left, self.right)
-
-    @property
-    def is_external(self) -> bool:
-        return self.left is None
-
-
-EXTERNAL = BinaryTree()
-
-
-def size(t: BinaryTree) -> int:
-    """Number of internal nodes."""
-    count = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if not node.is_external:
-            count += 1
-            stack.append(node.left)
-            stack.append(node.right)
-    return count
-
-
-def spine_segments(t: BinaryTree) -> int:
-    """Number of edges on the maximal path of right children from the root."""
-    count = 0
-    while not t.is_external:
-        count += 1
-        t = t.right
-    return count
 
 
 def _level(smaller: list[tuple], n: int, leaf, join) -> Iterator:
@@ -158,26 +56,14 @@ def _levels(n: int, cap: int, leaf, join) -> Iterator:
     yield _level(smaller, n, leaf, join)
 
 
-def _fold(n: int, cap: int, leaf, join) -> Iterator:
-    """The trees of size n in canonical order, folded: the last of _levels."""
-    for level in _levels(n, cap, leaf, join):
+def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
+    """Yield the preorder code of every tree of size n exactly once, in
+    canonical order: left-subtree size ascending, then recursively the same
+    rule on the left and then the right subtree.  The last level of _levels.
+    """
+    for level in _levels(n, cap, "0", lambda left, right: "1" + left + right):
         pass
     yield from level
-
-
-def enumerate_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[BinaryTree]:
-    """Yield every tree of size n exactly once, in canonical order.
-
-    Canonical order: left-subtree size ascending, then recursively the same
-    rule on the left and then the right subtree.
-    """
-    yield from _fold(n, cap, EXTERNAL, BinaryTree)
-
-
-def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
-    """Yield encode(t) for every t of enumerate_trees(n, cap), in the same
-    order, without building the trees."""
-    yield from _fold(n, cap, "0", lambda left, right: "1" + left + right)
 
 
 def unmark(marked: str) -> TreeCode:
@@ -203,11 +89,16 @@ def marked_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator:
 
 
 def successor_codes(marked: str) -> list[TreeCode]:
-    """encode of each tree of successors(decode(unmark(marked))), in the
-    same order, without building a tree.
+    """The growth step on codes: the codes of the size+1 trees that grow
+    from the tree of `marked`, one per spine depth, without building a tree.
 
-    The subtree at a spine node is a suffix of the code, so the image at the
-    spine node in position p is code[:p] + '1' + code[p:] + '0'.
+    At each node on the right spine (depth 0 .. the spine's segment count,
+    the last being the terminal external node) the subtree there is replaced
+    by an internal node with the old subtree on the left and an external
+    node on the right; the image at depth d has d+1 spine segments.  The
+    subtree at a spine node is a suffix of the code, so the image at the
+    spine node in position p is code[:p] + '1' + code[p:] + '0'.  The
+    tree-level reference is `successors` in tests/treeref.py.
     """
     code = unmark(marked)
     images = []
@@ -230,91 +121,15 @@ def spine_tail(marked: str) -> tuple[int, int]:
 
 
 def predecessor_code(code: TreeCode, last: int, segments: int) -> tuple[TreeCode, int]:
-    """predecessor on codes: (encode(p), d) for (p, d) = predecessor(t), where
-    code = encode(t) and (last, segments) is its spine_tail.
+    """The inverse of the growth step on codes: (p, d) such that
+    successor_codes of p's spine-marked code has `code` at index d.
+    (last, segments) is the spine_tail of code's spine-marked form.
 
     The '1' of the last internal spine node and the final '0' (the terminal
-    external node, its right child) are removed.
+    external node, its right child) are removed.  The tree-level reference
+    is `predecessor` in tests/treeref.py.
     """
     return code[:last] + code[last + 1:-1], segments - 1
-
-
-def successors(t: BinaryTree) -> list[BinaryTree]:
-    """All size+1 trees obtained by the growth step.
-
-    For each node on the right spine (depth 0 .. spine_segments(t), the last
-    being the terminal external node) the subtree there is replaced by an
-    internal node with the old subtree on the left and an external node on
-    the right.  The result at spine depth d has d+1 spine segments.
-    A loop walks the spine, so no recursion limit bounds its length.
-    """
-    result = []
-    lefts: list[BinaryTree] = []
-    while True:
-        image = BinaryTree(t, EXTERNAL)
-        for left in reversed(lefts):
-            image = BinaryTree(left, image)
-        result.append(image)
-        if t.is_external:
-            return result
-        lefts.append(t.left)
-        t = t.right
-
-
-def predecessor(t: BinaryTree) -> tuple[BinaryTree, int]:
-    """Invert the growth step: return (p, d) with successors(p)[d] == t.
-
-    The subtree at the last-but-one node on the right spine is replaced by
-    its left subtree, and a loop rebuilds the spine above it.
-    """
-    if t.is_external:
-        raise EmptyTree("the size-0 tree has no predecessor")
-    lefts: list[BinaryTree] = []
-    while not t.right.is_external:
-        lefts.append(t.left)
-        t = t.right
-    p = t.left
-    for left in reversed(lefts):
-        p = BinaryTree(left, p)
-    return p, len(lefts)
-
-
-def encode(t: BinaryTree) -> TreeCode:
-    """Preorder bit encoding: internal -> '1' + left + right, external -> '0'."""
-    bits: list[str] = []
-    append = bits.append
-    stack = [t]
-    push, pop = stack.append, stack.pop
-    while stack:
-        node = pop()
-        if node.left is None:
-            append("0")
-        else:
-            append("1")
-            push(node.right)
-            push(node.left)
-    return "".join(bits)
-
-
-def decode(code: TreeCode) -> BinaryTree:
-    """Inverse of encode; raises MalformedCode on any invalid bit string."""
-    if not code or set(code) - {"0", "1"}:
-        raise MalformedCode("code must be a nonempty string of '0'/'1'")
-    if code.count("0") != code.count("1") + 1:
-        raise MalformedCode("code must have exactly one more '0' than '1's")
-    stack: list[BinaryTree] = []
-    for bit in reversed(code):
-        if bit == "0":
-            stack.append(EXTERNAL)
-        else:
-            if len(stack) < 2:
-                raise MalformedCode("prefix condition violated")
-            left = stack.pop()
-            right = stack.pop()
-            stack.append(BinaryTree(left, right))
-    if len(stack) != 1:
-        raise MalformedCode("prefix condition violated")
-    return stack[0]
 
 
 def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:

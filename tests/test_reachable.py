@@ -1,0 +1,61 @@
+"""Code with no caller is deleted: every top-level function and class in
+src/spinestat is named by other code there, exported by the package, or
+allow-listed below with the reason it stays."""
+
+import ast
+from pathlib import Path
+
+import spinestat
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spinestat"
+
+# (module, name): why it stays without a caller in src/.
+ALLOWED = {
+    ("asymptotics", "substitution_check"):
+        "no caller until `verify` checks the limits (ROADMAP item 2)",
+}
+
+
+def uncalled_definitions(sources, exported):
+    """(module, name) of each top-level function or class in `sources`, a
+    dict of module name to source text, that no code in them loads by name
+    or attribute outside the definition itself, and that is neither in
+    `exported` nor a __dunder__ hook, which the interpreter calls.  An
+    import alone is not a use."""
+    defined, used = [], set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                defined.append((module, own))
+            loads = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    loads.add(sub.id)
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    loads.add(sub.attr)
+            used |= loads - {own}
+    return [(module, name) for module, name in defined
+            if name not in used and name not in exported
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_definition_in_src_has_a_caller():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    exported = {*spinestat.__all__, *spinestat._ASYMPTOTICS}
+    # Equal, not a subset: an entry whose name gained a caller is dropped.
+    assert sorted(uncalled_definitions(sources, exported)) == sorted(ALLOWED)
+
+
+def test_a_planted_uncalled_function_is_flagged():
+    # b uses a and comes before it: a use counts in any module order.
+    planted = {
+        "b": "from . import a\nfrom .a import orphan\n\nprint(a.used(), a.Hook)\n",
+        "a": ("def used():\n    return used()\n\n"
+              "def orphan():\n    return used()\n\n"
+              "class Hook:\n    pass\n\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n"),
+    }
+    assert uncalled_definitions(planted, exported=set()) == [("a", "orphan")]
+    assert uncalled_definitions(planted, exported={"orphan"}) == []

@@ -88,7 +88,9 @@ def test_limit_names_come_from_asymptotics():
 
 def test_unknown_name_raises_attribute_error():
     # Removed public names raise as an unknown name does.
-    for name in ("nonesuch", "weighted_sum", "sample_uniform"):
+    for name in ("nonesuch", "weighted_sum", "sample_uniform", "BinaryTree", "EXTERNAL",
+                 "encode", "decode", "successors", "predecessor", "size", "spine_segments",
+                 "enumerate_trees", "MalformedCode"):
         with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
             getattr(spinestat, name)
         assert name not in spinestat.__all__
@@ -96,6 +98,7 @@ def test_unknown_name_raises_attribute_error():
         from spinestat import nonesuch  # noqa: F401
     with pytest.raises(ImportError):
         from spinestat.series import ps_from  # noqa: F401
-    for module, name in ((trees, "enumerate_marked"), (stats, "dist_closed_all")):
+    for module, name in ((trees, "enumerate_marked"), (stats, "dist_closed_all"),
+                         (trees, "BinaryTree"), (trees, "_fold")):
         with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
             getattr(module, name)

@@ -19,6 +19,9 @@ from spinestat.stats import (
     render_ratio,
 )
 
+import treeref
+
+
 def parse_digits(text):
     """int() of a decimal string of any length, 1000 digits at a time, so
     that no single conversion meets str()/int()'s digit limit."""
@@ -106,7 +109,7 @@ class TestDistExhaustive:
     def test_fold_matches_tree_count(self):
         # The fold against counting spine_segments over the built trees.
         for d in dist_exhaustive(range(12)):
-            expected = Counter(map(trees.spine_segments, trees.enumerate_trees(d.n)))
+            expected = Counter(map(treeref.spine_segments, treeref.enumerate_trees(d.n)))
             assert d.counts == tuple(expected[k] for k in range(1, d.n + 1))
             assert sum(expected.values()) == d.total
 
@@ -226,7 +229,7 @@ def _refuse(*args, **kwargs):
 class TestRouteIndependence:
     """Each route reproduces the tables with the other routes' kernels
     disabled: series uses only N's functional equation, exhaustive only the
-    canonical decomposition, and closed only the ballot formula within one
+    canonical decomposition and no growth step, and closed only the ballot formula within one
     size.  math.comb stays, because the totals come from catalan."""
 
     KERNELS = {
@@ -234,8 +237,8 @@ class TestRouteIndependence:
                    (series, "ps_mul"), (trees, "_levels")],
         "series": [(series, "ps_mul"), (trees, "_levels"),
                    (stats, "dist_recurrence"), (stats, "dist_closed")],
-        "exhaustive": [(trees, "BinaryTree"), (trees, "spine_segments"),
-                       (trees, "successors"), (series, "node_gf"),
+        "exhaustive": [(trees, "successor_codes"), (trees, "predecessor_code"),
+                       (trees, "marked_levels"), (series, "node_gf"),
                        (stats, "dist_recurrence"), (stats, "dist_closed")],
     }
 

@@ -5,23 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinestat import (
-    EXTERNAL,
-    BinaryTree,
-    CapExceeded,
-    EmptyTree,
+from spinestat import CapExceeded, EmptyTree, catalan, enumerate_codes
+from remy import grow_random, sample_uniform, spine_chain, spine_step, tree_from_arrays
+from treeref import (
     MalformedCode,
-    catalan,
     decode,
     encode,
-    enumerate_codes,
     enumerate_trees,
     predecessor,
     size,
     spine_segments,
     successors,
 )
-from remy import grow_random, sample_uniform, spine_chain, spine_step, tree_from_arrays
 from spinestat import trees
 from spinestat.trees import (
     DEFAULT_CAP,
@@ -33,25 +28,19 @@ from spinestat.trees import (
     unmark,
 )
 
-SIZE_ONE = BinaryTree(EXTERNAL, EXTERNAL)
+SIZE_ONE = (None, None)
 
 
 def right_comb(n):
-    t = EXTERNAL
+    t = None
     for _ in range(n):
-        t = BinaryTree(EXTERNAL, t)
+        t = (None, t)
     return t
-
-
-@pytest.mark.parametrize("left, right", [(EXTERNAL, None), (None, EXTERNAL)])
-def test_node_has_zero_or_two_children(left, right):
-    with pytest.raises(ValueError):
-        BinaryTree(left, right)
 
 
 class TestSize:
     def test_external(self):
-        assert size(EXTERNAL) == 0
+        assert size(None) == 0
 
     def test_single_internal(self):
         assert size(SIZE_ONE) == 1
@@ -69,15 +58,15 @@ class TestSpineSegments:
         assert spine_segments(SIZE_ONE) == 1
 
     def test_external(self):
-        assert spine_segments(EXTERNAL) == 0
+        assert spine_segments(None) == 0
 
     def test_right_comb(self):
         assert spine_segments(right_comb(4)) == 4
 
     def test_left_comb_has_one_segment(self):
-        t = EXTERNAL
+        t = None
         for _ in range(5):
-            t = BinaryTree(t, EXTERNAL)
+            t = (t, None)
         assert spine_segments(t) == 1
 
 
@@ -102,7 +91,7 @@ def held_after_size_9(enumerate_):
 
 class TestEnumerate:
     def test_size_zero(self):
-        assert list(enumerate_trees(0)) == [EXTERNAL]
+        assert list(enumerate_trees(0)) == [None]
 
     def test_size_three_count(self):
         assert len(list(enumerate_trees(3))) == 5
@@ -127,7 +116,7 @@ class TestEnumerate:
 
     def test_canonical_order_is_by_left_subtree_size(self):
         for n in range(2, 7):
-            left_sizes = [size(t.left) for t in enumerate_trees(n)]
+            left_sizes = [size(t[0]) for t in enumerate_trees(n)]
             assert left_sizes == sorted(left_sizes)
 
 
@@ -154,9 +143,9 @@ class TestEnumerateCodes:
 
 def marked(t):
     """The spine-marked code of t, built from the tree."""
-    if t.is_external:
+    if t is None:
         return "T"
-    return "R" + encode(t.left) + marked(t.right)
+    return "R" + encode(t[0]) + marked(t[1])
 
 
 class TestGrowthOnCodes:
@@ -215,7 +204,7 @@ class TestSuccessors:
         assert sorted(spine_segments(t) for t in result) == [1, 2]
 
     def test_external(self):
-        assert successors(EXTERNAL) == [SIZE_ONE]
+        assert successors(None) == [SIZE_ONE]
 
     def test_right_comb_three(self):
         result = successors(right_comb(3))
@@ -244,18 +233,18 @@ class TestPredecessor:
         # Spine tree with left subtrees A,B,C,D (here combs of sizes 1..4)
         # comes from the tree with A,B on the spine and C with D hanging right.
         a, b, c, d = (right_comb(i) for i in range(1, 5))
-        t = BinaryTree(a, BinaryTree(b, BinaryTree(c, BinaryTree(d, EXTERNAL))))
+        t = (a, (b, (c, (d, None))))
         p, depth = predecessor(t)
         assert depth == 3
-        assert p == BinaryTree(a, BinaryTree(b, BinaryTree(c, d)))
+        assert p == (a, (b, (c, d)))
         assert successors(p)[depth] == t
 
     def test_size_one(self):
-        assert predecessor(SIZE_ONE) == (EXTERNAL, 0)
+        assert predecessor(SIZE_ONE) == (None, 0)
 
     def test_external_raises(self):
         with pytest.raises(EmptyTree):
-            predecessor(EXTERNAL)
+            predecessor(None)
 
     def test_round_trip_size_six(self):
         for t in enumerate_trees(6):
@@ -266,7 +255,7 @@ class TestPredecessor:
 class TestLongSpine:
     """The growth step and its inverse walk the spine in a loop: a spine far
     longer than the recursion limit is handled.  Codes are compared, as
-    BinaryTree's own equality and hash recurse."""
+    tuples' equality and hash recurse."""
 
     def test_predecessor_of_a_5000_comb(self):
         t = decode("10" * 5000 + "0")
@@ -286,7 +275,7 @@ class TestLongSpine:
 
 class TestCodec:
     def test_external(self):
-        assert encode(EXTERNAL) == "0"
+        assert encode(None) == "0"
 
     def test_size_one(self):
         assert encode(SIZE_ONE) == "100"
@@ -313,7 +302,7 @@ class TestCodec:
 
 class TestSampler:
     def test_size_zero(self):
-        assert sample_uniform(0, 123) == EXTERNAL
+        assert sample_uniform(0, 123) is None
 
     def test_size_one(self):
         assert sample_uniform(1, 99) == SIZE_ONE

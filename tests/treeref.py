@@ -1,0 +1,119 @@
+"""The growth step on trees: the reference that the code-level step of
+`spinestat.trees` (successor_codes, spine_tail, predecessor_code) and its
+folds are held to.
+
+A tree is a nested tuple: an external node is None and an internal node is
+(left, right).  Tuples give equality, hashing, repr and pickling by value.
+Their equality and hash recurse, so trees deeper than the recursion limit
+are compared by their codes.  Every function here walks a tree in a loop,
+so no recursion limit bounds its depth.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+
+from spinestat import trees
+from spinestat.errors import EmptyTree
+from spinestat.trees import DEFAULT_CAP, TreeCode
+
+
+class MalformedCode(ValueError):
+    """Bit string is not a valid preorder tree encoding."""
+
+
+def size(t) -> int:
+    """Number of internal nodes."""
+    count, stack = 0, [t]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            count += 1
+            stack += node
+    return count
+
+
+def spine_segments(t) -> int:
+    """Number of edges on the maximal path of right children from the root."""
+    count = 0
+    while t is not None:
+        count += 1
+        t = t[1]
+    return count
+
+
+def enumerate_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator:
+    """Every tree of size n once, in the canonical order of
+    trees.enumerate_codes: the same fold, joining tuples instead of codes."""
+    for level in trees._levels(n, cap, None, lambda left, right: (left, right)):
+        pass
+    yield from level
+
+
+def successors(t) -> list:
+    """All size+1 trees obtained by the growth step, by spine depth.
+
+    For each node on the right spine (depth 0 .. spine_segments(t), the last
+    being the terminal external node) the subtree there is replaced by an
+    internal node with the old subtree on the left and an external node on
+    the right.  The result at spine depth d has d+1 spine segments.
+    """
+    result, lefts = [], []
+    while True:
+        image = (t, None)
+        for left in reversed(lefts):
+            image = (left, image)
+        result.append(image)
+        if t is None:
+            return result
+        lefts.append(t[0])
+        t = t[1]
+
+
+def predecessor(t) -> tuple:
+    """Invert the growth step: return (p, d) with successors(p)[d] == t.
+
+    The subtree at the last-but-one node on the right spine is replaced by
+    its left subtree, and the spine above it is rebuilt.
+    """
+    if t is None:
+        raise EmptyTree("the size-0 tree has no predecessor")
+    lefts = []
+    while t[1] is not None:
+        lefts.append(t[0])
+        t = t[1]
+    p = t[0]
+    for left in reversed(lefts):
+        p = (left, p)
+    return p, len(lefts)
+
+
+def encode(t) -> TreeCode:
+    """Preorder bit encoding: internal -> '1' + left + right, external -> '0'."""
+    bits, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            bits.append("0")
+        else:
+            bits.append("1")
+            stack += reversed(node)
+    return "".join(bits)
+
+
+def decode(code: TreeCode):
+    """Inverse of encode; raises MalformedCode on any invalid bit string."""
+    if not code or set(code) - {"0", "1"}:
+        raise MalformedCode("code must be a nonempty string of '0'/'1'")
+    if code.count("0") != code.count("1") + 1:
+        raise MalformedCode("code must have exactly one more '0' than '1's")
+    # One more '0' than '1's, and no '1' short of two subtrees, leave one tree.
+    stack: list = []
+    for bit in reversed(code):
+        if bit == "0":
+            stack.append(None)
+        elif len(stack) < 2:
+            raise MalformedCode("prefix condition violated")
+        else:
+            stack.append((stack.pop(), stack.pop()))
+    return stack[0]
