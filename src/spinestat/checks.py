@@ -12,6 +12,17 @@ from .series import catalan
 from .stats import SpineDistribution, render_int
 
 
+def _spine_tails(n: int) -> list:
+    """The (last, segments) spine tails that a size-(n+1) code can have,
+    after a None: a tail's index here is its one-byte packed form, and this
+    list decodes it.  The spine positions are even (each left subtree's code
+    has odd length) and distinct, so with h = last // 2 <= n the count is
+    1 <= segments <= h + 1, and the tail (2h, s) packs to h(h+1)/2 + s: at
+    most (n+1)(n+2)/2, which is 253 at n = 21, and never 0.
+    """
+    return [None, *((2 * h, s) for h in range(n + 1) for s in range(1, h + 2))]
+
+
 def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     """Check, for each n up to min(max_n, cap - 1), that the growth step maps
     the pairs (t, d) of a size-n tree and a spine depth one to one onto the
@@ -21,15 +32,16 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     of a FAIL names n, the code and the depth at fault.
 
     The check runs on preorder codes through trees.successor_codes and
-    trees.predecessor_code, and builds no tree.  The size-(n+1) codes are
-    keyed by int(code, 2), one to one there since every code has the same
-    length and starts with '1'.  Each key maps to its code's spine_tail,
-    read from the level-(n+1) fold and packed below 256 for n <= 14, so the
-    values are cached small ints.  trees.marked_levels folds each level once
-    per call.  Each image of the level-n codes pops its key: a missing key
-    is a duplicate or foreign image, and a key left over is a code that no
-    pair reaches.  The inverse reads the popped spine_tail, never the depth
-    the image was grown at.
+    trees.predecessor_code, and builds no tree.  trees.marked_levels folds
+    each level once per call.  A size-(n+1) code is '1', 2n free bits and
+    '00' (the last internal node in preorder has two external children), so
+    with head = 4 ** (n+1) its slot (int(code, 2) - head) >> 2 is one of
+    4 ** n.  The slots of level n+1 are a bytearray allocated when the
+    level is reached: each code's slot holds its spine_tail packed in one
+    byte by _spine_tails, and 0 marks an empty slot.  Each image of the
+    level-n codes empties its slot: an empty one is a duplicate or foreign
+    image, and a slot left full is a code that no pair reaches.  The inverse
+    reads the emptied spine_tail, never the depth the image was grown at.
     """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
@@ -41,32 +53,48 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
         # Level n+1 is a tuple, kept for the fold above it, except the last,
         # which is streamed into `tails` and never held.
         lower, upper = upper, next(levels)
-        # Spine positions are even (each left subtree's code has odd
-        # length), so last // 2 <= n and segments <= n + 1 pack in width.
-        width, length = n + 2, 2 * n + 3
-        tails = {}
+        # A code's key is int(code, 2) - head, and its slot key >> 2.
+        # key & outside is 0 just when 0 <= key < head and key & 3 == 0; a
+        # negative key would wrap in the bytearray.
+        head, length = 4 ** (n + 1), 2 * n + 3
+        outside = ~(head - 4)
+        unpack = _spine_tails(n)
+        pack = {tail: packed for packed, tail in enumerate(unpack[1:], 1)}
+        tails = bytearray(4 ** n)
+        stray = False  # a code of level n+1 that has no slot, so no image reaches it
         for marked in upper:
-            last, segments = trees.spine_tail(marked)
-            tails[int(trees.unmark(marked), 2)] = last // 2 * width + segments
+            key = int(trees.unmark(marked), 2) - head
+            if key & outside:
+                stray = True
+            else:
+                tails[key >> 2] = pack[trees.spine_tail(marked)]
         fault = ""
         for marked in lower:
             code = trees.unmark(marked)
             for d, image in enumerate(trees.successor_codes(marked)):
+                # int() also reads '_', '+', spaces and '0b'; at this length
+                # any of them leaves the key below 0.
                 try:
-                    tail = tails.pop(int(image, 2)) if len(image) == length else None
-                except (KeyError, ValueError):
-                    tail = None
-                if tail is None:
+                    key = int(image, 2) - head if len(image) == length else -1
+                except ValueError:
+                    key = -1
+                tail = 0 if key & outside else tails[key >> 2]
+                if not tail:
                     return "FAIL", f"bijection n={n}", (
                         f"bijection n={n}: code {code} at depth {d} gives image {image},"
                         f" a duplicate or not a size-{n + 1} code")
-                half, segments = divmod(tail, width)
-                returned = trees.predecessor_code(image, 2 * half, segments)
+                tails[key >> 2] = 0
+                last, segments = unpack[tail]
+                returned = trees.predecessor_code(image, last, segments)
                 if not fault and returned != (code, d):
                     fault = (f"predecessor round trip n={n + 1}: image {image} returns"
                              f" {returned}, expected {(code, d)}")
-        if tails:
-            first = format(next(iter(tails)), "b")
+        if stray or tails.count(0) != len(tails):
+            # Fold level n+1 again to name its first code, in canonical order,
+            # that no image reached.
+            *_, upper = trees.marked_levels(n + 1, cap=cap)
+            first = next(code for code in map(trees.unmark, upper)
+                         if (key := int(code, 2) - head) & outside or tails[key >> 2])
             return "FAIL", f"bijection n={n}", (
                 f"bijection n={n}: no code and depth gives the size-{n + 1} code {first}")
         if fault:

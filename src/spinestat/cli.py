@@ -57,11 +57,16 @@ class _Batches:
         self._size = 0
 
     def write(self, text: str) -> int:
-        self._held.append(text)
-        self._size += len(text)
-        if self._size >= BATCH:
-            self._write_held()
+        self.writelines((text,))
         return len(text)
+
+    def writelines(self, texts) -> None:
+        """write() each of `texts`, without a call per text."""
+        for text in texts:
+            self._held.append(text)
+            self._size += len(text)
+            if self._size >= BATCH:
+                self._write_held()
 
     def _write_held(self) -> None:
         # Emptied before the write, so text is not written again after a
@@ -96,9 +101,9 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
     form and prints its text instead.  Ints are rendered by `_text`, so no
     size of number meets str()'s digit limit.  Each format's module is
     imported only when that format is written.  `out` is main's `_Batches`:
-    print, csv.writer and json.dump write it a line, a row or an encoder
-    chunk at a time, and it writes stdout in batches of about BATCH
-    characters.
+    print and csv.writer write it a line or a row at a time, the json form
+    its encoder chunks in one call, and it writes stdout in batches of about
+    BATCH characters.
     """
     if fmt == "json":
         import json
@@ -106,7 +111,9 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
         doc = {**meta, "version": __version__}
         if columns is not None:
             doc["rows"] = rows
-        json.dump(doc, out, indent=2)
+        # json.dump would call out.write once per encoder chunk, a few
+        # characters each.
+        out.writelines(json.JSONEncoder(indent=2).iterencode(doc))
         out.write("\n")
     elif fmt == "csv" and columns is not None:
         import csv

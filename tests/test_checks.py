@@ -2,6 +2,7 @@
 prints nothing."""
 
 import io
+import itertools
 import tracemalloc
 
 import pytest
@@ -46,6 +47,16 @@ _successor_codes = trees.successor_codes
     lambda image: "0" + image,         # int(image, 2) of a size-2 code, one bit longer
     lambda image: image[:-1],          # one bit short
     lambda image: image[:2] + "R" + image[3:],   # not binary: int() raises
+    # The right length, but no slot: a leading '0' gives a negative key,
+    # which would wrap in the table, and the last two bits must be '00'.
+    lambda image: "0" + image[1:],
+    lambda image: image[:-2] + "01",
+    lambda image: image[:-2] + "10",
+    # int() reads these, and they leave fewer bits than the length.
+    lambda image: image[0] + "_" + image[2:],
+    lambda image: "+" + image[1:],
+    lambda image: " " + image[1:],
+    lambda image: "0b" + image[2:],
 ])
 def test_foreign_image_fails_bijection(foreign, monkeypatch, capsys):
     monkeypatch.setattr(trees, "successor_codes", lambda m: (
@@ -57,16 +68,72 @@ def test_foreign_image_fails_bijection(foreign, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+# Two size-4 codes, in canonical order but in reverse numeric order.
+MISSED = ("111000100", "110101000")
+
+
+@pytest.mark.parametrize("max_n", [3, 5])  # level 4 streamed, then held as a tuple
+def test_leftover_names_first_code_in_canonical_order(max_n, monkeypatch):
+    monkeypatch.setattr(trees, "successor_codes", lambda m: [
+        image for image in _successor_codes(m) if image not in MISSED])
+    assert checks.bijection(max_n, 11) == (
+        "FAIL", "bijection n=3",
+        "bijection n=3: no code and depth gives the size-4 code 111000100")
+
+
+def test_leftover_at_size_0(monkeypatch):
+    monkeypatch.setattr(trees, "successor_codes", lambda m: (
+        [] if m == "T" else _successor_codes(m)))
+    assert checks.bijection(0, 11) == (
+        "FAIL", "bijection n=0", "bijection n=0: no code and depth gives the size-1 code 100")
+
+
+def test_fold_code_without_a_slot_fails_bijection(monkeypatch):
+    # Level 2 gains a code that no image can reach, since it has no slot.
+    marked_levels = trees.marked_levels
+
+    def padded(n, cap):
+        *smaller, last = marked_levels(n, cap)
+        return iter([*smaller, itertools.chain(last, ["0RRTT"])])
+
+    monkeypatch.setattr(trees, "marked_levels", padded)
+    assert checks.bijection(1, 11) == (
+        "FAIL", "bijection n=1", "bijection n=1: no code and depth gives the size-2 code 01100")
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_codes_have_distinct_slots(n):
+    # A size-n code is '1', 2n-2 free bits and '00', so its slot
+    # (int(code, 2) - 4**n) >> 2 lies in range(4 ** (n-1)).
+    codes = list(trees.enumerate_codes(n))
+    assert all(len(code) == 2 * n + 1 and code[0] == "1" and code[-2:] == "00"
+               for code in codes)
+    slots = {(int(code, 2) - 4 ** n) >> 2 for code in codes}
+    assert len(slots) == len(codes)
+    assert 0 <= min(slots) and max(slots) < 4 ** (n - 1)
+
+
+def test_spine_tails_pack_in_one_byte():
+    # Level n+1's tails (last, segments): last = 2h even, h <= n, and
+    # 1 <= segments <= h + 1.  Up to n = 21 each packs into 1..255.
+    for n in range(22):
+        unpack = checks._spine_tails(n)
+        assert unpack[0] is None and len(unpack) == (n + 1) * (n + 2) // 2 + 1 <= 256
+        for h in range(n + 1):
+            for s in range(1, h + 2):
+                assert unpack[h * (h + 1) // 2 + s] == (2 * h, s)
+
+
 def test_bijection_peak_memory():
-    # A dict from each code to a tuple of its spine positions peaks far above
-    # this; the packed small-int dict peaks at about 6.7 MiB.
+    # The dict keyed by int(code, 2) peaked at about 6.7 MiB; the slot table
+    # of level 11 is 1 MiB, and the check peaks at about 3.0 MiB.
     tracemalloc.start()
     try:
         assert checks.bijection(10, 11)[0] == "PASS"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8.3 * 2 ** 20
+    assert peak <= 4 * 2 ** 20
 
 
 def test_run_builds_the_recurrence_route_once(monkeypatch):
