@@ -117,6 +117,8 @@ def _first_difference(label: str, n: int, counts: dict[str, tuple[int, ...]]) ->
 def routes(rec: list[SpineDistribution], cap: int) -> tuple[str, str, str]:
     """Check the other routes against `rec`, the recurrence route at sizes
     0..max_n; exhaustive runs up to min(max_n, cap)."""
+    if not rec:
+        return "SKIP", "route agreement", ""
     max_n = len(rec) - 1
     sizes = range(max_n + 1)
     ser, closed = (stats.ROUTES[name](sizes) for name in ("series", "closed"))

@@ -96,36 +96,33 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
     `text` is the text format's opening, and `line` a template that renders
     one row as a further text line.  `meta` holds the json document's fields
     ahead of the version.  A table report names its `columns`, the keys of
-    each row; its csv form puts the document's n in front of every row, and
-    its json form ends with the rows.  A report without columns has no csv
-    form and prints its text instead.  Ints are rendered by `_text`, so no
-    size of number meets str()'s digit limit.  Each format's module is
-    imported only when that format is written.  `out` is main's `_Batches`:
-    print and csv.writer write it a line or a row at a time, the json form
-    its encoder chunks in one call, and it writes stdout in batches of about
-    BATCH characters.
+    each row, and `rows` is read once; its csv form puts the document's n in
+    front of every row, and its json form ends with the rows.  A report
+    without columns has no csv form and prints its text instead.  Ints are
+    rendered by `_text`, so no size of number meets str()'s digit limit.
+    json is imported only for its format.  `out` is main's `_Batches`: text
+    and csv go to it a line at a time, the json form its encoder chunks in
+    one call, and it writes stdout in batches of about BATCH characters.
     """
     if fmt == "json":
         import json
 
         doc = {**meta, "version": __version__}
         if columns is not None:
-            doc["rows"] = rows
+            doc["rows"] = list(rows)
         # json.dump would call out.write once per encoder chunk, a few
         # characters each.
         out.writelines(json.JSONEncoder(indent=2).iterencode(doc))
         out.write("\n")
-    elif fmt == "csv" and columns is not None:
-        import csv
-
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", *columns])
-        for row in rows:
-            writer.writerow([_text(meta["n"]), *(_text(row[c]) for c in columns)])
-    else:
-        print(text, file=out)
-        for row in rows:
-            print(line.format_map({c: _text(v) for c, v in row.items()}), file=out)
+        return EXIT_OK
+    if fmt == "csv" and columns is not None:
+        # No field needs csv quoting (each is only digits, "-" and "."), so
+        # these are the bytes csv.writer would write.
+        text = ",".join(["n", *columns])
+        line = ",".join([_text(meta["n"]), *(f"{{{c}}}" for c in columns)])
+    print(text, file=out)
+    for row in rows:
+        print(line.format_map({c: _text(v) for c, v in row.items()}), file=out)
     return EXIT_OK
 
 
@@ -139,12 +136,12 @@ def cmd_dist(args, out) -> int:
     text = f"n={dist.n} method={args.method} total={total}"
     if dist.n == 0:
         text += "\n(size 0: the single external node, no spine segments)"
-    rows = [
+    rows = (
         {"k": k, "count": _text(c),
          "fraction": render_ratio(c, dist.total, places),
          "limit": _limit_str(k, places)}
         for k, c in enumerate(dist.counts, start=1)
-    ]
+    )
     meta = {"n": dist.n, "total": total, "method": args.method}
     return _report(out, args.format, text, meta, ("k", "count", "fraction", "limit"),
                    rows, "{count} x {k}")
@@ -209,19 +206,15 @@ def cmd_verify(args, out) -> int:
 def cmd_sample(args, out) -> int:
     n, places = args.n, args.precision
     observed = Counter(trees.sample_spines(n, args.samples, args.seed))
-    k_top = max(observed)
     # The exact column, by the ballot formula.
     [exact] = stats.ROUTES["closed"](range(n, n + 1))
-    rows = []
-    for k in range(1, k_top + 1):
-        count = observed.get(k, 0)
-        rows.append({
-            "k": k,
-            "observed": count,
-            "empirical": render_ratio(count, args.samples, places),
-            "exact": render_ratio(exact.count(k), exact.total, places),
-            "limit": _limit_str(k, places),
-        })
+    rows = (
+        {"k": k, "observed": observed[k],
+         "empirical": render_ratio(observed[k], args.samples, places),
+         "exact": render_ratio(exact.count(k), exact.total, places),
+         "limit": _limit_str(k, places)}
+        for k in range(1, max(observed) + 1)
+    )
     text = f"n={_text(n)} samples={_text(args.samples)} seed={_text(args.seed)}"
     meta = {"n": n, "samples": args.samples, "seed": args.seed}
     return _report(out, args.format, text, meta,

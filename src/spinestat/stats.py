@@ -66,7 +66,10 @@ def dist_exhaustive(sizes: range, cap: int = DEFAULT_CAP) -> list[SpineDistribut
 
 def dist_recurrence(sizes: range) -> list[SpineDistribution]:
     """Distributions by climbing the levels once up to the largest size,
-    keeping only the current level and the requested ones."""
+    keeping only the current level and the requested ones.  A negative size
+    raises ValueError before the climb."""
+    if sizes and min(sizes) < 0:
+        raise ValueError("size must be nonnegative")
     # Level n+1 from level n: attaching at spine depth d gives spine d+1,
     # so S_{n+1}^j = sum_{k >= j-1} S_n^k with the j=1 term being the whole
     # level total.  Suffix sums make each level O(n).

@@ -153,8 +153,11 @@ def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
     to size 5.  u is drawn as random.Random(seed).randrange(2m) draws it:
     getrandbits((2m).bit_length()) until the value is below 2m.  The bounds
     2m = 4k+2 run as one range per bit width, so a sample keeps O(log n)
-    state and no per-step list.
+    state and no per-step list.  A negative n raises ValueError at the
+    first next().
     """
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     import random
 
     getrandbits = random.Random(seed).getrandbits

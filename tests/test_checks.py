@@ -19,6 +19,8 @@ IDENTITIES = "conservation and segment-sum identity"
     (3, 0, [f"SKIP {BIJECTION}", "PASS route agreement (n <= 3)", f"PASS {IDENTITIES} (n <= 3)"]),
     (12, 11, [f"PASS {BIJECTION} (n <= 10)", "PASS route agreement (n <= 12)",
               f"PASS {IDENTITIES} (n <= 12)"]),
+    # No size falls within any check, so none passes.
+    (-1, 11, [f"SKIP {BIJECTION}", "SKIP route agreement", f"SKIP {IDENTITIES}"]),
 ])
 def test_run_gives_verify_lines(max_n, cap, lines):
     assert checks.run(max_n, cap) == [(*line.split(" ", 1), "") for line in lines]

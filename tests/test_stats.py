@@ -221,6 +221,12 @@ class TestRanges:
         for d in dists:
             assert d == at(ROUTES[route], d.n)
 
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("sizes", [range(-2, 3), range(-1, 0)])
+    def test_negative_size_raises_value_error(self, route, sizes):
+        with pytest.raises(ValueError):
+            ROUTES[route](sizes)
+
 
 def _refuse(*args, **kwargs):
     raise AssertionError("another route's kernel was called")

@@ -314,6 +314,11 @@ class TestSampler:
     def test_correct_size(self):
         assert size(sample_uniform(37, 5)) == 37
 
+    def test_negative_size_raises_lazily(self):
+        spines = sample_spines(-3, 4, 1)
+        with pytest.raises(ValueError):
+            next(spines)
+
     def test_uniform_over_size_four(self):
         import random
 
