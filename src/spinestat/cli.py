@@ -96,33 +96,39 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
     `text` is the text format's opening, and `line` a template that renders
     one row as a further text line.  `meta` holds the json document's fields
     ahead of the version.  A table report names its `columns`, the keys of
-    each row, and `rows` is read once; its csv form puts the document's n in
-    front of every row, and its json form ends with the rows.  A report
-    without columns has no csv form and prints its text instead.  Ints are
-    rendered by `_text`, so no size of number meets str()'s digit limit.
-    json is imported only for its format.  `out` is main's `_Batches`: text
-    and csv go to it a line at a time, the json form its encoder chunks in
-    one call, and it writes stdout in batches of about BATCH characters.
+    each row; its csv form puts the document's n in front of every row, and
+    its json form ends with the rows.  A report without columns has no csv
+    form and prints its text instead.  Every format is an opening, rows read
+    once and rendered as they come, and a closing, handed to `out` (main's
+    `_Batches`) a line at a time in one writelines call.  Ints are rendered
+    by `_text`, so no size of number meets str()'s digit limit.
     """
+    head, line, render, joint, tail = text + "\n", line + "\n", _text, "", ""
+    # Every field is an int or a string of digits, "-" and ".": csv needs no
+    # quoting, and json.dumps of each field gives the json encoder's bytes.
     if fmt == "json":
         import json
 
-        doc = {**meta, "version": __version__}
+        head = json.dumps({**meta, "version": __version__}, indent=2) + "\n"
         if columns is not None:
-            doc["rows"] = list(rows)
-        # json.dump would call out.write once per encoder chunk, a few
-        # characters each.
-        out.writelines(json.JSONEncoder(indent=2).iterencode(doc))
-        out.write("\n")
-        return EXIT_OK
-    if fmt == "csv" and columns is not None:
-        # No field needs csv quoting (each is only digits, "-" and "."), so
-        # these are the bytes csv.writer would write.
-        text = ",".join(["n", *columns])
-        line = ",".join([_text(meta["n"]), *(f"{{{c}}}" for c in columns)])
-    print(text, file=out)
-    for row in rows:
-        print(line.format_map({c: _text(v) for c, v in row.items()}), file=out)
+            head = head.removesuffix("\n}\n") + ',\n  "rows": ['
+            line = "\n    {{" + ",".join(f'\n      "{c}": {{{c}}}' for c in columns) + "\n    }}"
+            render, joint, tail = json.dumps, ",", "\n  ]\n}\n"
+    elif fmt == "csv" and columns is not None:
+        head = ",".join(["n", *columns]) + "\n"
+        line = ",".join([_text(meta["n"]), *(f"{{{c}}}" for c in columns)]) + "\n"
+
+    def texts():
+        yield head
+        sep = ""
+        for row in rows:
+            fields = {c: render(v) for c, v in row.items()}
+            yield from (sep + line.format_map(fields)).splitlines(keepends=True)
+            sep = joint
+        # The json rows are in indent=2's layout, which writes no rows as "[]".
+        yield tail if sep else tail.lstrip()
+
+    out.writelines(texts())
     return EXIT_OK
 
 
@@ -300,8 +306,14 @@ def main(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except BrokenPipeError:
-        # The reader has gone; on devnull, the final flush at exit stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader has gone; on devnull, the final flush at exit stays
+        # quiet.  A stdout with no descriptor, such as a StringIO, is left.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except OSError:
+            pass
+        os.close(devnull)
         print("error: output pipe closed", file=sys.stderr)
         return EXIT_USAGE
     return code

@@ -96,11 +96,10 @@ class TestDist:
             assert header == ["n", *doc["rows"][0]]
             assert rows == [[str(doc["n"]), *map(str, row.values())] for row in doc["rows"]]
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_rows_are_rendered_as_written(self, fmt):
         # Holding every rendered row of this table peaks at about 15.4 MiB,
-        # against 4.2 MiB of counts.  json is not bounded: its encoder is
-        # given the rows as one list.
+        # against 4.2 MiB of counts.
         [dist] = stats.dist_closed(range(5000, 5001))
         counts_size = sys.getsizeof(dist.counts) + sum(map(sys.getsizeof, dist.counts))
         with open(os.devnull, "w") as out:
@@ -397,9 +396,11 @@ def test_stdout_written_in_batches(argv):
     assert max(out.lengths) <= cli.BATCH + longest_line
 
 
-def test_json_report_is_not_written_a_chunk_at_a_time(monkeypatch):
-    # json.dump would call _Batches.write once per encoder chunk, about
-    # 28,000 times for this 0.9 MB report of about 110 batches.
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_table_report_is_not_written_a_chunk_at_a_time(monkeypatch, fmt):
+    # One _Batches.write per json.dump chunk would be about 28,000 calls for
+    # the 0.9 MB json form of this table of about 110 batches, and print's
+    # two per line 2,804 for its text and csv forms.
     write, calls = cli._Batches.write, []
 
     def counted(self, text):
@@ -407,7 +408,7 @@ def test_json_report_is_not_written_a_chunk_at_a_time(monkeypatch):
         return write(self, text)
 
     monkeypatch.setattr(cli._Batches, "write", counted)
-    assert main("dist --n 1401 --format json".split(), out=io.StringIO()) == 0
+    assert main(f"dist --n 1401 --format {fmt}".split(), out=io.StringIO()) == 0
     assert len(calls) <= 200
 
 
@@ -464,6 +465,16 @@ class TestExitPath:
         monkeypatch.setattr(cli, "cmd_limit", write_then_fail)
         assert run_main("limit", "--k", "2") == (2, "a line\n")
         assert capsys.readouterr().err == "error: size 9 exceeds the exhaustive cap 1\n"
+
+    def test_closed_pipe_with_no_stdout_descriptor(self, capsys):
+        # capsys's sys.stdout, like a StringIO, has no descriptor to point at
+        # devnull.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        assert main(["enumerate", "--n", "3"], out=ClosedPipe()) == 1
+        assert capsys.readouterr() == ("", "error: output pipe closed\n")
 
 
 class TestBigIntegers:

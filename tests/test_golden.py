@@ -171,7 +171,22 @@ SMALL = {
 }
 
 
-GOLDEN = {**README, **SMALL, **EXHAUSTIVE, **ROUTE_SIZES, **BATCH_EDGES}
+# The shapes of a json table: one row, which is both first and last; a
+# sample table with no rows; sample's exact column at n = 4000; and a
+# 10,098,033-byte table of about 1,100 batches.
+JSON_TABLES = {
+    "dist --n 1 --format json":
+        (0, "7e5cd72de75dd63598a1f57471efb0aaa9f9a1cfce100f927098ce89faa9c32d"),
+    "sample --n 0 --samples 3 --seed 1 --format json":
+        (0, "7d52ea10c6adb3362e8e15fc92533fa5756ce888926bc242c0454e932084ae8b"),
+    "sample --n 4000 --samples 3 --seed 9 --format json":
+        (0, "f683a8550f8424ec28859b335c0d981259dffa9366078fc122e19a207c65d6ba"),
+    "dist --n 5000 --method closed --format json":
+        (0, "bd2cbc17598a1ca62b837dd1c915745ce026f70a56356be7782bd27d7b53a8c4"),
+}
+
+
+GOLDEN = {**README, **SMALL, **EXHAUSTIVE, **ROUTE_SIZES, **BATCH_EDGES, **JSON_TABLES}
 
 
 @pytest.mark.parametrize("line", GOLDEN)
