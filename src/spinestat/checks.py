@@ -36,12 +36,12 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     each level once per call.  A size-(n+1) code is '1', 2n free bits and
     '00' (the last internal node in preorder has two external children), so
     with head = 4 ** (n+1) its slot (int(code, 2) - head) >> 2 is one of
-    4 ** n.  The slots of level n+1 are a bytearray allocated when the
-    level is reached: each code's slot holds its spine_tail packed in one
-    byte by _spine_tails, and 0 marks an empty slot.  Each image of the
-    level-n codes empties its slot: an empty one is a duplicate or foreign
-    image, and a slot left full is a code that no pair reaches.  The inverse
-    reads the emptied spine_tail, never the depth the image was grown at.
+    4 ** n.  Level n+1's slots are a bytearray: each code's slot holds its
+    spine_tail packed in one byte by _spine_tails, 0 marks an empty slot, and
+    a code that finds its slot full is one the fold gives twice.  Each image
+    of the level-n codes empties its slot: an empty one is a duplicate or
+    foreign image, and a slot left full is a code that no pair reaches.  The
+    inverse reads the emptied spine_tail, never the depth d of the image.
     """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
@@ -66,6 +66,10 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
             key = int(trees.unmark(marked), 2) - head
             if key & outside:
                 stray = True
+            elif tails[key >> 2]:
+                return "FAIL", f"bijection n={n}", (
+                    f"bijection n={n}: the fold gives the size-{n + 1} code"
+                    f" {trees.unmark(marked)} twice")
             else:
                 tails[key >> 2] = pack[trees.spine_tail(marked)]
         fault = ""
@@ -121,8 +125,8 @@ def routes(rec: list[SpineDistribution], cap: int) -> tuple[str, str, str]:
         return "SKIP", "route agreement", ""
     max_n = len(rec) - 1
     sizes = range(max_n + 1)
-    ser, closed = (stats.ROUTES[name](sizes) for name in ("series", "closed"))
-    exhaustive = stats.ROUTES["exhaustive"](range(min(max_n, cap) + 1), cap=cap)
+    ser, closed = stats.dist_series(sizes), stats.dist_closed(sizes)
+    exhaustive = stats.dist_exhaustive(range(min(max_n, cap) + 1), cap)
     for n in sizes:
         if not rec[n].counts == ser[n].counts == closed[n].counts:
             counts = {"recurrence": rec[n].counts, "series": ser[n].counts,
@@ -154,5 +158,5 @@ def identities(rec: list[SpineDistribution]) -> tuple[str, str, str]:
 
 def run(max_n: int, cap: int) -> list[tuple[str, str, str]]:
     """Every check up to size max_n, in verify's order; `cap` bounds enumeration."""
-    rec = stats.ROUTES["recurrence"](range(max_n + 1))
+    rec = stats.dist_recurrence(range(max_n + 1))
     return [bijection(max_n, cap), routes(rec, cap), identities(rec)]

@@ -26,7 +26,7 @@ EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
 
-METHODS = tuple(stats.ROUTES)
+METHODS = ("exhaustive", "recurrence", "series", "closed")
 # verify's enumeration cap: the bijection check climbs to min(max_n, cap-1),
 # so this bound, not --max-n, sets its cost once --max-n passes it.
 VERIFY_CAP = 11
@@ -137,7 +137,9 @@ def _limit_str(k: int, places: int) -> str:
 
 
 def cmd_dist(args, out) -> int:
-    [dist] = stats.ROUTES[args.method](range(args.n, args.n + 1), cap=args.cap)
+    # Looked up at each call, so a wrapper on stats.dist_<method> sees it.
+    caps = (args.cap,) if args.method == "exhaustive" else ()
+    [dist] = getattr(stats, f"dist_{args.method}")(range(args.n, args.n + 1), *caps)
     places, total = args.precision, _text(dist.total)
     text = f"n={dist.n} method={args.method} total={total}"
     if dist.n == 0:
@@ -212,8 +214,7 @@ def cmd_verify(args, out) -> int:
 def cmd_sample(args, out) -> int:
     n, places = args.n, args.precision
     observed = Counter(trees.sample_spines(n, args.samples, args.seed))
-    # The exact column, by the ballot formula.
-    [exact] = stats.ROUTES["closed"](range(n, n + 1))
+    [exact] = stats.dist_closed(range(n, n + 1))
     rows = (
         {"k": k, "observed": observed[k],
          "empirical": render_ratio(observed[k], args.samples, places),
@@ -282,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     parser = build_parser()
-    out = _Batches(out if out is not None else sys.stdout)
+    on_stdout = out is None
+    out = _Batches(sys.stdout if on_stdout else out)
     try:
         try:
             # argparse writes --help and --version to sys.stdout, which is
@@ -306,14 +308,15 @@ def main(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except BrokenPipeError:
-        # The reader has gone; on devnull, the final flush at exit stays
-        # quiet.  A stdout with no descriptor, such as a StringIO, is left.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(devnull, sys.stdout.fileno())
-        except OSError:
-            pass
-        os.close(devnull)
+        # The reader has gone.  If it read stdout, devnull keeps the final flush
+        # at exit quiet; a stdout with no descriptor, such as a StringIO, is left.
+        if on_stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            except OSError:
+                pass
+            os.close(devnull)
         print("error: output pipe closed", file=sys.stderr)
         return EXIT_USAGE
     return code

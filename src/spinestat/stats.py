@@ -1,7 +1,7 @@
 """Right-spine distributions by four independent routes, and exact averages.
 
 S_n^k denotes the number of size-n trees with exactly k segments on the right
-spine.  The four routes, registered by name in ROUTES:
+spine.  The four routes:
 
   * exhaustive  — spine lengths folded over the enumeration, each level once
                   up to the largest size (bounded by the cap),
@@ -55,9 +55,12 @@ def dist_exhaustive(sizes: range, cap: int = DEFAULT_CAP) -> list[SpineDistribut
         return []
     if min(sizes) < 0:
         raise ValueError("size must be nonnegative")
+
+    def spine(left, right):
+        return right + 1
+
     found = {}
-    levels = trees._levels(max(sizes), cap, 0, lambda left, right: right + 1)
-    for n, level in enumerate(levels):
+    for n, level in enumerate(trees._levels(max(sizes), cap, 0, spine)):
         if n in sizes:
             spines = Counter(level)
             found[n] = _make(n, (spines[k] for k in range(1, n + 1)))
@@ -120,17 +123,6 @@ def dist_closed(sizes: range) -> list[SpineDistribution]:
     return dists
 
 
-# Called as ROUTES[name](sizes, cap=...); the cap only bounds enumeration.
-# Each entry looks its route up by module-level name when called, so a
-# wrapper installed on that name (a profiler, say) sees registry calls too.
-ROUTES = {
-    "exhaustive": lambda sizes, cap=DEFAULT_CAP: dist_exhaustive(sizes, cap),
-    "recurrence": lambda sizes, cap=None: dist_recurrence(sizes),
-    "series": lambda sizes, cap=None: dist_series(sizes),
-    "closed": lambda sizes, cap=None: dist_closed(sizes),
-}
-
-
 def average(n: int) -> Fraction:
     """Average spine length of a size-n tree: (c_{n+1} - c_n) / c_n,
     which reduces to 3n/(n+2); tends to 3."""
@@ -166,7 +158,7 @@ def render_int(value: int) -> str:
     """
     if value < 0:
         return "-" + render_int(-value)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
     # A decimal digit takes log2(10) > 3 bits, so this is under the limit.
     if not limit or value.bit_length() < 3 * limit:
         return str(value)

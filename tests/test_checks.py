@@ -35,7 +35,7 @@ def test_route_detail_is_returned_not_printed(monkeypatch, capsys):
                 for d in dist_series(sizes)]
 
     monkeypatch.setattr(stats, "dist_series", perturbed)
-    rec = stats.ROUTES["recurrence"](range(7))
+    rec = stats.dist_recurrence(range(7))
     assert checks.routes(rec, 11) == (
         "FAIL", "route agreement n=5",
         "route agreement n=5: first differing k=2: recurrence=14 series=15 closed=14")
@@ -101,6 +101,22 @@ def test_fold_code_without_a_slot_fails_bijection(monkeypatch):
     monkeypatch.setattr(trees, "marked_levels", padded)
     assert checks.bijection(1, 11) == (
         "FAIL", "bijection n=1", "bijection n=1: no code and depth gives the size-2 code 01100")
+
+
+def test_fold_code_given_twice_fails_bijection(monkeypatch):
+    # The streamed top level ends with a second copy of its first code, whose
+    # slot is then full already.  Writing it again would hide the repeat: the
+    # images would still empty every slot once.
+    marked_levels = trees.marked_levels
+
+    def padded(n, cap):
+        *smaller, last = marked_levels(n, cap)
+        first, *rest = last
+        return iter([*smaller, [first, *rest, first]])
+
+    monkeypatch.setattr(trees, "marked_levels", padded)
+    assert checks.bijection(3, 11) == (
+        "FAIL", "bijection n=3", "bijection n=3: the fold gives the size-4 code 101010100 twice")
 
 
 @pytest.mark.parametrize("n", range(1, 12))

@@ -124,6 +124,21 @@ class TestDist:
         }
         assert len(set(outputs.values())) == 1
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_method_calls_its_route_on_stats(self, method, monkeypatch):
+        # A wrapper installed on stats.dist_<method>, as a profiler or this
+        # test does, sees the call; only the exhaustive route takes the cap.
+        route, calls = getattr(stats, f"dist_{method}"), []
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(stats, f"dist_{method}", recorder)
+        assert run_main("dist", "--n", "3", "--method", method, "--cap", "5")[0] == 0
+        cap = (5,) if method == "exhaustive" else ()
+        assert calls == [((range(3, 4), *cap), {})]
+
 
 class TestAverage:
     def test_n10(self):
@@ -475,6 +490,26 @@ class TestExitPath:
 
         assert main(["enumerate", "--n", "3"], out=ClosedPipe()) == 1
         assert capsys.readouterr() == ("", "error: output pipe closed\n")
+
+    def test_closed_pipe_of_a_callers_out_leaves_stdout(self):
+        # A broken `out` of the caller's is not stdout: what the caller prints
+        # to stdout afterwards still comes out.
+        script = textwrap.dedent("""
+            import io
+            from spinestat.cli import main
+
+            class ClosedPipe(io.StringIO):
+                def write(self, text):
+                    raise BrokenPipeError
+
+            print("before", flush=True)
+            print(main(["enumerate", "--n", "3"], out=ClosedPipe()))
+            print("after")
+        """)
+        cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=subprocess_env())
+        assert (cp.returncode, cp.stdout, cp.stderr) == (
+            0, "before\n1\nafter\n", "error: output pipe closed\n")
 
 
 class TestBigIntegers:

@@ -1,6 +1,6 @@
-"""Code with no caller is deleted: every top-level function and class in
-src/spinestat is named by other code there, exported by the package, or
-allow-listed below with the reason it stays."""
+"""Code with no caller is deleted: every top-level function, class and
+assigned name in src/spinestat is named by other code there, exported by the
+package, or allow-listed below with the reason it stays."""
 
 import ast
 from pathlib import Path
@@ -17,25 +17,29 @@ ALLOWED = {
 
 
 def uncalled_definitions(sources, exported):
-    """(module, name) of each top-level function or class in `sources`, a
-    dict of module name to source text, that no code in them loads by name
-    or attribute outside the definition itself, and that is neither in
-    `exported` nor a __dunder__ hook, which the interpreter calls.  An
-    import alone is not a use."""
+    """(module, name) of each top-level function, class or assigned name in
+    `sources`, a dict of module name to source text, that no code in them
+    loads by name or attribute outside the definition itself, and that is
+    neither in `exported` nor a __dunder__ name, which the interpreter reads.
+    An import alone is not a use."""
     defined, used = [], set()
     for module, text in sources.items():
         for node in ast.parse(text).body:
-            own = None
+            own = set()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = node.name
-                defined.append((module, own))
+                own = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                own = {sub.id for target in targets for sub in ast.walk(target)
+                       if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+            defined.extend((module, name) for name in sorted(own))
             loads = set()
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                     loads.add(sub.id)
                 elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
                     loads.add(sub.attr)
-            used |= loads - {own}
+            used |= loads - own
     return [(module, name) for module, name in defined
             if name not in used and name not in exported
             and not (name.startswith("__") and name.endswith("__"))]
@@ -51,11 +55,14 @@ def test_every_definition_in_src_has_a_caller():
 def test_a_planted_uncalled_function_is_flagged():
     # b uses a and comes before it: a use counts in any module order.
     planted = {
-        "b": "from . import a\nfrom .a import orphan\n\nprint(a.used(), a.Hook)\n",
+        "b": "from . import a\nfrom .a import orphan\n\nprint(a.used(), a.Hook, a.TABLE)\n",
         "a": ("def used():\n    return used()\n\n"
               "def orphan():\n    return used()\n\n"
               "class Hook:\n    pass\n\n"
-              "def __getattr__(name):\n    raise AttributeError(name)\n"),
+              "def __getattr__(name):\n    raise AttributeError(name)\n\n"
+              # A table left behind reads its entries but has no reader itself.
+              "TABLE = {'used': used}\nUNREAD = {'orphan': lambda: UNREAD}\n"
+              "__version__ = '0'\n"),
     }
-    assert uncalled_definitions(planted, exported=set()) == [("a", "orphan")]
-    assert uncalled_definitions(planted, exported={"orphan"}) == []
+    assert uncalled_definitions(planted, exported=set()) == [("a", "orphan"), ("a", "UNREAD")]
+    assert uncalled_definitions(planted, exported={"orphan", "UNREAD"}) == []
