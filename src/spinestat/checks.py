@@ -1,8 +1,8 @@
 """The checks behind `spinestat verify`.  Each returns a plain tuple
 (verdict, label, detail) and prints nothing: PASS, FAIL, or SKIP when no size
-fell within the check; `detail` is the stderr line of a bijection, route
-or exhaustive FAIL, else "".  Checks call trees and stats through their
-modules, so a function replaced there is the one checked.
+fell within the check; `detail` is the stderr line of a FAIL, naming the
+size and the values at fault, else "".  Checks call trees and stats through
+their modules, so a function replaced there is the one checked.
 """
 
 from __future__ import annotations
@@ -13,14 +13,16 @@ from .stats import SpineDistribution, render_int
 
 
 def _spine_tails(n: int) -> list:
-    """The (last, segments) spine tails that a size-(n+1) code can have,
+    """The (bit, segments) spine tails that a size-(n+1) code can have,
     after a None: a tail's index here is its one-byte packed form, and this
-    list decodes it.  The spine positions are even (each left subtree's code
-    has odd length) and distinct, so with h = last // 2 <= n the count is
-    1 <= segments <= h + 1, and the tail (2h, s) packs to h(h+1)/2 + s: at
+    list decodes it.  `bit` is the lowest set bit of the code's mask, its
+    last internal spine node.  The 2h bits above that node's subtree hold
+    the other segments - 1 spine nodes, each with a left subtree of odd
+    length, so with h = n + 1 - bit // 2 <= n the count is
+    1 <= segments <= h + 1, and the tail packs to h(h+1)/2 + segments: at
     most (n+1)(n+2)/2, which is 253 at n = 21, and never 0.
     """
-    return [None, *((2 * h, s) for h in range(n + 1) for s in range(1, h + 2))]
+    return [None, *((2 * (n + 1 - h), s) for h in range(n + 1) for s in range(1, h + 2))]
 
 
 def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
@@ -31,76 +33,76 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     labelled n+1 and comes after its level's bijection verdict; the detail
     of a FAIL names n, the code and the depth at fault.
 
-    The check runs on preorder codes through trees.successor_codes and
-    trees.predecessor_code, and builds no tree.  trees.marked_levels folds
-    each level once per call.  A size-(n+1) code is '1', 2n free bits and
-    '00' (the last internal node in preorder has two external children), so
-    with head = 4 ** (n+1) its slot (int(code, 2) - head) >> 2 is one of
-    4 ** n.  Level n+1's slots are a bytearray: each code's slot holds its
-    spine_tail packed in one byte by _spine_tails, 0 marks an empty slot, and
-    a code that finds its slot full is one the fold gives twice.  Each image
+    The check runs on int codes through trees.successor_codes and
+    trees.predecessor_code, and builds no tree.  trees.code_levels folds
+    each level once per call.  A size-(n+1) code is a 1, 2n free bits and
+    two 0s (the last internal node in preorder has two external children),
+    so with head = 4 ** (n+1) its slot (code - head) >> 2 is one of 4 ** n.
+    Level n+1's slots are a bytearray: each code's slot holds its spine
+    tail packed in one byte by _spine_tails, 0 marks an empty slot, and a
+    code that finds its slot full is one the fold gives twice.  Each image
     of the level-n codes empties its slot: an empty one is a duplicate or
     foreign image, and a slot left full is a code that no pair reaches.  The
-    inverse reads the emptied spine_tail, never the depth d of the image.
+    inverse reads the emptied spine tail, never the depth d of the image.
     """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
     if top < 0:
         return "SKIP", label, ""
-    levels = trees.marked_levels(top + 1, cap=cap)
+    levels = trees.code_levels(top + 1, cap=cap)
     upper = next(levels)
     for n in range(top + 1):
-        # Level n+1 is a tuple, kept for the fold above it, except the last,
-        # which is streamed into `tails` and never held.
+        # Level n+1 is a pair of tuples, kept for the fold above it, except
+        # the last, which is streamed into `tails` and never held.
         lower, upper = upper, next(levels)
-        # A code's key is int(code, 2) - head, and its slot key >> 2.
-        # key & outside is 0 just when 0 <= key < head and key & 3 == 0; a
-        # negative key would wrap in the bytearray.
-        head, length = 4 ** (n + 1), 2 * n + 3
+        # A code's key is code - head, and its slot key >> 2.  key & outside
+        # is 0 just when 0 <= key < head and key & 3 == 0; a negative key
+        # would wrap in the bytearray.
+        head, width = 4 ** (n + 1), 2 * n + 3
         outside = ~(head - 4)
         unpack = _spine_tails(n)
-        pack = {tail: packed for packed, tail in enumerate(unpack[1:], 1)}
+        # A tail packs to base[1 << bit] + segments.
+        base = {1 << bit: packed - s for packed, (bit, s) in enumerate(unpack[1:], 1)}
         tails = bytearray(4 ** n)
         stray = False  # a code of level n+1 that has no slot, so no image reaches it
-        for marked in upper:
-            key = int(trees.unmark(marked), 2) - head
+        for code, mask in zip(*upper):
+            key = code - head
             if key & outside:
                 stray = True
             elif tails[key >> 2]:
                 return "FAIL", f"bijection n={n}", (
                     f"bijection n={n}: the fold gives the size-{n + 1} code"
-                    f" {trees.unmark(marked)} twice")
+                    f" {code:0{width}b} twice")
             else:
-                tails[key >> 2] = pack[trees.spine_tail(marked)]
+                tails[key >> 2] = base[mask & -mask] + mask.bit_count()
         fault = ""
-        for marked in lower:
-            code = trees.unmark(marked)
-            for d, image in enumerate(trees.successor_codes(marked)):
-                # int() also reads '_', '+', spaces and '0b'; at this length
-                # any of them leaves the key below 0.
-                try:
-                    key = int(image, 2) - head if len(image) == length else -1
-                except ValueError:
-                    key = -1
+        for code, mask in zip(*lower):
+            for d, image in enumerate(trees.successor_codes(code, mask)):
+                key = image - head
                 tail = 0 if key & outside else tails[key >> 2]
                 if not tail:
                     return "FAIL", f"bijection n={n}", (
-                        f"bijection n={n}: code {code} at depth {d} gives image {image},"
-                        f" a duplicate or not a size-{n + 1} code")
+                        f"bijection n={n}: code {code:0{width - 2}b} at depth {d} gives image"
+                        f" {image:0{width}b}, a duplicate or not a size-{n + 1} code")
                 tails[key >> 2] = 0
-                last, segments = unpack[tail]
-                returned = trees.predecessor_code(image, last, segments)
-                if not fault and returned != (code, d):
-                    fault = (f"predecessor round trip n={n + 1}: image {image} returns"
-                             f" {returned}, expected {(code, d)}")
+                # Positional arguments and an unpacked result: a call with *args
+                # and a compared tuple made the whole check about 15% slower.
+                bit, segments = unpack[tail]
+                origin, depth = trees.predecessor_code(image, bit, segments)
+                if not fault and (origin != code or depth != d):
+                    # The returned code's width is its own, as its size is in question.
+                    fault = (f"predecessor round trip n={n + 1}: image {image:0{width}b}"
+                             f" returns ('{origin:b}', {depth}),"
+                             f" expected ('{code:0{width - 2}b}', {d})")
         if stray or tails.count(0) != len(tails):
             # Fold level n+1 again to name its first code, in canonical order,
             # that no image reached.
-            *_, upper = trees.marked_levels(n + 1, cap=cap)
-            first = next(code for code in map(trees.unmark, upper)
-                         if (key := int(code, 2) - head) & outside or tails[key >> 2])
+            *_, (codes, _) = trees.code_levels(n + 1, cap=cap)
+            first = next(code for code in codes
+                         if (key := code - head) & outside or tails[key >> 2])
             return "FAIL", f"bijection n={n}", (
-                f"bijection n={n}: no code and depth gives the size-{n + 1} code {first}")
+                f"bijection n={n}: no code and depth gives the size-{n + 1} code"
+                f" {first:0{width}b}")
         if fault:
             return "FAIL", f"predecessor round trip n={n + 1}", fault
     return "PASS", f"{label} (n <= {top})", ""
@@ -147,12 +149,16 @@ def identities(rec: list[SpineDistribution]) -> tuple[str, str, str]:
     if len(rec) < 2:
         return "SKIP", label, ""
     for dist in rec[1:]:
-        n = dist.n
-        if sum(dist.counts) != catalan(n):
-            return "FAIL", f"conservation n={n}", ""
+        n, total, size = dist.n, sum(dist.counts), catalan(dist.n)
+        if total != size:
+            return "FAIL", f"conservation n={n}", (
+                f"conservation n={n}: counts sum to {render_int(total)}, c_{n} = {render_int(size)}")
         weighted = sum(k * c for k, c in enumerate(dist.counts, start=1))
-        if weighted != catalan(n + 1) - catalan(n):
-            return "FAIL", f"segment-sum identity n={n}", ""
+        growth = catalan(n + 1) - size
+        if weighted != growth:
+            return "FAIL", f"segment-sum identity n={n}", (
+                f"segment-sum identity n={n}: k-weighted counts sum to {render_int(weighted)},"
+                f" c_{n + 1} - c_{n} = {render_int(growth)}")
     return "PASS", f"{label} (n <= {rec[-1].n})", ""
 
 

@@ -307,6 +307,9 @@ def main(argv=None, out=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE  # what the uncaught exception returned
     except BrokenPipeError:
         # The reader has gone.  If it read stdout, devnull keeps the final flush
         # at exit quiet; a stdout with no descriptor, such as a StringIO, is left.

@@ -109,15 +109,16 @@ def dist_series(sizes: range) -> list[SpineDistribution]:
 
 def dist_closed(sizes: range) -> list[SpineDistribution]:
     """Distributions by the ballot formula, for the requested sizes only.
-    Within a size, b = C(2n-k, n-k) starts at C(n, 0) = 1 for k = n and steps
-    to k-1 by C(m+1, r+1) = C(m, r) * (m+1)/(r+1); both divisions are exact."""
+    Within a size, b = C(2n-k, n-k) starts at C(n, 0) = 1 for k = n, whose
+    count is 1, and steps down a k by C(m+1, r+1) = C(m, r) * (m+1)/(r+1);
+    both divisions are exact.  The walk stops at the last count, k = 1."""
     dists = []
     for n in sizes:
-        counts = []
+        counts = [1] if n > 0 else []
         b = 1
-        for k in range(n, 0, -1):
+        for k in range(n - 1, 0, -1):
+            b = b * (2 * n - k) // (n - k)
             counts.append(k * b // (2 * n - k))
-            b = b * (2 * n - k + 1) // (n - k + 1)
         counts.reverse()
         dists.append(_make(n, counts))
     return dists

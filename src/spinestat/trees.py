@@ -1,6 +1,6 @@
 """Binary trees as preorder codes: canonical enumeration by a fold over the
-sizes, the right spine carried through that fold, the level-to-level growth
-step and its inverse on spine-marked codes, and a seeded sampler of spine
+sizes, the same fold on int codes with the right spine as a mask, the
+growth step and its inverse on those ints, and a seeded sampler of spine
 lengths of uniform random trees.
 
 A tree is either a single external node or an internal node with a left and a
@@ -12,8 +12,9 @@ reference of the growth step, on nested tuples, is tests/treeref.py.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain, repeat
 
-from .errors import CapExceeded, EmptyTree
+from .errors import CapExceeded
 
 # `random` is imported inside the sampler, so the commands that do not
 # sample do not load it at start-up.
@@ -66,70 +67,65 @@ def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
     yield from level
 
 
-def unmark(marked: str) -> TreeCode:
-    """The preorder code of a spine-marked code: 'R' -> '1', 'T' -> '0'."""
-    return marked.replace("R", "1").replace("T", "0")
+def _join(smaller: list[tuple], m: int) -> tuple:
+    """Level m of code_levels: two parallel streams, a block per left tree."""
+    if not m:
+        return (0,), (0,)
+    top = 1 << 2 * m
+    blocks = [(smaller[i][0], 2 * m - 2 * i - 1, *smaller[m - 1 - i]) for i in range(m)]
+    joined = (map((top | left << shift).__or__, rights)
+              for lefts, shift, rights, _ in blocks for left in lefts)
+    shared = (block for lefts, _, _, masks in blocks
+              for block in repeat(tuple(top | x for x in masks), len(lefts)))
+    return chain.from_iterable(joined), chain.from_iterable(shared)
 
 
-def _marked_join(left: str, right: str) -> str:
-    # unmark(left), inlined: it runs once per code.
-    return "R" + left.replace("R", "1").replace("T", "0") + right
-
-
-def marked_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator:
-    """The levels 0..n of enumerate_codes, each folded once, with each code's
-    right spine marked: 'R' for an internal node on the spine and 'T' for the
-    terminal external node.  The sizes below n come as tuples and size n as
-    a stream, as _levels gives them.
-
-    A spine-marked code is 'R' + left subtree's code + right subtree's
-    spine-marked code, so one fold carries the spine with the code.
+def code_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
+    """The levels of _levels on ints: level m is a pair (codes, masks) of
+    parallel tuples, streams at m = n.  A code holds the 2m+1 preorder bits,
+    the root on top (size 0 is 0), and its mask the right spine's internal
+    nodes.  Sizes i and r = m-1-i join to top | left << (2r+1) | right and
+    mask top | right's mask, top = 1 << 2m: a block shares its masks.
     """
-    return _levels(n, cap, "T", _marked_join)
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    if n > cap:
+        raise CapExceeded(f"size {n} exceeds the exhaustive cap {cap}")
+    smaller: list[tuple] = []
+    for m in range(n):
+        smaller.append(tuple(map(tuple, _join(smaller, m))))
+        yield smaller[m]
+    yield _join(smaller, n)
 
 
-def successor_codes(marked: str) -> list[TreeCode]:
-    """The growth step on codes: the codes of the size+1 trees that grow
-    from the tree of `marked`, one per spine depth, without building a tree.
-
-    At each node on the right spine (depth 0 .. the spine's segment count,
-    the last being the terminal external node) the subtree there is replaced
-    by an internal node with the old subtree on the left and an external
-    node on the right; the image at depth d has d+1 spine segments.  The
-    subtree at a spine node is a suffix of the code, so the image at the
-    spine node in position p is code[:p] + '1' + code[p:] + '0'.  The
-    tree-level reference is `successors` in tests/treeref.py.
+def successor_codes(code: int, mask: int) -> list[int]:
+    """The growth step on int codes: the size+1 codes that grow from
+    (code, mask), one per spine depth d from the root to the terminal leaf.
+    The subtree at depth d becomes the left child of a new internal node
+    with a leaf on its right, giving d+1 spine segments.  At spine bit b
+    (the leaf's is 0) the subtree is low = code % above, above = 2 << b,
+    and the image 4 code + 2 above - 2 low.  The spine is walked up and
+    reversed.  The reference is `successors` in tests/treeref.py.
     """
-    code = unmark(marked)
-    images = []
-    p = marked.find("R")
-    while p >= 0:
-        images.append(code[:p] + "1" + code[p:] + "0")
-        p = marked.find("R", p + 1)
-    images.append(code[:-1] + "100")  # p = len(code) - 1, the terminal leaf
+    images, double, spine = [], code << 1, mask << 1 | 2
+    while spine:
+        above = spine & -spine
+        spine ^= above
+        images.append((double + above - code % above) << 1)
+    images.reverse()
     return images
 
 
-def spine_tail(marked: str) -> tuple[int, int]:
-    """(position of the last internal node on the right spine, number of
-    spine segments) of a spine-marked code of size >= 1: the part of the
-    spine that predecessor_code reads."""
-    last = marked.rfind("R")
-    if last < 0:
-        raise EmptyTree("the size-0 tree has no predecessor")
-    return last, marked.count("R")
-
-
-def predecessor_code(code: TreeCode, last: int, segments: int) -> tuple[TreeCode, int]:
-    """The inverse of the growth step on codes: (p, d) such that
-    successor_codes of p's spine-marked code has `code` at index d.
-    (last, segments) is the spine_tail of code's spine-marked form.
-
-    The '1' of the last internal spine node and the final '0' (the terminal
-    external node, its right child) are removed.  The tree-level reference
-    is `predecessor` in tests/treeref.py.
+def predecessor_code(image: int, bit: int, segments: int) -> tuple[int, int]:
+    """The inverse of the growth step on int codes: (p, d) such that
+    successor_codes of p has `image` at index d.  `bit` is the lowest set
+    bit of image's mask, its last internal spine node, and `segments` the
+    mask's bit count.  p drops that bit and bit 0, the leaf on its right:
+    image = high * 2b + b + low, b = 1 << bit > low, and p is
+    (high * b + low) / 2.  The reference is tests/treeref.py's `predecessor`.
     """
-    return code[:last] + code[last + 1:-1], segments - 1
+    b = 1 << bit
+    return (image - b + image % b) >> 2, segments - 1
 
 
 def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from spinestat import checks, stats, trees
+from spinestat import catalan, checks, stats, trees
 from spinestat.cli import EXIT_VERIFY, main
 
 BIJECTION = "bijection and predecessor round trip"
@@ -45,60 +45,66 @@ def test_route_detail_is_returned_not_printed(monkeypatch, capsys):
 _successor_codes = trees.successor_codes
 
 
+# Each plants a fault in the second image of the size-1 code 100, whose
+# images are 11000 and 10100.
 @pytest.mark.parametrize("foreign", [
-    lambda image: "0" + image,         # int(image, 2) of a size-2 code, one bit longer
-    lambda image: image[:-1],          # one bit short
-    lambda image: image[:2] + "R" + image[3:],   # not binary: int() raises
-    # The right length, but no slot: a leading '0' gives a negative key,
-    # which would wrap in the table, and the last two bits must be '00'.
-    lambda image: "0" + image[1:],
-    lambda image: image[:-2] + "01",
-    lambda image: image[:-2] + "10",
-    # int() reads these, and they leave fewer bits than the length.
-    lambda image: image[0] + "_" + image[2:],
-    lambda image: "+" + image[1:],
-    lambda image: " " + image[1:],
-    lambda image: "0b" + image[2:],
+    lambda a, b: b << 1,     # one bit longer
+    lambda a, b: b >> 1,     # one bit short
+    lambda a, b: -b,         # negative: its key would wrap in the table
+    # The right length, but no slot: without the top bit the key is below
+    # 0, and the last two bits must be 00.
+    lambda a, b: b - 16,
+    lambda a, b: b | 1,
+    lambda a, b: b | 2,
+    lambda a, b: a,          # a duplicate
+    lambda a, b: 0b11100,    # a slot, but of no size-2 code: no pair reaches it
 ])
 def test_foreign_image_fails_bijection(foreign, monkeypatch, capsys):
-    monkeypatch.setattr(trees, "successor_codes", lambda m: (
-        [foreign(image) for image in _successor_codes(m)] if m == "R0T" else _successor_codes(m)))
-    image = foreign("11000")
+    def planted(code, mask):
+        images = _successor_codes(code, mask)
+        if code == 0b100:
+            images[1] = foreign(*images)
+        return images
+
+    monkeypatch.setattr(trees, "successor_codes", planted)
+    image = foreign(0b11000, 0b10100)
     assert checks.bijection(3, 11) == (
         "FAIL", "bijection n=1",
-        f"bijection n=1: code 100 at depth 0 gives image {image}, a duplicate or not a size-2 code")
+        f"bijection n=1: code 100 at depth 1 gives image {image:05b},"
+        " a duplicate or not a size-2 code")
     assert capsys.readouterr() == ("", "")
 
 
 # Two size-4 codes, in canonical order but in reverse numeric order.
-MISSED = ("111000100", "110101000")
+MISSED = (0b111000100, 0b110101000)
 
 
 @pytest.mark.parametrize("max_n", [3, 5])  # level 4 streamed, then held as a tuple
 def test_leftover_names_first_code_in_canonical_order(max_n, monkeypatch):
-    monkeypatch.setattr(trees, "successor_codes", lambda m: [
-        image for image in _successor_codes(m) if image not in MISSED])
+    monkeypatch.setattr(trees, "successor_codes", lambda code, mask: [
+        image for image in _successor_codes(code, mask) if image not in MISSED])
     assert checks.bijection(max_n, 11) == (
         "FAIL", "bijection n=3",
         "bijection n=3: no code and depth gives the size-4 code 111000100")
 
 
 def test_leftover_at_size_0(monkeypatch):
-    monkeypatch.setattr(trees, "successor_codes", lambda m: (
-        [] if m == "T" else _successor_codes(m)))
+    monkeypatch.setattr(trees, "successor_codes", lambda code, mask: (
+        [] if code == 0 else _successor_codes(code, mask)))
     assert checks.bijection(0, 11) == (
         "FAIL", "bijection n=0", "bijection n=0: no code and depth gives the size-1 code 100")
 
 
 def test_fold_code_without_a_slot_fails_bijection(monkeypatch):
     # Level 2 gains a code that no image can reach, since it has no slot.
-    marked_levels = trees.marked_levels
+    code_levels = trees.code_levels
 
     def padded(n, cap):
-        *smaller, last = marked_levels(n, cap)
-        return iter([*smaller, itertools.chain(last, ["0RRTT"])])
+        *smaller, (codes, masks) = code_levels(n, cap)
+        return iter([*smaller, (itertools.chain(codes, [0b01100]),
+                                itertools.chain(masks, [0b01100]))])
 
-    monkeypatch.setattr(trees, "marked_levels", padded)
+    monkeypatch.setattr(trees, "code_levels", padded)
     assert checks.bijection(1, 11) == (
         "FAIL", "bijection n=1", "bijection n=1: no code and depth gives the size-2 code 01100")
 
@@ -107,44 +113,45 @@ def test_fold_code_given_twice_fails_bijection(monkeypatch):
     # The streamed top level ends with a second copy of its first code, whose
     # slot is then full already.  Writing it again would hide the repeat: the
     # images would still empty every slot once.
-    marked_levels = trees.marked_levels
+    code_levels = trees.code_levels
 
     def padded(n, cap):
-        *smaller, last = marked_levels(n, cap)
-        first, *rest = last
-        return iter([*smaller, [first, *rest, first]])
+        *smaller, (codes, masks) = code_levels(n, cap)
+        codes, masks = list(codes), list(masks)
+        return iter([*smaller, (codes + codes[:1], masks + masks[:1])])
 
-    monkeypatch.setattr(trees, "marked_levels", padded)
+    monkeypatch.setattr(trees, "code_levels", padded)
     assert checks.bijection(3, 11) == (
         "FAIL", "bijection n=3", "bijection n=3: the fold gives the size-4 code 101010100 twice")
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_codes_have_distinct_slots(n):
-    # A size-n code is '1', 2n-2 free bits and '00', so its slot
-    # (int(code, 2) - 4**n) >> 2 lies in range(4 ** (n-1)).
-    codes = list(trees.enumerate_codes(n))
-    assert all(len(code) == 2 * n + 1 and code[0] == "1" and code[-2:] == "00"
-               for code in codes)
-    slots = {(int(code, 2) - 4 ** n) >> 2 for code in codes}
+    # A size-n code is a 1, 2n-2 free bits and two 0s, so its slot
+    # (code - 4**n) >> 2 lies in range(4 ** (n-1)).
+    *_, (codes, _) = trees.code_levels(n)
+    codes = list(codes)
+    assert all(code.bit_length() == 2 * n + 1 and code & 3 == 0 for code in codes)
+    slots = {(code - 4 ** n) >> 2 for code in codes}
     assert len(slots) == len(codes)
     assert 0 <= min(slots) and max(slots) < 4 ** (n - 1)
 
 
 def test_spine_tails_pack_in_one_byte():
-    # Level n+1's tails (last, segments): last = 2h even, h <= n, and
-    # 1 <= segments <= h + 1.  Up to n = 21 each packs into 1..255.
+    # Level n+1's tails (bit, segments): the 2h bits above `bit`, h <= n,
+    # hold segments - 1 spine nodes, so 1 <= segments <= h + 1.  Up to
+    # n = 21 each packs into 1..255.
     for n in range(22):
         unpack = checks._spine_tails(n)
         assert unpack[0] is None and len(unpack) == (n + 1) * (n + 2) // 2 + 1 <= 256
         for h in range(n + 1):
             for s in range(1, h + 2):
-                assert unpack[h * (h + 1) // 2 + s] == (2 * h, s)
+                assert unpack[h * (h + 1) // 2 + s] == (2 * (n + 1 - h), s)
 
 
 def test_bijection_peak_memory():
     # The dict keyed by int(code, 2) peaked at about 6.7 MiB; the slot table
-    # of level 11 is 1 MiB, and the check peaks at about 3.0 MiB.
+    # of level 11 is 1 MiB, and the check peaks at about 3.2 MiB.
     tracemalloc.start()
     try:
         assert checks.bijection(10, 11)[0] == "PASS"
@@ -171,36 +178,47 @@ def _with_counts(rec, n, counts):
             for d in rec]
 
 
-# Size 4 loses its sum; size 5 keeps its sum, 42, with 14 and 9 swapped.
+# Size 4 loses its sum; size 5 keeps its sum, 42, with 14 and 9 swapped,
+# so its k-weighted sum is 95, not c_6 - c_5 = 132 - 42.
 BROKEN = {
-    "conservation n=4": (4, lambda c: (c[0] + 1, *c[1:])),
-    "segment-sum identity n=5": (5, lambda c: (c[0], c[2], c[1], *c[3:])),
+    "conservation n=4": (4, lambda c: (c[0] + 1, *c[1:]),
+                         "conservation n=4: counts sum to 15, c_4 = 14"),
+    "segment-sum identity n=5": (5, lambda c: (c[0], c[2], c[1], *c[3:]),
+                                 "segment-sum identity n=5: k-weighted counts sum to 95,"
+                                 " c_6 - c_5 = 90"),
 }
 
 
 @pytest.mark.parametrize("label", sorted(BROKEN))
 def test_identities_fail(label):
-    rec = _with_counts(stats.dist_recurrence(range(7)), *BROKEN[label])
-    assert checks.identities(rec) == ("FAIL", label, "")
+    n, counts, detail = BROKEN[label]
+    rec = _with_counts(stats.dist_recurrence(range(7)), n, counts)
+    assert checks.identities(rec) == ("FAIL", label, detail)
 
 
 @pytest.mark.parametrize("label", sorted(BROKEN))
-def test_verify_exits_3_on_broken_identities(label, monkeypatch):
-    rec = _with_counts(stats.dist_recurrence(range(7)), *BROKEN[label])
+def test_verify_exits_3_on_broken_identities(label, monkeypatch, capsys):
+    n, counts, detail = BROKEN[label]
+    rec = _with_counts(stats.dist_recurrence(range(7)), n, counts)
     monkeypatch.setattr(stats, "dist_recurrence", lambda sizes: rec)
     out = io.StringIO()
     assert main(["verify", "--max-n", "6"], out=out) == EXIT_VERIFY == 3
     assert f"FAIL {label}" in out.getvalue().splitlines()
+    # The identities are the last check, so their detail is the last line.
+    assert capsys.readouterr().err.splitlines()[-1] == detail
 
 
 def test_bijection_folds_each_level_once(monkeypatch):
-    # Levels 0..11 are folded once each: c_1 + ... + c_11 = 82,499 joins.
-    marked_join, joins = trees._marked_join, []
+    # Levels 0..11 are joined once each, in order: c_1 + ... + c_11 = 82,499
+    # codes.
+    join, levels = trees._join, []
 
-    def counted(left, right):
-        joins.append(None)
-        return marked_join(left, right)
+    def counted(smaller, m):
+        codes, masks = join(smaller, m)
+        levels.append(list(codes))
+        return levels[-1], masks
 
-    monkeypatch.setattr(trees, "_marked_join", counted)
+    monkeypatch.setattr(trees, "_join", counted)
     assert checks.bijection(10, 11)[0] == "PASS"
-    assert len(joins) == 82_499
+    assert [len(level) for level in levels] == [catalan(m) for m in range(12)]
+    assert sum(map(len, levels[1:])) == 82_499

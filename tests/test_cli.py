@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -231,7 +232,7 @@ _successor_codes, _predecessor_code = trees.successor_codes, trees.predecessor_c
 
 
 def _size(code):
-    return len(code) // 2
+    return code.bit_length() // 2
 
 
 class TestVerifyFailures:
@@ -245,40 +246,42 @@ class TestVerifyFailures:
         return code, out.splitlines()[0], capsys.readouterr().err.splitlines()
 
     def test_duplicated_image(self, monkeypatch, capsys):
-        monkeypatch.setattr(trees, "successor_codes", lambda m: (
-            _successor_codes(m) + _successor_codes(m)[:1] if _size(m) == 2
-            else _successor_codes(m)))
+        monkeypatch.setattr(trees, "successor_codes", lambda code, mask: (
+            _successor_codes(code, mask) + _successor_codes(code, mask)[:1] if _size(code) == 2
+            else _successor_codes(code, mask)))
         assert self.verify(capsys) == (3, "FAIL bijection n=2", [
             "bijection n=2: code 10100 at depth 3 gives image 1101000,"
             " a duplicate or not a size-3 code"])
 
     def test_missing_image(self, monkeypatch, capsys):
-        monkeypatch.setattr(trees, "successor_codes", lambda m: (
-            _successor_codes(m)[:-1] if _size(m) == 3 else _successor_codes(m)))
+        monkeypatch.setattr(trees, "successor_codes", lambda code, mask: (
+            _successor_codes(code, mask)[:-1] if _size(code) == 3
+            else _successor_codes(code, mask)))
         assert self.verify(capsys) == (3, "FAIL bijection n=3", [
             "bijection n=3: no code and depth gives the size-4 code 101010100"])
 
     def test_wrong_predecessor_depth(self, monkeypatch, capsys):
         # Out of range: successor_codes of the size-0 code has no image at 99.
-        monkeypatch.setattr(trees, "predecessor_code", lambda code, last, segments: (
-            _predecessor_code(code, last, segments)[0], 99))
+        monkeypatch.setattr(trees, "predecessor_code", lambda image, bit, segments: (
+            _predecessor_code(image, bit, segments)[0], 99))
         assert self.verify(capsys, max_n=3) == (3, "FAIL predecessor round trip n=1", [
             "predecessor round trip n=1: image 100 returns ('0', 99), expected ('0', 0)"])
 
     def test_wrong_predecessor_tree(self, monkeypatch, capsys):
-        monkeypatch.setattr(trees, "predecessor_code", lambda code, last, segments: (
-            ("0", segments - 1) if _size(code) == 3 else _predecessor_code(code, last, segments)))
+        monkeypatch.setattr(trees, "predecessor_code", lambda image, bit, segments: (
+            (0, segments - 1) if _size(image) == 3 else _predecessor_code(image, bit, segments)))
         assert self.verify(capsys) == (3, "FAIL predecessor round trip n=3", [
             "predecessor round trip n=3: image 1101000 returns ('0', 0), expected ('10100', 0)"])
 
     def test_bijection_verdict_comes_first(self, monkeypatch, capsys):
         # Both fail at level 2: the images miss one code, and predecessor_code
         # gets the depth wrong on every size-3 code.
-        monkeypatch.setattr(trees, "successor_codes", lambda m: (
-            _successor_codes(m)[:-1] if _size(m) == 2 else _successor_codes(m)))
-        monkeypatch.setattr(trees, "predecessor_code", lambda code, last, segments: (
-            (_predecessor_code(code, last, segments)[0], 99) if _size(code) == 3
-            else _predecessor_code(code, last, segments)))
+        monkeypatch.setattr(trees, "successor_codes", lambda code, mask: (
+            _successor_codes(code, mask)[:-1] if _size(code) == 2
+            else _successor_codes(code, mask)))
+        monkeypatch.setattr(trees, "predecessor_code", lambda image, bit, segments: (
+            (_predecessor_code(image, bit, segments)[0], 99) if _size(image) == 3
+            else _predecessor_code(image, bit, segments)))
         assert self.verify(capsys) == (3, "FAIL bijection n=2", [
             "bijection n=2: no code and depth gives the size-3 code 1010100"])
 
@@ -319,9 +322,9 @@ class TestVerifyFailures:
             import sys
             from spinestat import cli, stats, trees
             successor_codes, dist_series = trees.successor_codes, stats.dist_series
-            trees.successor_codes = lambda m: (
-                successor_codes(m) + successor_codes(m)[:1] if len(m) == 5
-                else successor_codes(m))
+            trees.successor_codes = lambda code, mask: (
+                successor_codes(code, mask) + successor_codes(code, mask)[:1]
+                if code.bit_length() == 5 else successor_codes(code, mask))
             stats.dist_series = lambda sizes: [
                 stats.SpineDistribution(d.n, (d.counts[0], d.counts[1] + 1, *d.counts[2:]),
                                         d.total) if d.n == 5 else d
@@ -555,6 +558,20 @@ class TestProcessLevel:
     def test_unknown_command_exit_1(self):
         cp = run_subprocess("frobnicate")
         assert cp.returncode == 1
+
+    @pytest.mark.parametrize("argv", [["dist", "--n", "200000", "--method", "closed"],
+                                      ["verify", "--max-n", "100000"]],
+                             ids=["dist closed", "verify"])
+    def test_out_of_memory_exit_1_one_line(self, argv):
+        # The address-space limit is set in the child between fork and exec,
+        # so it binds that process alone.  100 MiB is several times what a
+        # start needs, and each command reaches it within about a second.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (100 * 2 ** 20, 100 * 2 ** 20))
+
+        cp = subprocess.run([sys.executable, "-m", "spinestat", *argv], capture_output=True,
+                            text=True, env=subprocess_env(), preexec_fn=limit, timeout=60)
+        assert (cp.returncode, cp.stderr) == (1, "error: out of memory\n")
 
     def test_byte_identical_output(self):
         args = ("dist", "--n", "7", "--format", "json")

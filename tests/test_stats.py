@@ -249,7 +249,7 @@ class TestRouteIndependence:
         "series": [(series, "ps_mul"), (trees, "_levels"),
                    (stats, "dist_recurrence"), (stats, "dist_closed")],
         "exhaustive": [(trees, "successor_codes"), (trees, "predecessor_code"),
-                       (trees, "marked_levels"), (series, "node_gf"),
+                       (trees, "code_levels"), (trees, "_join"), (series, "node_gf"),
                        (stats, "dist_recurrence"), (stats, "dist_closed")],
     }
 

@@ -20,12 +20,10 @@ from treeref import (
 from spinestat import trees
 from spinestat.trees import (
     DEFAULT_CAP,
-    marked_levels,
+    code_levels,
     predecessor_code,
     sample_spines,
-    spine_tail,
     successor_codes,
-    unmark,
 )
 
 SIZE_ONE = (None, None)
@@ -71,10 +69,11 @@ class TestSpineSegments:
 
 
 def marked_codes(n, cap=DEFAULT_CAP):
-    """The size-n spine-marked codes: the last level of marked_levels."""
-    for level in marked_levels(n, cap):
+    """The size-n codes, each with its spine mask: the last level of
+    code_levels, as (code, mask) pairs."""
+    for level in code_levels(n, cap):
         pass
-    yield from level
+    yield from zip(*level)
 
 
 def held_after_size_9(enumerate_):
@@ -126,7 +125,7 @@ class TestEnumerateCodes:
             assert list(enumerate_codes(n)) == [encode(t) for t in enumerate_trees(n)]
 
     @pytest.mark.parametrize("enumerate_",
-                             [enumerate_codes, marked_codes, marked_levels, enumerate_trees])
+                             [enumerate_codes, marked_codes, code_levels, enumerate_trees])
     def test_guards_raise_lazily(self, enumerate_):
         # The guards fire at the first next(), not at the call.
         negative, too_big = enumerate_(-1), enumerate_(3, cap=2)
@@ -141,60 +140,75 @@ class TestEnumerateCodes:
         assert held_after_size_9(enumerate_codes) < 10_000
 
 
+def as_int(t):
+    """The int code of t: its preorder bits, the root's on top."""
+    return int(encode(t), 2)
+
+
 def marked(t):
-    """The spine-marked code of t, built from the tree."""
-    if t is None:
-        return "T"
-    return "R" + encode(t[0]) + marked(t[1])
+    """(code, mask) of t, built from the tree: the mask has the bit of each
+    internal node on the right spine, found by walking that spine."""
+    code = encode(t)
+    mask, position = 0, 0
+    while t is not None:
+        mask |= 1 << len(code) - 1 - position
+        position += 1 + len(encode(t[0]))
+        t = t[1]
+    return int(code, 2), mask
+
+
+def tail(mask):
+    """The spine tail that predecessor_code reads: the lowest set bit of the
+    mask, the last internal spine node, and the mask's bit count."""
+    return (mask & -mask).bit_length() - 1, mask.bit_count()
 
 
 class TestGrowthOnCodes:
-    """The growth step and its inverse on spine-marked codes are successors
-    and predecessor through encode."""
+    """The growth step and its inverse on int codes and spine masks are
+    successors and predecessor through encode."""
 
     def test_marked_fold_unmarks_to_codes(self):
         for n in range(12):
-            assert [unmark(m) for m in marked_codes(n)] == list(enumerate_codes(n))
+            assert [code for code, _ in marked_codes(n)] == [int(c, 2) for c in enumerate_codes(n)]
 
     def test_marked_fold_marks_the_spine(self):
-        for n in range(8):
+        for n in range(9):
             assert list(marked_codes(n)) == [marked(t) for t in enumerate_trees(n)]
 
     def test_marked_fold_keeps_nothing_after_return(self):
         assert held_after_size_9(marked_codes) < 10_000
 
     def test_size_one(self):
-        assert list(marked_codes(1)) == ["R0T"]
-        assert successor_codes("R0T") == ["11000", "10100"]
-        assert spine_tail("R0T") == (0, 1)
-        assert predecessor_code("100", 0, 1) == ("0", 0)
+        assert list(marked_codes(1)) == [(0b100, 0b100)]
+        assert successor_codes(0b100, 0b100) == [0b11000, 0b10100]
+        assert tail(0b100) == (2, 1)
+        assert predecessor_code(0b100, 2, 1) == (0, 0)
 
     def test_external(self):
-        assert successor_codes("T") == ["100"]
-        with pytest.raises(EmptyTree):
-            spine_tail("T")
+        assert list(marked_codes(0)) == [(0, 0)]
+        assert successor_codes(0, 0) == [0b100]
 
     def test_equal_to_tree_step_up_to_10(self):
         for n in range(11):
-            for t, m in zip(enumerate_trees(n), marked_codes(n), strict=True):
-                assert successor_codes(m) == [encode(s) for s in successors(t)]
+            for t, (code, mask) in zip(enumerate_trees(n), marked_codes(n), strict=True):
+                assert successor_codes(code, mask) == [as_int(s) for s in successors(t)]
                 if n:
                     p, d = predecessor(t)
-                    assert predecessor_code(encode(t), *spine_tail(m)) == (encode(p), d)
+                    assert tail(mask)[1] == spine_segments(t)
+                    assert predecessor_code(code, *tail(mask)) == (as_int(p), d)
 
     @given(st.integers(0, 40), st.integers(0, 2 ** 64 - 1))
     @settings(max_examples=100, deadline=None)
     def test_equal_to_tree_step_on_random_codes(self, n, seed):
         t = sample_uniform(n, seed)
-        m = marked(t)
-        assert unmark(m) == encode(t)
-        images = successor_codes(m)
-        assert images == [encode(s) for s in successors(t)]
+        code, mask = marked(t)
+        images = successor_codes(code, mask)
+        assert images == [as_int(s) for s in successors(t)]
         if n:
             p, d = predecessor(t)
-            assert predecessor_code(encode(t), *spine_tail(m)) == (encode(p), d)
+            assert predecessor_code(code, *tail(mask)) == (as_int(p), d)
         for d, s in enumerate(successors(t)):
-            assert predecessor_code(images[d], *spine_tail(marked(s))) == (encode(t), d)
+            assert predecessor_code(images[d], *tail(marked(s)[1])) == (code, d)
 
 
 class TestSuccessors:

@@ -1,6 +1,6 @@
 """The growth step on trees: the reference that the code-level step of
-`spinestat.trees` (successor_codes, spine_tail, predecessor_code) and its
-folds are held to.
+`spinestat.trees` (successor_codes, predecessor_code) and its folds are
+held to.
 
 A tree is a nested tuple: an external node is None and an internal node is
 (left, right).  Tuples give equality, hashing, repr and pickling by value.
