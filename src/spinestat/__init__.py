@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import (
     CapExceeded,
     DomainError,
-    EmptyTree,
     NoRoot,
     SpinestatError,
 )
@@ -42,7 +41,6 @@ def __getattr__(name):
 __all__ = [
     "CapExceeded",
     "DomainError",
-    "EmptyTree",
     "NoRoot",
     "SpineDistribution",
     "SpinestatError",

@@ -127,12 +127,14 @@ def routes(rec: list[SpineDistribution], cap: int) -> tuple[str, str, str]:
         return "SKIP", "route agreement", ""
     max_n = len(rec) - 1
     sizes = range(max_n + 1)
-    ser, closed = stats.dist_series(sizes), stats.dist_closed(sizes)
+    ser = stats.dist_series(sizes)
     exhaustive = stats.dist_exhaustive(range(min(max_n, cap) + 1), cap)
     for n in sizes:
-        if not rec[n].counts == ser[n].counts == closed[n].counts:
+        # The closed route is built a size at a time, so it holds no table.
+        [closed] = stats.dist_closed(range(n, n + 1))
+        if not rec[n].counts == ser[n].counts == closed.counts:
             counts = {"recurrence": rec[n].counts, "series": ser[n].counts,
-                      "closed": closed[n].counts}
+                      "closed": closed.counts}
             label = "route agreement"
         elif n < len(exhaustive) and exhaustive[n].counts != rec[n].counts:
             counts = {"exhaustive": exhaustive[n].counts, "recurrence": rec[n].counts}

@@ -9,10 +9,6 @@ class CapExceeded(SpinestatError):
     """Exhaustive enumeration requested above the configured size cap."""
 
 
-class EmptyTree(SpinestatError):
-    """Operation requires at least one internal node."""
-
-
 class NoRoot(SpinestatError):
     """Characteristic equation has no positive root in the search range."""
 

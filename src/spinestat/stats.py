@@ -56,11 +56,8 @@ def dist_exhaustive(sizes: range, cap: int = DEFAULT_CAP) -> list[SpineDistribut
     if min(sizes) < 0:
         raise ValueError("size must be nonnegative")
 
-    def spine(left, right):
-        return right + 1
-
     found = {}
-    for n, level in enumerate(trees._levels(max(sizes), cap, 0, spine)):
+    for n, level in enumerate(trees.spine_levels(max(sizes), cap)):
         if n in sizes:
             spines = Counter(level)
             found[n] = _make(n, (spines[k] for k in range(1, n + 1)))

@@ -1,5 +1,5 @@
-"""Binary trees as preorder codes: canonical enumeration by a fold over the
-sizes, the same fold on int codes with the right spine as a mask, the
+"""Binary trees as preorder codes: canonical enumeration by one fold over
+the sizes, on strings and on int codes with the right spine as a mask, the
 growth step and its inverse on those ints, and a seeded sampler of spine
 lengths of uniform random trees.
 
@@ -27,21 +27,12 @@ DEFAULT_CAP = 14
 TreeCode = str
 
 
-def _level(smaller: list[tuple], n: int, leaf, join) -> Iterator:
-    """Level n of the fold in canonical order, built from the levels 0..n-1."""
-    if n == 0:
-        yield leaf
-    for i in range(n):
-        for left in smaller[i]:
-            for right in smaller[n - 1 - i]:
-                yield join(left, right)
-
-
-def _levels(n: int, cap: int, leaf, join) -> Iterator:
-    """The levels 0..n of the fold, each built once, in order: the levels
-    below n as tuples, which the fold reads to build the levels above, and
-    level n as a stream.  An external node becomes `leaf` and an internal
-    node `join` of its folded subtrees.
+def _levels(n: int, cap: int, leaf, block) -> Iterator:
+    """The levels 0..n of the canonical fold, each built once, in order: the
+    levels below n as tuples, which the fold reads to build the levels
+    above, and level n as a stream.  Level 0 is (leaf,), and level m chains
+    block(lefts, rights, m, i) for i = 0..m-1: the joins of every size-i
+    left with every size-(m-1-i) right, left by left.
 
     The levels are built for this call only and released with the last
     stream; the guards raise at the first next().
@@ -51,10 +42,12 @@ def _levels(n: int, cap: int, leaf, join) -> Iterator:
     if n > cap:
         raise CapExceeded(f"size {n} exceeds the exhaustive cap {cap}")
     smaller: list[tuple] = []
-    for m in range(n):
-        smaller.append(tuple(_level(smaller, m, leaf, join)))
-        yield smaller[m]
-    yield _level(smaller, n, leaf, join)
+    level = (leaf,)
+    for m in range(1, n + 1):
+        smaller.append(tuple(level))
+        yield smaller[-1]
+        level = chain.from_iterable(map(block, smaller, reversed(smaller), repeat(m), range(m)))
+    yield level
 
 
 def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
@@ -62,22 +55,34 @@ def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
     canonical order: left-subtree size ascending, then recursively the same
     rule on the left and then the right subtree.  The last level of _levels.
     """
-    for level in _levels(n, cap, "0", lambda left, right: "1" + left + right):
+    for level in _levels(n, cap, "0", lambda lefts, rights, m, i: (
+            "1" + left + right for left in lefts for right in rights)):
         pass
     yield from level
 
 
-def _join(smaller: list[tuple], m: int) -> tuple:
-    """Level m of code_levels: two parallel streams, a block per left tree."""
-    if not m:
-        return (0,), (0,)
+def _spine_block(lefts: tuple, rights: tuple, m: int, i: int) -> Iterator[int]:
+    # A lone left reads the spines once, with no tuple as long as a level.
+    spines = map((1).__add__, rights)
+    if len(lefts) == 1:
+        return spines
+    return chain.from_iterable(repeat(tuple(spines), len(lefts)))
+
+
+def spine_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
+    """The levels of _levels as spine segment counts, streams at m = n: a
+    leaf has 0 and a join one more than its right subtree."""
+    return _levels(n, cap, 0, _spine_block)
+
+
+def _code_block(lefts: tuple, rights: tuple, m: int, i: int) -> Iterator[int]:
+    top, shift = 1 << 2 * m, 2 * (m - i) - 1
+    return chain.from_iterable(map((top | left << shift).__or__, rights) for left in lefts)
+
+
+def _mask_block(lefts: tuple, rights: tuple, m: int, i: int) -> Iterator[int]:
     top = 1 << 2 * m
-    blocks = [(smaller[i][0], 2 * m - 2 * i - 1, *smaller[m - 1 - i]) for i in range(m)]
-    joined = (map((top | left << shift).__or__, rights)
-              for lefts, shift, rights, _ in blocks for left in lefts)
-    shared = (block for lefts, _, _, masks in blocks
-              for block in repeat(tuple(top | x for x in masks), len(lefts)))
-    return chain.from_iterable(joined), chain.from_iterable(shared)
+    return chain.from_iterable(repeat(tuple(top | x for x in rights), len(lefts)))
 
 
 def code_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
@@ -87,15 +92,7 @@ def code_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
     nodes.  Sizes i and r = m-1-i join to top | left << (2r+1) | right and
     mask top | right's mask, top = 1 << 2m: a block shares its masks.
     """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"size {n} exceeds the exhaustive cap {cap}")
-    smaller: list[tuple] = []
-    for m in range(n):
-        smaller.append(tuple(map(tuple, _join(smaller, m))))
-        yield smaller[m]
-    yield _join(smaller, n)
+    return zip(_levels(n, cap, 0, _code_block), _levels(n, cap, 0, _mask_block))
 
 
 def successor_codes(code: int, mask: int) -> list[int]:

@@ -211,14 +211,16 @@ def test_verify_exits_3_on_broken_identities(label, monkeypatch, capsys):
 def test_bijection_folds_each_level_once(monkeypatch):
     # Levels 0..11 are joined once each, in order: c_1 + ... + c_11 = 82,499
     # codes.
-    join, levels = trees._join, []
+    fold, code_block, levels = trees._levels, trees._code_block, []
 
-    def counted(smaller, m):
-        codes, masks = join(smaller, m)
-        levels.append(list(codes))
-        return levels[-1], masks
+    def counted(n, cap, leaf, block):
+        for level in fold(n, cap, leaf, block):
+            if block is code_block:
+                level = list(level)
+                levels.append(level)
+            yield level
 
-    monkeypatch.setattr(trees, "_join", counted)
+    monkeypatch.setattr(trees, "_levels", counted)
     assert checks.bijection(10, 11)[0] == "PASS"
     assert [len(level) for level in levels] == [catalan(m) for m in range(12)]
     assert sum(map(len, levels[1:])) == 82_499

@@ -1,13 +1,17 @@
 """Code with no caller is deleted: every top-level function, class and
 assigned name in src/spinestat is named by other code there, exported by the
-package, or allow-listed below with the reason it stays."""
+package, or allow-listed below with the reason it stays.  And the tests'
+references stay independent of the package's internals."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import spinestat
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spinestat"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "spinestat"
 
 # (module, name): why it stays without a caller in src/.
 ALLOWED = {
@@ -66,3 +70,50 @@ def test_a_planted_uncalled_function_is_flagged():
     }
     assert uncalled_definitions(planted, exported=set()) == [("a", "orphan"), ("a", "UNREAD")]
     assert uncalled_definitions(planted, exported={"orphan", "UNREAD"}) == []
+
+
+def private_loads(text):
+    """The `_`-prefixed, non-dunder names of spinestat modules that `text`
+    loads: imported from one, or read as an attribute of a name that an
+    import from spinestat bound."""
+    tree = ast.parse(text)
+    bound, found = set(), []
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                      if alias.name.split(".")[0] == "spinestat"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spinestat":
+            found += [f"{node.module}.{alias.name}" for alias in node.names if private(alias.name)]
+            bound |= {alias.asname or alias.name for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("reference", ["treeref.py", "remy.py"])
+def test_references_load_no_private_name(reference):
+    # A reference that reuses the package's internals would check them
+    # against themselves.
+    assert private_loads((TESTS / reference).read_text()) == []
+
+
+def test_a_planted_private_load_is_flagged():
+    planted = (
+        "import spinestat.stats\nimport random as _random\n"
+        "from spinestat import trees\nfrom spinestat.trees import DEFAULT_CAP, _levels\n"
+        "from spinestat.errors import CapExceeded as Cap\n"
+        "trees._code_block, spinestat.stats._make\n"
+        "trees.__file__, trees.code_levels, Cap._x, _random._inst, other._private\n"
+    )
+    assert private_loads(planted) == [
+        "spinestat.trees._levels", "trees._code_block", "spinestat.stats._make", "Cap._x"]
+    assert private_loads("from spinestat import trees\nprint(trees.code_levels)\n") == []

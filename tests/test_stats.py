@@ -54,17 +54,18 @@ def one_shot(n, k):
 
 @pytest.fixture
 def joins(monkeypatch):
-    """The joins of every level fold, counted by wrapping trees._level."""
-    level, made = trees._level, []
+    """The joins of every level fold, len(lefts) * len(rights) per block,
+    counted by wrapping the block that trees._levels is given."""
+    levels, made = trees._levels, []
 
-    def counted(smaller, n, leaf, join):
-        def counted_join(left, right):
-            made.append(None)
-            return join(left, right)
+    def counted(n, cap, leaf, block):
+        def counted_block(lefts, rights, m, i):
+            made.append(len(lefts) * len(rights))
+            return block(lefts, rights, m, i)
 
-        return level(smaller, n, leaf, counted_join)
+        return levels(n, cap, leaf, counted_block)
 
-    monkeypatch.setattr(trees, "_level", counted)
+    monkeypatch.setattr(trees, "_levels", counted)
     return made
 
 
@@ -121,7 +122,7 @@ class TestDistExhaustive:
     def test_folds_each_level_once(self, joins):
         # Levels 0..10 are folded once each: c_1 + ... + c_10 = 23,713 joins.
         assert [d.n for d in dist_exhaustive(range(11), cap=11)] == list(range(11))
-        assert len(joins) == 23_713 == sum(map(catalan, range(1, 11)))
+        assert sum(joins) == 23_713 == sum(map(catalan, range(1, 11)))
 
     def test_range_guards(self, joins):
         # A negative size or one above the cap raises before any fold; an
@@ -249,7 +250,8 @@ class TestRouteIndependence:
         "series": [(series, "ps_mul"), (trees, "_levels"),
                    (stats, "dist_recurrence"), (stats, "dist_closed")],
         "exhaustive": [(trees, "successor_codes"), (trees, "predecessor_code"),
-                       (trees, "code_levels"), (trees, "_join"), (series, "node_gf"),
+                       (trees, "code_levels"), (trees, "_code_block"),
+                       (trees, "_mask_block"), (series, "node_gf"),
                        (stats, "dist_recurrence"), (stats, "dist_closed")],
     }
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinestat import CapExceeded, EmptyTree, catalan, enumerate_codes
+from spinestat import CapExceeded, catalan, enumerate_codes
 from remy import grow_random, sample_uniform, spine_chain, spine_step, tree_from_arrays
 from treeref import (
     MalformedCode,
@@ -257,7 +257,7 @@ class TestPredecessor:
         assert predecessor(SIZE_ONE) == (None, 0)
 
     def test_external_raises(self):
-        with pytest.raises(EmptyTree):
+        with pytest.raises(ValueError):
             predecessor(None)
 
     def test_round_trip_size_six(self):

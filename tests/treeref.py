@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from spinestat import trees
-from spinestat.errors import EmptyTree
+from spinestat.errors import CapExceeded
 from spinestat.trees import DEFAULT_CAP, TreeCode
 
 
@@ -44,10 +43,17 @@ def spine_segments(t) -> int:
 
 def enumerate_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator:
     """Every tree of size n once, in the canonical order of
-    trees.enumerate_codes: the same fold, joining tuples instead of codes."""
-    for level in trees._levels(n, cap, None, lambda left, right: (left, right)):
-        pass
-    yield from level
+    trees.enumerate_codes: left-subtree size ascending, then by left, then
+    by right.  The guards raise at the first next()."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    if n > cap:
+        raise CapExceeded(f"size {n} exceeds the exhaustive cap {cap}")
+    levels = [[None]]
+    for m in range(1, n + 1):
+        levels.append([(left, right) for i in range(m)
+                       for left in levels[i] for right in levels[m - 1 - i]])
+    yield from levels[n]
 
 
 def successors(t) -> list:
@@ -77,7 +83,7 @@ def predecessor(t) -> tuple:
     its left subtree, and the spine above it is rebuilt.
     """
     if t is None:
-        raise EmptyTree("the size-0 tree has no predecessor")
+        raise ValueError("the size-0 tree has no predecessor")
     lefts = []
     while t[1] is not None:
         lefts.append(t[0])
