@@ -2,8 +2,8 @@
 sampling, and raw enumeration.
 
 Exit codes: 0 success, 1 usage error or a closed output pipe, 2 enumeration
-cap exceeded, 3 verification failure.  Stdout is written in batches of about
-BATCH characters (see _Batches).
+cap exceeded, 3 verification failure.  Stdout's own text buffer batches
+what is written to it, under PYTHONUNBUFFERED=1 too (see main).
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ METHODS = ("exhaustive", "recurrence", "series", "closed")
 # so this bound, not --max-n, sets its cost once --max-n passes it.
 VERIFY_CAP = 11
 FORMATS = ("text", "csv", "json")
-# Characters per write to stdout.  Unbuffered stdout (PYTHONUNBUFFERED=1)
-# turns each write into a system call, so line-sized writes cost more than
-# the lines; a larger batch only holds more text in memory.
+# Characters per text that enumerate writes: the size of the text buffer of
+# sys.stdout (an io.TextIOWrapper), so that each text fills it about once.
 BATCH = 8192
 
 
@@ -43,44 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-class _Batches:
-    """A text stream that writes `out` in batches: it keeps what it is given
-    until it holds BATCH characters or more, then writes all of it at once.
-    Every write but the last therefore has at least BATCH characters, and
-    none more than BATCH - 1 plus the last text given."""
-
-    def __init__(self, out):
-        self._out = out
-        self._held: list[str] = []
-        self._size = 0
-
-    def write(self, text: str) -> int:
-        self.writelines((text,))
-        return len(text)
-
-    def writelines(self, texts) -> None:
-        """write() each of `texts`, without a call per text."""
-        for text in texts:
-            self._held.append(text)
-            self._size += len(text)
-            if self._size >= BATCH:
-                self._write_held()
-
-    def _write_held(self) -> None:
-        # Emptied before the write, so text is not written again after a
-        # write that raised.
-        text = "".join(self._held)
-        self._held.clear()
-        self._size = 0
-        self._out.write(text)
-
-    def flush(self) -> None:
-        """Write what is held, and flush `out`."""
-        if self._held:
-            self._write_held()
-        self._out.flush()
 
 
 def _text(value) -> str:
@@ -99,9 +60,9 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
     each row; its csv form puts the document's n in front of every row, and
     its json form ends with the rows.  A report without columns has no csv
     form and prints its text instead.  Every format is an opening, rows read
-    once and rendered as they come, and a closing, handed to `out` (main's
-    `_Batches`) a line at a time in one writelines call.  Ints are rendered
-    by `_text`, so no size of number meets str()'s digit limit.
+    once and rendered as they come, and a closing, handed to `out` a row at a
+    time in one writelines call.  Ints are rendered by `_text`, so no size of
+    number meets str()'s digit limit.
     """
     head, line, render, joint, tail = text + "\n", line + "\n", _text, "", ""
     # Every field is an int or a string of digits, "-" and ".": csv needs no
@@ -122,8 +83,7 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
         yield head
         sep = ""
         for row in rows:
-            fields = {c: render(v) for c, v in row.items()}
-            yield from (sep + line.format_map(fields)).splitlines(keepends=True)
+            yield sep + line.format_map({c: render(v) for c, v in row.items()})
             sep = joint
         # The json rows are in indent=2's layout, which writes no rows as "[]".
         yield tail if sep else tail.lstrip()
@@ -190,7 +150,8 @@ def cmd_limit(args, out) -> int:
 def cmd_enumerate(args, out) -> int:
     codes = trees.enumerate_codes(args.n, cap=args.cap)
     # A size-n code and its newline take 2n+2 characters, so each chunk just
-    # reaches BATCH, and `out` writes it as it comes.  Every code is nonempty.
+    # reaches BATCH: a write per code made n = 12 take 1.4 times as long.
+    # Every code is nonempty.
     per_chunk = BATCH // (2 * args.n + 2) + 1
     while chunk := "\n".join(islice(codes, per_chunk)):
         out.write(chunk + "\n")
@@ -284,7 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     parser = build_parser()
     on_stdout = out is None
-    out = _Batches(sys.stdout if on_stdout else out)
+    if on_stdout:
+        out = sys.stdout
+    # PYTHONUNBUFFERED=1 sets write_through, which makes every write on stdout
+    # a write(2) call; without it, the text buffer writes about 8 KB at a time.
+    write_through = on_stdout and getattr(out, "write_through", False)
+    if write_through:
+        out.reconfigure(write_through=False)
     try:
         try:
             # argparse writes --help and --version to sys.stdout, which is
@@ -322,6 +289,10 @@ def main(argv=None, out=None) -> int:
             os.close(devnull)
         print("error: output pipe closed", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        # After a closed pipe, too: its flush then writes to devnull.
+        if write_through:
+            out.reconfigure(write_through=True)
     return code
 
 

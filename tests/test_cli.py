@@ -387,16 +387,47 @@ class TestEnumerate:
         assert code == 2
 
 
-class _CountedWrites(io.StringIO):
-    """A StringIO that keeps the length of each text written to it."""
+# A child's stdout as PYTHONUNBUFFERED=1 builds it, a TextIOWrapper that
+# writes through, over a raw stream that keeps the length of each write: each
+# is one write(2) call on a real descriptor.  The child runs cli.main(argv),
+# writes what it got to its real stdout and the lengths to stderr.
+_RECORDED_STDOUT = textwrap.dedent("""
+    import io, json, sys
+    from spinestat import cli
 
-    def __init__(self):
-        super().__init__()
-        self.lengths = []
+    class Recorded(io.RawIOBase):
+        def __init__(self):
+            self.lengths, self.data = [], bytearray()
 
-    def write(self, text):
-        self.lengths.append(len(text))
-        return super().write(text)
+        def writable(self):
+            return True
+
+        def write(self, b):
+            self.lengths.append(len(b))
+            self.data += b
+            return len(b)
+
+    raw = Recorded()
+    sys.stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    code = cli.main(sys.argv[1:])
+    sys.__stdout__.buffer.write(raw.data)
+    print(json.dumps(raw.lengths), file=sys.stderr)
+    sys.exit(code)
+""")
+
+
+def assert_written_in_batches(argv):
+    cp = subprocess.run([sys.executable, "-c", _RECORDED_STDOUT, *argv], capture_output=True,
+                        text=True, env=subprocess_env())
+    assert cp.returncode == 0, cp.stderr
+    text, lengths = cp.stdout, json.loads(cp.stderr)
+    assert sum(lengths) == len(text.encode())
+    longest_line = max(map(len, text.splitlines(keepends=True)))
+    # Every write but the last holds more than BATCH characters less one row,
+    # and no row here is as long as two of its longest line.
+    assert len(lengths) <= math.ceil(len(text) / (cli.BATCH - 2 * longest_line)) + 1
+    # Memory stays bounded: no write holds more than a batch and one line.
+    assert max(lengths) <= cli.BATCH + longest_line
 
 
 @pytest.mark.parametrize("argv", [
@@ -405,29 +436,46 @@ class _CountedWrites(io.StringIO):
 ])
 def test_stdout_written_in_batches(argv):
     # A code per line, and a json encoder chunk, would each be one write.
-    out = _CountedWrites()
-    assert main(argv.split(), out=out) == 0
-    text = out.getvalue()
-    assert len(out.lengths) <= math.ceil(len(text) / cli.BATCH) + 1
-    # Memory stays bounded: no write holds more than a batch and one line.
-    longest_line = max(map(len, text.splitlines(keepends=True)))
-    assert max(out.lengths) <= cli.BATCH + longest_line
+    assert_written_in_batches(argv.split())
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_table_report_is_not_written_a_chunk_at_a_time(monkeypatch, fmt):
-    # One _Batches.write per json.dump chunk would be about 28,000 calls for
-    # the 0.9 MB json form of this table of about 110 batches, and print's
-    # two per line 2,804 for its text and csv forms.
-    write, calls = cli._Batches.write, []
+def test_table_report_is_not_written_a_chunk_at_a_time(fmt):
+    # A write per json.dump chunk would be about 28,000 writes for the 0.9 MB
+    # json form of this table, and print's two per line 2,804 for its text
+    # and csv forms; the bound is 120 to 139 writes.
+    assert_written_in_batches(f"dist --n 1401 --format {fmt}".split())
 
-    def counted(self, text):
-        calls.append(None)
-        return write(self, text)
 
-    monkeypatch.setattr(cli._Batches, "write", counted)
-    assert main(f"dist --n 1401 --format {fmt}".split(), out=io.StringIO()) == 0
-    assert len(calls) <= 200
+class _PipeGone(io.RawIOBase):
+    """A raw stream whose reader has gone."""
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, raw, code", [
+    ("limit --k 2", io.BytesIO, 0),
+    ("enumerate --n 3 --cap 2", io.BytesIO, 2),
+    ("enumerate --n 3", _PipeGone, 1),
+], ids=["success", "cap exceeded", "closed pipe"])
+@pytest.mark.parametrize("write_through", [True, False])
+def test_main_leaves_stdout_as_found(monkeypatch, argv, raw, code, write_through):
+    stdout = io.TextIOWrapper(raw(), encoding="utf-8", write_through=write_through)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv.split()) == code
+    assert sys.stdout is stdout
+    assert stdout.write_through == write_through
+
+
+def test_main_writes_a_redirected_stdout():
+    # A StringIO has no write_through.
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["limit", "--k", "2"]) == 0
+    assert out.getvalue() == run_main("limit", "--k", "2")[1]
 
 
 class TestNegativePrecision:

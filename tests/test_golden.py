@@ -7,10 +7,13 @@ CLI's output byte for byte.  A deliberate change of output updates them.
 
 import hashlib
 import io
+import subprocess
+import sys
 
 import pytest
 
 from spinestat.cli import main
+from test_cli import STDOUT_MODES, stdout_mode_env
 
 # The command lines shown in README.md.
 README = {
@@ -195,3 +198,13 @@ def test_stdout_hash(line):
     code = main(line.split(), out=out)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert (code, digest) == GOLDEN[line]
+
+
+# The same bytes through the console's stdout, where main batches its writes
+# in stdout's own buffer.
+@STDOUT_MODES
+@pytest.mark.parametrize("line", BATCH_EDGES)
+def test_console_stdout_hash(line, unbuffered):
+    cp = subprocess.run([sys.executable, "-m", "spinestat", *line.split()],
+                        capture_output=True, env=stdout_mode_env(unbuffered))
+    assert (cp.returncode, hashlib.sha256(cp.stdout).hexdigest()) == BATCH_EDGES[line]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import spinestat
-from spinestat import asymptotics, stats, trees
+from spinestat import asymptotics, cli, stats, trees
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -19,16 +19,16 @@ DEFERRED = {"dataclasses", "inspect", "typing", "json", "csv", "fractions", "dec
             "spinestat.checks", "spinestat.asymptotics"}
 
 
-def loaded(*argv):
-    """The exit code of cli.main(argv) and the names in sys.modules after it,
-    in a fresh interpreter without the site module (whose .pth files may
-    import anything)."""
+def loaded(*argv, out="io.StringIO()"):
+    """The exit code of cli.main(argv, out) and the names in sys.modules after
+    it, in a fresh interpreter without the site module (whose .pth files may
+    import anything).  Its stdout writes through, as under PYTHONUNBUFFERED=1."""
     code = ("import io, sys\n"
             "from spinestat import cli\n"
-            f"code = cli.main({list(argv)!r}, out=io.StringIO())\n"
+            f"code = cli.main({list(argv)!r}, out={out})\n"
             "print(code, *sorted(sys.modules))\n")
     cp = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                        env={**os.environ, "PYTHONPATH": SRC})
+                        env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "1"})
     assert cp.returncode == 0, cp.stderr
     exit_code, *modules = cp.stdout.splitlines()[-1].split()
     return int(exit_code), set(modules)
@@ -51,6 +51,12 @@ def test_text_commands_load_no_deferred_module(argv):
     assert code == 0
     assert not modules & DEFERRED
     assert ("random" in modules) == (argv[0] == "sample")
+
+
+def test_writing_stdout_loads_no_deferred_module():
+    code, modules = loaded("dist", "--n", "6", out="None")
+    assert code == 0
+    assert not modules & DEFERRED
 
 
 # csv is written as text is, with no module of its own.  A report without
@@ -100,6 +106,6 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(ImportError):
         from spinestat.series import ps_from  # noqa: F401
     for module, name in ((trees, "enumerate_marked"), (stats, "dist_closed_all"),
-                         (trees, "BinaryTree"), (trees, "_fold")):
+                         (trees, "BinaryTree"), (trees, "_fold"), (cli, "_Batches")):
         with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
             getattr(module, name)

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from collections import Counter
 
@@ -77,15 +78,29 @@ def marked_codes(n, cap=DEFAULT_CAP):
 
 
 def held_after_size_9(enumerate_):
-    """Bytes allocated in trees.py still held after enumerating size 9."""
+    """Bytes allocated in trees.py, or in the file that defines enumerate_,
+    still held after enumerating size 9."""
     tracemalloc.start()
     try:
         assert sum(1 for _ in enumerate_(9)) == catalan(9)
+        # A full collection also empties the tuple free list, whose freed
+        # tuples tracemalloc still counts.
+        gc.collect()
         held = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.Filter(True, trees.__file__)])
+            [tracemalloc.Filter(True, trees.__file__),
+             tracemalloc.Filter(True, enumerate_.__code__.co_filename)])
     finally:
         tracemalloc.stop()
     return sum(stat.size for stat in held.statistics("filename"))
+
+
+_kept = []
+
+
+def enumerate_keeping(n):
+    """enumerate_trees with a module-level cache of its last level."""
+    _kept.append(list(enumerate_trees(n)))
+    yield from _kept[-1]
 
 
 class TestEnumerate:
@@ -112,6 +127,12 @@ class TestEnumerate:
     def test_keeps_nothing_after_return(self):
         # A process-wide cache of levels would still hold the c_9 trees here.
         assert held_after_size_9(enumerate_trees) < 10_000
+
+    def test_a_kept_level_is_seen(self):
+        try:
+            assert held_after_size_9(enumerate_keeping) >= 10_000
+        finally:
+            _kept.clear()
 
     def test_canonical_order_is_by_left_subtree_size(self):
         for n in range(2, 7):
