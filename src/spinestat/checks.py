@@ -52,7 +52,7 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     levels = trees.code_levels(top + 1, cap=cap)
     upper = next(levels)
     for n in range(top + 1):
-        # Level n+1 is a pair of tuples, kept for the fold above it, except
+        # Level n+1 is a pair of arrays, kept for the fold above it, except
         # the last, which is streamed into `tails` and never held.
         lower, upper = upper, next(levels)
         # A code's key is code - head, and its slot key >> 2.  key & outside

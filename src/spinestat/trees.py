@@ -11,13 +11,13 @@ reference of the growth step, on nested tuples, is tests/treeref.py.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, repeat
 
 from .errors import CapExceeded
 
-# `random` is imported inside the sampler, so the commands that do not
-# sample do not load it at start-up.
+# `random` is imported inside the sampler and `array` inside the int folds,
+# so the commands that do not run them do not load them at start-up.
 
 # Exhaustive enumeration above this size (~2.7M trees at 14) is refused
 # unless the caller raises the cap explicitly.
@@ -27,12 +27,17 @@ DEFAULT_CAP = 14
 TreeCode = str
 
 
-def _levels(n: int, cap: int, leaf, block) -> Iterator:
+# The stored levels are packed: spine counts in bytes, int codes and masks
+# in array("Q"), string codes in tuples.  Spine counts are at most n and a
+# size-m code has 2m+1 bits, so a fold passes 255 or 64 bits only once it
+# holds level 31, c_31 ~ 1.5e16 trees; memory runs out well before that
+# (exit 1, "error: out of memory"), so no size is checked.
+def _levels(n: int, cap: int, leaf, block, pack) -> Iterator[Iterable]:
     """The levels 0..n of the canonical fold, each built once, in order: the
-    levels below n as tuples, which the fold reads to build the levels
-    above, and level n as a stream.  Level 0 is (leaf,), and level m chains
-    block(lefts, rights, m, i) for i = 0..m-1: the joins of every size-i
-    left with every size-(m-1-i) right, left by left.
+    levels below n packed by pack(level), which the fold reads to build the
+    levels above, and level n as a stream.  Level 0 is (leaf,), and level m
+    chains block(lefts, rights, m, i) for i = 0..m-1: the joins of every
+    size-i left with every size-(m-1-i) right, left by left.
 
     The levels are built for this call only and released with the last
     stream; the guards raise at the first next().
@@ -41,10 +46,10 @@ def _levels(n: int, cap: int, leaf, block) -> Iterator:
         raise ValueError("size must be nonnegative")
     if n > cap:
         raise CapExceeded(f"size {n} exceeds the exhaustive cap {cap}")
-    smaller: list[tuple] = []
+    smaller: list[Sequence] = []
     level = (leaf,)
     for m in range(1, n + 1):
-        smaller.append(tuple(level))
+        smaller.append(pack(level))
         yield smaller[-1]
         level = chain.from_iterable(map(block, smaller, reversed(smaller), repeat(m), range(m)))
     yield level
@@ -56,43 +61,54 @@ def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
     rule on the left and then the right subtree.  The last level of _levels.
     """
     for level in _levels(n, cap, "0", lambda lefts, rights, m, i: (
-            "1" + left + right for left in lefts for right in rights)):
+            "1" + left + right for left in lefts for right in rights), tuple):
         pass
     yield from level
 
 
-def _spine_block(lefts: tuple, rights: tuple, m: int, i: int) -> Iterator[int]:
-    # A lone left reads the spines once, with no tuple as long as a level.
+def _spine_block(lefts: bytes, rights: bytes, m: int, i: int) -> Iterator[int]:
+    # A lone left reads the spines once, with no copy as long as a level;
+    # more lefts repeat one bytes copy of the block's spines.
     spines = map((1).__add__, rights)
     if len(lefts) == 1:
         return spines
-    return chain.from_iterable(repeat(tuple(spines), len(lefts)))
+    return chain.from_iterable(repeat(bytes(spines), len(lefts)))
 
 
-def spine_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
-    """The levels of _levels as spine segment counts, streams at m = n: a
-    leaf has 0 and a join one more than its right subtree."""
-    return _levels(n, cap, 0, _spine_block)
+def spine_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator[Iterable[int]]:
+    """The levels of _levels as spine segment counts, bytes below m = n and
+    a stream at m = n: a leaf has 0 and a join one more than its right
+    subtree."""
+    return _levels(n, cap, 0, _spine_block, bytes)
 
 
-def _code_block(lefts: tuple, rights: tuple, m: int, i: int) -> Iterator[int]:
+def _code_block(lefts: Sequence[int], rights: Sequence[int], m: int, i: int) -> Iterator[int]:
     top, shift = 1 << 2 * m, 2 * (m - i) - 1
     return chain.from_iterable(map((top | left << shift).__or__, rights) for left in lefts)
 
 
-def _mask_block(lefts: tuple, rights: tuple, m: int, i: int) -> Iterator[int]:
-    top = 1 << 2 * m
-    return chain.from_iterable(repeat(tuple(top | x for x in rights), len(lefts)))
+def _mask_block(lefts: Sequence[int], rights: Sequence[int], m: int, i: int) -> Iterator[int]:
+    from array import array
+
+    # One copy of the block's masks, repeated over its lefts: a map per left
+    # made the bijection check about 7% slower.
+    return chain.from_iterable(repeat(array("Q", map((1 << 2 * m).__or__, rights)), len(lefts)))
 
 
-def code_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
+def code_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
     """The levels of _levels on ints: level m is a pair (codes, masks) of
-    parallel tuples, streams at m = n.  A code holds the 2m+1 preorder bits,
-    the root on top (size 0 is 0), and its mask the right spine's internal
-    nodes.  Sizes i and r = m-1-i join to top | left << (2r+1) | right and
-    mask top | right's mask, top = 1 << 2m: a block shares its masks.
+    parallel arrays of unsigned 64-bit ints ("Q") below m = n, and of
+    streams at m = n.  A code holds the 2m+1 preorder bits, the root on top
+    (size 0 is 0), and its mask the right spine's internal nodes.  Sizes i
+    and r = m-1-i join to top | left << (2r+1) | right and mask
+    top | right's mask, top = 1 << 2m: a block shares one array of masks.
     """
-    return zip(_levels(n, cap, 0, _code_block), _levels(n, cap, 0, _mask_block))
+    from array import array
+
+    def pack(level):
+        return array("Q", level)
+
+    return zip(_levels(n, cap, 0, _code_block, pack), _levels(n, cap, 0, _mask_block, pack))
 
 
 def successor_codes(code: int, mask: int) -> list[int]:

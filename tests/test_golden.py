@@ -44,8 +44,10 @@ EXHAUSTIVE = {
 }
 
 # Larger sizes of three routes: series past the benchmark's n = 60,
-# exhaustive one size past the benchmark's n = 12, closed at and near the
-# benchmark's n of about 1400, and closed as the exact column of sample.
+# exhaustive one and two sizes past the benchmark's n = 12 (14 is the
+# default cap), closed at and near the benchmark's n of about 1400, and
+# closed as the exact column of sample.  Then verify two sizes past the
+# benchmark's --max-n 10, where the bijection check holds levels 0..12.
 ROUTE_SIZES = {
     "dist --n 1402 --method closed --format json":
         (0, "1866b4f65c59063c80e290cfb6f88ead3ec33f6f2bbdc1f0f23cc07ced37d2d2"),
@@ -53,12 +55,16 @@ ROUTE_SIZES = {
         (0, "35496e925c16f3305ec9993e628aae8d39213ebb43e5a4ecb3aac19a61fd2c31"),
     "dist --n 13 --method exhaustive":
         (0, "933eeb8bdde9c0d61967a5297d4e7b872bbcf73553d0fe8644acfd86844ccac1"),
+    "dist --n 14 --method exhaustive":
+        (0, "e40b3c9bfce1fdf05315eed61967489fa24678d32bc6a27ed4f2da564e9c906b"),
     "dist --n 200 --method series --format csv":
         (0, "1eed2f4fc7c1a2b9a869c78d70f8924197fd8c6ca6b756cee5cc462305b9fb67"),
     # sample's exact column at n = 4000, where the ballot counts have about
     # 8,000 bits.
     "sample --n 4000 --samples 3 --seed 9 --format csv":
         (0, "6c43033d85d4e94574388a5d68746e828a58aa128375ecc4e8c08428afc241e5"),
+    "verify --max-n 12 --cap 13":
+        (0, "17fa2959c21e676a59cf0d1c60452911c96b71d4e516f0aad31ccbc144a923af"),
 }
 
 # Outputs that span many of the CLI's stdout batches: enumerate's 5.4 MB
