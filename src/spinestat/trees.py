@@ -1,7 +1,8 @@
 """Binary trees as preorder codes: canonical enumeration by one fold over
 the sizes, on strings and on int codes with the right spine as a mask, the
 growth step and its inverse on those ints, and a seeded sampler of spine
-lengths of uniform random trees.
+lengths of uniform random trees, which steps through the first growth steps
+and then jumps to each step that may change the spine, by exact waits.
 
 A tree is either a single external node or an internal node with a left and a
 right subtree.  "Size" always means the number of internal nodes; a size-n
@@ -141,6 +142,40 @@ def predecessor_code(image: int, bit: int, segments: int) -> tuple[int, int]:
     return (image - b + image % b) >> 2, segments - 1
 
 
+# The first steps of a sample draw one u each, as Remy's growth does; past
+# this step one jump to the spine's next change costs less than stepping.
+_PREFIX = 64
+
+# The bits of one word of a wait's uniform draw; a wait refines by a word
+# until its value is decided.
+_WORD_BITS = 64
+
+
+def _wait(x: int, cap: int, getrandbits) -> int:
+    """min(V, cap) for a wait V with P(V >= s) = x/(x+2s), s = 0, 1, ...
+
+    V = ceil(y) - 1 for y = x(1-U)/(2U), U uniform on (0, 1), since
+    V >= s iff U < x/(x+2s) iff s < y.  A prefix R of U's words, R < M,
+    holds U in [R/M, (R+1)/M), where y runs over (x(M-R-1)/(2(R+1)),
+    x(M-R)/(2R)], so V over low = x(M-R-1) // (2(R+1)) to
+    (x(M-R)-1) // (2R).  When low >= cap every U there gives cap; when the
+    two ends meet every U there gives low; otherwise the next word of U
+    is drawn.  A prefix decides a value only when every U it holds gives
+    that value, and the undecided mass shrinks to 0, so the result has the
+    law of min(V, cap) with no rounding.
+    """
+    bits = _WORD_BITS
+    r, m = getrandbits(bits), 1 << bits
+    while True:
+        low = x * (m - r - 1) // (2 * (r + 1))
+        if low >= cap:
+            return cap
+        if r and (x * (m - r) - 1) // (2 * r) == low:
+            return low
+        r = r << bits | getrandbits(bits)
+        m <<= bits
+
+
 def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
     """Spine segment counts of `samples` uniform size-n trees from one seeded
     generator, by Remy's growth followed on the spine length alone.
@@ -159,11 +194,35 @@ def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
     the law of the spine of a uniform size-n tree, the ballot law.  The
     draw-for-draw reference is `spine_chain` in tests/remy.py, and the tests
     check its law exactly and against every draw sequence of Remy's growth
-    to size 5.  u is drawn as random.Random(seed).randrange(2m) draws it:
+    to size 5.
+
+    Steps k < _PREFIX draw u as random.Random(seed).randrange(2m) draws it:
     getrandbits((2m).bit_length()) until the value is below 2m.  The bounds
-    2m = 4k+2 run as one range per bit width, so a sample keeps O(log n)
-    state and no per-step list.  A negative n raises ValueError at the
-    first next().
+    2m = 4k+2 run as one range per bit width, so a sample keeps no
+    per-step list, and a sample of n <= _PREFIX is the chain's draw for
+    draw.
+
+    From step j = _PREFIX on, the sampler jumps to the next step that may
+    change L.  L survives step i with probability (2i-L)/(2i+1), and for
+    odd L = 2a+1 the product over steps j..t telescopes: of the odd
+    numerators 2j-L..2t-L and the odd denominators 2j+1..2t+1, only
+    2j-L..2j-1 and 2t-L+2..2t+1 are left:
+
+        prod_{i=j..t} (2i-L)/(2i+1) = prod_{r=0..a} x_r/(x_r+2s),
+        x_r = 2j-L+2r, s = t-j+1.
+
+    So the number of steps L survives from j is the minimum of a+1
+    independent waits V with P(V >= s) = x_r/(x_r+2s), each drawn exactly
+    by _wait and capped at the n-j steps left.  The step that ends the wait
+    then changes L, with u uniform below 2L+2 and the rule above.  An even
+    L takes the wait of the odd L+1, whose survival is smaller: its step is
+    a change of L+1 with probability (2L+4)/(4i+2), and u uniform below
+    2L+4 leaves the 2L+2 changes of L, each with probability 1/(4i+2), and
+    two values that leave L, so each outcome of the step keeps its
+    probability.  The steps are independent given L, so after a step that
+    leaves L the next wait starts afresh, and the chain's law is unchanged.
+    A jump keeps O(1) state; a sample costs O(log n) draws past the prefix.
+    A negative n raises ValueError at the first next().
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
@@ -171,7 +230,7 @@ def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
 
     getrandbits = random.Random(seed).getrandbits
     runs = []
-    bound, top = 2, 4 * n + 2
+    bound, top = 2, 4 * min(n, _PREFIX) + 2
     while bound < top:
         width = bound.bit_length()
         bounds = range(bound, min(1 << width, top), 4)
@@ -187,4 +246,21 @@ def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
                 if u <= edge:
                     spine = u + 1 if u <= spine else spine + 1
                     edge = 2 * spine + 1
+        k = _PREFIX
+        while k < n:
+            odd = spine | 1
+            wait = n - k
+            for x in range(2 * k - odd, 2 * k, 2):
+                wait = _wait(x, wait, getrandbits)
+            k += wait
+            if k < n:
+                bound = 2 * odd + 2
+                width = bound.bit_length()
+                u = getrandbits(width)
+                while u >= bound:
+                    u = getrandbits(width)
+                if u <= edge:
+                    spine = u + 1 if u <= spine else spine + 1
+                    edge = 2 * spine + 1
+                k += 1
         yield spine

@@ -365,6 +365,16 @@ class TestSample:
         row = next(r for r in doc["rows"] if r["k"] == 3)
         assert abs(float(row["empirical"]) - 3 / 14) < 0.02
 
+    def test_negative_seed_aliases_its_absolute_value(self):
+        # random.Random seeds from |seed|, so --seed -5 draws what --seed 5
+        # draws; only the header tells them apart.
+        negative = run_main("sample", "--n", "70", "--samples", "300", "--seed", "-5")
+        positive = run_main("sample", "--n", "70", "--samples", "300", "--seed", "5")
+        assert negative[0] == positive[0] == 0
+        [header, *rows] = negative[1].splitlines()
+        assert header == "n=70 samples=300 seed=-5"
+        assert rows == positive[1].splitlines()[1:]
+
     def test_bad_samples_exit_1(self):
         code, _ = run_main("sample", "--n", "4", "--samples", "0", "--seed", "1")
         assert code == 1

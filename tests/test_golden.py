@@ -62,7 +62,7 @@ ROUTE_SIZES = {
     # sample's exact column at n = 4000, where the ballot counts have about
     # 8,000 bits.
     "sample --n 4000 --samples 3 --seed 9 --format csv":
-        (0, "6c43033d85d4e94574388a5d68746e828a58aa128375ecc4e8c08428afc241e5"),
+        (0, "d18a5d677f08640aa070fece93a055764d7bd69494f52f1edddd5b85ae5afa97"),
     "verify --max-n 12 --cap 13":
         (0, "17fa2959c21e676a59cf0d1c60452911c96b71d4e516f0aad31ccbc144a923af"),
 }
@@ -158,13 +158,19 @@ SMALL = {
     "sample --n 9 --samples 300 --seed 3 --format json":
         (0, "8cf6aa7aded46831973fb86c25988cf0df4e8ca03a4fc91fbd72155ecf363851"),
     # Sampler edges of the bit width of the draw u < 4k+2: no steps, one
-    # step of width 2 and one of width 3, and the last step past 2^11.
+    # step of width 2 and one of width 3.  Then the last size drawn step by
+    # step (the 64 steps of trees._PREFIX), the first that jumps past it,
+    # and one that jumps over 449 steps.
     "sample --n 0 --samples 3 --seed 1":
         (0, "0e914612db280cdb03875f53d751a5e92982498f4241fc085040cfba6d54749e"),
     "sample --n 2 --samples 50 --seed 0 --format csv":
         (0, "194bc4bd2b5b4eef7057c62eed22052c7232772b437845c340746032804657e7"),
+    "sample --n 64 --samples 200 --seed 5":
+        (0, "9337d7b7355947ae50b7a13177878dd196e813ea25afeac3dc83c56eda5aa80c"),
+    "sample --n 65 --samples 200 --seed 5":
+        (0, "ce8e7b2c083032b099e1089fc498faed60b7db88bd6e899cd856bd3a1f180886"),
     "sample --n 513 --samples 200 --seed 5 --format json":
-        (0, "0d0f5e5accede722e3bcdd1daf1bf703714eef7a1f08f5370d843740c8ac0808"),
+        (0, "d1bba279b15c93376333067aaade54331a22f0d692b877b8080ddc62f417c4b8"),
     "verify --max-n 6":
         (0, "9507ca0bbf479911e39e5bddd36ca9a5a72d167c1edb8546512820ddf64bfc58"),
     "enumerate --n 4":
@@ -189,7 +195,7 @@ JSON_TABLES = {
     "sample --n 0 --samples 3 --seed 1 --format json":
         (0, "7d52ea10c6adb3362e8e15fc92533fa5756ce888926bc242c0454e932084ae8b"),
     "sample --n 4000 --samples 3 --seed 9 --format json":
-        (0, "f683a8550f8424ec28859b335c0d981259dffa9366078fc122e19a207c65d6ba"),
+        (0, "933a51529c003fce17789775af30c8995ab698342559243887bc8e3cbbd6fff9"),
     "dist --n 5000 --method closed --format json":
         (0, "bd2cbc17598a1ca62b837dd1c915745ce026f70a56356be7782bd27d7b53a8c4"),
 }

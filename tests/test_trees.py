@@ -367,14 +367,19 @@ class TestSampler:
             assert abs(count / n_samples - 1 / 14) < 0.02
 
     # The bound 4k+2 of step k gains a bit at k = 1, 2, 4, ..., 256, 512, so
-    # the last step of n = 2, 3, 5, 9, 17, 257, 513 is the first of its width.
+    # the last step of n = 2, 3, 5, 9, 17, 33, 257, 513 is the first of its
+    # width, and the last step of n = 64, k = 63, is the last one of the
+    # stepped prefix.  Past n = 64 the sampler jumps, so n = 256..513 raise
+    # the prefix to n: the stepped phase's wider bounds stay checked.
     @pytest.mark.parametrize("seed", [77, 0, 2 ** 64 - 1])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 12, 16, 17, 256, 257, 512, 513])
-    def test_spine_stream_matches_tree_sampler(self, n, seed):
-        # Draw for draw: successive spine chains on one generator give the
-        # same spines as sample_spines with that seed.
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 12, 16, 17, 33, 63, 64,
+                                   256, 257, 512, 513])
+    def test_spine_stream_matches_tree_sampler(self, n, seed, monkeypatch):
+        # Draw for draw, up to the prefix's end: successive spine chains on
+        # one generator give the same spines as sample_spines with that seed.
         import random
 
+        monkeypatch.setattr(trees, "_PREFIX", max(n, trees._PREFIX))
         samples = 20 if n > 100 else 50
         rng = random.Random(seed)
         expected = [spine_chain(n, rng) for _ in range(samples)]
@@ -441,6 +446,128 @@ class TestSampler:
         assert set(observed) <= set(law)
         chi2 = sum((observed[k] - samples * p) ** 2 / (samples * p) for k, p in law.items())
         assert chi2 < 24.32
+
+    @pytest.mark.parametrize("n, prefix", [(65, 64), (200, 64), (40, 1)])
+    def test_chi_square_against_ballot_law_past_the_prefix(self, n, prefix, monkeypatch):
+        # n = 65 and 200 jump past the stepped prefix; at n = 40 the prefix
+        # is lowered to one step, so almost every step is jumped over.  The
+        # spines 1..15 and a bin of the rest: 15 degrees of freedom, and
+        # 37.70 is the 0.1% upper point.
+        monkeypatch.setattr(trees, "_PREFIX", prefix)
+        samples = 100_000
+        observed = Counter(min(k, 16) for k in sample_spines(n, samples, 2026))
+        law = Counter()
+        for k, p in ballot_law(n).items():
+            law[min(k, 16)] += p
+        chi2 = sum((observed[k] - samples * p) ** 2 / (samples * p) for k, p in law.items())
+        assert set(observed) <= set(law) and len(law) == 16
+        assert chi2 < 37.70
+
+    def test_survival_product_telescopes(self):
+        # L survives step i with probability (2i-L)/(2i+1); for odd L its
+        # product over steps j..t is that of a+1 waits, x/(x+2s) each, with
+        # s = t-j+1 steps and x = 2j-L+2r, r = 0..a: the odd numbers
+        # 2j-L..2j-1 that sample_spines runs through.
+        from fractions import Fraction
+        from math import prod
+
+        for j in range(1, 71):
+            for spine in range(1, j + 1, 2):
+                xs = range(2 * j - spine, 2 * j, 2)
+                assert len(xs) == (spine + 1) // 2
+                survival = Fraction(1)
+                for t in range(j, j + 51):
+                    survival *= Fraction(2 * t - spine, 2 * t + 1)
+                    s = t - j + 1
+                    assert survival == Fraction(prod(xs), prod(x + 2 * s for x in xs))
+
+    def test_wait_law_is_sandwiched_over_every_word_prefix(self, monkeypatch):
+        # At 3-bit words, every prefix of up to 5 words either decides
+        # min(V, cap) or asks for another word.  At each depth, the mass
+        # decided at V >= s is at most P(V >= s) = x/(x+2s), which is at most
+        # that plus the mass not yet decided; and that mass shrinks, below 1%
+        # at 5 words.
+        from fractions import Fraction
+
+        monkeypatch.setattr(trees, "_WORD_BITS", 3)
+
+        class Exhausted(Exception):
+            pass
+
+        def wait(x, cap, words):
+            draws = iter(words)
+
+            def getrandbits(bits):
+                assert bits == 3
+                try:
+                    return next(draws)
+                except StopIteration:
+                    raise Exhausted from None
+
+            try:
+                value = trees._wait(x, cap, getrandbits)
+            except Exhausted:
+                return None
+            assert next(draws, None) is None
+            return value
+
+        for x in (1, 2, 3, 7, 63, 127, 129):
+            for cap in (0, 1, 5, 40, 300):
+                undecided, decided, free = [()], Counter(), Fraction(1)
+                for depth in range(1, 6):
+                    words, undecided = undecided, []
+                    for prefix in words:
+                        for word in range(8):
+                            value = wait(x, cap, prefix + (word,))
+                            if value is None:
+                                undecided.append(prefix + (word,))
+                            else:
+                                assert 0 <= value <= cap
+                                decided[value] += Fraction(1, 8 ** depth)
+                    assert Fraction(len(undecided), 8 ** depth) <= free
+                    free = Fraction(len(undecided), 8 ** depth)
+                    assert sum(decided.values()) + free == 1
+                    for s in range(cap + 1):
+                        at_least = sum(p for v, p in decided.items() if v >= s)
+                        assert at_least <= Fraction(x, x + 2 * s) <= at_least + free
+                assert free < Fraction(1, 64)
+
+    @pytest.mark.parametrize("spine", range(12))
+    def test_thinned_step_pushes_forward_like_one_draw(self, spine):
+        # The jump waits on the odd L | 1.  At the step that ends its wait,
+        # which has probability 1 - (2i-odd)/(2i+1), u uniform below
+        # 2 odd + 2 goes through spine_step; every other step leaves L.  So
+        # one step has the law of spine_step over u < 4i+2, for even L too.
+        from fractions import Fraction
+
+        odd = spine | 1
+        for i in range(max(spine, 1), 80):
+            hit = 1 - Fraction(2 * i - odd, 2 * i + 1)
+            jumped = Counter({spine: 1 - hit})
+            for u in range(2 * odd + 2):
+                jumped[spine_step(spine, u)] += hit / (2 * odd + 2)
+            stepped = Counter()
+            for u in range(4 * i + 2):
+                stepped[spine_step(spine, u)] += Fraction(1, 4 * i + 2)
+            assert jumped == stepped, i
+
+    def test_draws_grow_with_log_n(self, monkeypatch):
+        # Past the prefix a sample draws O(log n) words: 1,221 calls for
+        # these 3 samples of size 10^12, where one draw a step would make
+        # at least 3 * 10^12 of them.
+        import random
+
+        calls = 0
+
+        class Counted(random.Random):
+            def getrandbits(self, bits):
+                nonlocal calls
+                calls += 1
+                assert calls <= 3000, "more than 3,000 draws"
+                return super().getrandbits(bits)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        assert len(list(sample_spines(10 ** 12, 3, 1))) == 3
 
     def test_sampler_keeps_no_per_step_state(self):
         tracemalloc.start()
