@@ -1,8 +1,9 @@
 """Binary trees as preorder codes: canonical enumeration by one fold over
 the sizes, on strings and on int codes with the right spine as a mask, the
 growth step and its inverse on those ints, and a seeded sampler of spine
-lengths of uniform random trees, which steps through the first growth steps
-and then jumps to each step that may change the spine, by exact waits.
+lengths of uniform random trees, which draws the spine after the first
+growth steps from its exact law, a table of ints built from the growth
+step, and then jumps to each step that may change the spine, by exact waits.
 
 A tree is either a single external node or an internal node with a left and a
 right subtree.  "Size" always means the number of internal nodes; a size-n
@@ -13,7 +14,7 @@ reference of the growth step, on nested tuples, is tests/treeref.py.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 from .errors import CapExceeded
 
@@ -142,9 +143,35 @@ def predecessor_code(image: int, bit: int, segments: int) -> tuple[int, int]:
     return (image - b + image % b) >> 2, segments - 1
 
 
-# The first steps of a sample draw one u each, as Remy's growth does; past
-# this step one jump to the spine's next change costs less than stepping.
+# The first _PREFIX steps of a sample are one draw from a table of the
+# chain's law, built per call in about _PREFIX^2 int additions; past them
+# a sample jumps.  A table 4 times as long costs about 35 times as much
+# (0.8 ms at 64 steps, 29 ms at 256), paid even by a call of one sample.
 _PREFIX = 64
+
+
+def _prefix_law(s: int) -> list[int]:
+    """The law of the spine L after s steps of sample_spines' chain, as int
+    weights of L = 0..s with gcd 1, pushed forward from L = 0 by the step
+    rule: out of the 4k+2 draws of step k, L gives each j <= L+1 one (side
+    1), L+1 another L+1 (side 0), and keeps the 4k-2L off the spine.  So
+    the weight of j after the step sums every weight at L >= j-1, j times
+    that at j-1, and 4k-2j times that at j.
+    """
+    from math import gcd
+
+    weights = [1]
+    for k in range(s):
+        pushed, tail = [0] * (k + 2), 0
+        for spine in range(k, -1, -1):
+            weight = weights[spine]
+            tail += weight
+            pushed[spine + 1] += tail + (spine + 1) * weight
+            pushed[spine] += (4 * k - 2 * spine) * weight
+        weights = pushed
+    common = gcd(*weights)
+    return [weight // common for weight in weights]
+
 
 # The bits of one word of a wait's uniform draw; a wait refines by a word
 # until its value is decided.
@@ -192,15 +219,18 @@ def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
 
     Each (spine index, side) pair keeps its probability 1/(2m), so L has
     the law of the spine of a uniform size-n tree, the ballot law.  The
-    draw-for-draw reference is `spine_chain` in tests/remy.py, and the tests
-    check its law exactly and against every draw sequence of Remy's growth
-    to size 5.
+    chain's references are `spine_step` and its exact law `spine_law` in
+    tests/remy.py, and the tests check that law against the ballot law and
+    the step against every draw sequence of Remy's growth to size 5.
 
-    Steps k < _PREFIX draw u as random.Random(seed).randrange(2m) draws it:
-    getrandbits((2m).bit_length()) until the value is below 2m.  The bounds
-    2m = 4k+2 run as one range per bit width, so a sample keeps no
-    per-step list, and a sample of n <= _PREFIX is the chain's draw for
-    draw.
+    The first s = min(n, _PREFIX) steps are one draw: _prefix_law(s) is
+    the chain's law after them, in ints, and a sample draws r =
+    getrandbits(bits) until r is below the weights' total, which is more
+    than half of 2^bits, so fewer than two words on average.  L is then
+    the first index whose cumulative weight exceeds r, so each L takes
+    exactly its weight of the values of r.  For n <= 1 the law is a point
+    mass and nothing is drawn.  The tests check _prefix_law against the
+    chain pushed forward in exact arithmetic for every s <= 64.
 
     From step j = _PREFIX on, the sampler jumps to the next step that may
     change L.  L survives step i with probability (2i-L)/(2i+1), and for
@@ -227,25 +257,20 @@ def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
     if n < 0:
         raise ValueError("size must be nonnegative")
     import random
+    from bisect import bisect_right
 
     getrandbits = random.Random(seed).getrandbits
-    runs = []
-    bound, top = 2, 4 * min(n, _PREFIX) + 2
-    while bound < top:
-        width = bound.bit_length()
-        bounds = range(bound, min(1 << width, top), 4)
-        runs.append((width, bounds))
-        bound += 4 * len(bounds)
+    prefix = min(n, _PREFIX)
+    cumulative = list(accumulate(_prefix_law(prefix)))
+    total = cumulative[-1]
+    bits = (total - 1).bit_length()
     for _ in range(samples):
-        spine, edge = 0, 1  # edge = 2 * spine + 1, the last u that reaches the spine
-        for width, bounds in runs:
-            for bound in bounds:
-                u = getrandbits(width)
-                while u >= bound:
-                    u = getrandbits(width)
-                if u <= edge:
-                    spine = u + 1 if u <= spine else spine + 1
-                    edge = 2 * spine + 1
+        spine = prefix
+        if bits:
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
+            spine = bisect_right(cumulative, r)
         k = _PREFIX
         while k < n:
             odd = spine | 1
@@ -259,8 +284,7 @@ def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
                 u = getrandbits(width)
                 while u >= bound:
                     u = getrandbits(width)
-                if u <= edge:
+                if u <= 2 * spine + 1:
                     spine = u + 1 if u <= spine else spine + 1
-                    edge = 2 * spine + 1
                 k += 1
         yield spine

@@ -1,15 +1,21 @@
 """Remy's leaf-insertion sampler of uniform random binary trees, building
 the trees, and the spine-length chain it projects to.
 
-`spine_chain` is the draw-for-draw reference of
-`spinestat.trees.sample_spines`; the tests check its law against Remy's
-growth, which is also their generator of random trees.  Trees are the
-nested tuples of treeref.py.
+`spine_step` is one step of the chain and `spine_law` its exact law after n
+steps, pushed forward over every draw of every step: the law reference of
+`spinestat.trees.sample_spines`.  `draw_spine` draws from such a law as the
+sampler's first steps do.  The tests check the chain against Remy's growth,
+which is also their generator of random trees.  Trees are the nested tuples
+of treeref.py.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from fractions import Fraction
+from functools import cache
+from math import lcm
 
 
 def grow_random(n: int, rng: random.Random) -> tuple[list[int], list[int], int]:
@@ -84,10 +90,38 @@ def spine_step(spine: int, u: int) -> int:
     return spine
 
 
-def spine_chain(n: int, rng: random.Random) -> int:
-    """The right-spine length of Remy's growth to size n, one draw a step:
-    step k draws u < 2m over the m = 2k+1 nodes and their two sides."""
-    spine = 0
-    for k in range(n):
-        spine = spine_step(spine, rng.randrange(2 * (2 * k + 1)))
-    return spine
+@cache
+def spine_law(n: int) -> dict[int, Fraction]:
+    """The exact law of the spine after n steps of the chain: the law at n-1
+    pushed through spine_step over every u < 2m of step n-1, the 2m draws
+    over its m = 2n-1 nodes and their two sides, each with probability
+    1/(2m)."""
+    if n == 0:
+        return {0: Fraction(1)}
+    bound = 2 * (2 * n - 1)
+    law = Counter()
+    for spine, p in spine_law(n - 1).items():
+        for after, ways in Counter(spine_step(spine, u) for u in range(bound)).items():
+            law[after] += p * ways / bound
+    return dict(law)
+
+
+def draw_spine(law: dict[int, Fraction], getrandbits) -> int:
+    """One spine from `law` by inverse CDF: r = getrandbits(bits) until r is
+    below the law's common denominator D, bits = (D-1).bit_length(), and
+    then the least spine whose cumulative probability exceeds r/D.  A point
+    mass draws nothing."""
+    total = lcm(*(p.denominator for p in law.values()))
+    bits = (total - 1).bit_length()
+    if not bits:
+        [spine] = law
+        return spine
+    r = getrandbits(bits)
+    while r >= total:
+        r = getrandbits(bits)
+    below = Fraction(0)
+    for spine in sorted(law):
+        below += law[spine]
+        if r < below * total:
+            return spine
+    raise AssertionError("the law does not sum to 1")

@@ -28,7 +28,7 @@ README = {
     "verify --max-n 9":
         (0, "4f397ba3de3e2f85bcfd2bcc32afa37c713a5feb32da9f0ccf7aa9a7494be0e3"),
     "sample --n 50 --samples 100000 --seed 42":
-        (0, "8f931cef9ead99da48356f38b57c906f7a8c34464e564848fd492c8301257f7e"),
+        (0, "d3838d27c89f0225223413adc6e605c4557b873318c48c4500ebd82f9f2077d1"),
     "enumerate --n 3":
         (0, "b5b47384ceff2ac68e8dc6119f22916f9d0790ff2af78c3a60c9642d8d30ae85"),
 }
@@ -62,7 +62,7 @@ ROUTE_SIZES = {
     # sample's exact column at n = 4000, where the ballot counts have about
     # 8,000 bits.
     "sample --n 4000 --samples 3 --seed 9 --format csv":
-        (0, "d18a5d677f08640aa070fece93a055764d7bd69494f52f1edddd5b85ae5afa97"),
+        (0, "5021628a4813189e750a986f9b6ece530ae3f6f97ce341f09c970011bc49d718"),
     "verify --max-n 12 --cap 13":
         (0, "17fa2959c21e676a59cf0d1c60452911c96b71d4e516f0aad31ccbc144a923af"),
 }
@@ -136,7 +136,7 @@ SMALL = {
     "limit --k 7 --format text --precision 5":
         (0, "569d80311186ae731f4f4d7a35921ee878774185430de66ff76727f3dda3fdce"),
     "sample --n 9 --samples 300 --seed 3 --format text":
-        (0, "23720c8577d19f9c37ef47ea2a7d190d175372a531433ba810ce52cfdc3f6fbe"),
+        (0, "77ba2ef7c3cb3e3b795eeae48ef7c62929c74776044c7ba69c2ef995afd5cfd9"),
     "dist --n 5 --format csv --precision 0":
         (0, "69161b6376d2ac93475c6a7917c19ea2c524e2b0c62714d07962a024377627bc"),
     "average --n 10 --format csv":
@@ -146,7 +146,7 @@ SMALL = {
     "limit --k 7 --format csv --precision 5":
         (0, "569d80311186ae731f4f4d7a35921ee878774185430de66ff76727f3dda3fdce"),
     "sample --n 9 --samples 300 --seed 3 --format csv":
-        (0, "643cf40464a3066009be7a6e6ade43ba4091ba68eab97ccd960ef355afaebc80"),
+        (0, "0364fb4635299d84bf0efd972c8526a747b6f4eebd6d2906cf46a15afe5519ca"),
     "dist --n 5 --format json --precision 0":
         (0, "11a3cdea1555eef6ecb82ad11aecaa41663dc1d8669ff2f3a58606a4827a6abc"),
     "average --n 10 --format json":
@@ -156,21 +156,23 @@ SMALL = {
     "limit --k 7 --format json --precision 5":
         (0, "0a495fe7d3ce7b0bac21f3728602961b3c749a008f9b34104c2ca586ed06331f"),
     "sample --n 9 --samples 300 --seed 3 --format json":
-        (0, "8cf6aa7aded46831973fb86c25988cf0df4e8ca03a4fc91fbd72155ecf363851"),
-    # Sampler edges of the bit width of the draw u < 4k+2: no steps, one
-    # step of width 2 and one of width 3.  Then the last size drawn step by
-    # step (the 64 steps of trees._PREFIX), the first that jumps past it,
-    # and one that jumps over 449 steps.
+        (0, "122806a9b3b7c726f1ad479ad7f5dd40fecc00d546178447a33fc85805ad39d6"),
+    # Sampler edges of the table of the first trees._PREFIX = 64 steps:
+    # n = 0 and 1, point masses that draw nothing; n = 2, the smallest
+    # table drawn from; n = 64, the whole table and no jump; n = 65, the
+    # first jump past it; and n = 513, a jump over 449 steps.
     "sample --n 0 --samples 3 --seed 1":
         (0, "0e914612db280cdb03875f53d751a5e92982498f4241fc085040cfba6d54749e"),
+    "sample --n 1 --samples 3 --seed 1":
+        (0, "134c2a7cf64428d86fb325e139f0cc823c538556b6f54d129ca7beb7e3880990"),
     "sample --n 2 --samples 50 --seed 0 --format csv":
-        (0, "194bc4bd2b5b4eef7057c62eed22052c7232772b437845c340746032804657e7"),
+        (0, "1b9039f0d8cb1119d45a0471aef902c63f0465566a57a765ad7b1c9af11d2751"),
     "sample --n 64 --samples 200 --seed 5":
-        (0, "9337d7b7355947ae50b7a13177878dd196e813ea25afeac3dc83c56eda5aa80c"),
+        (0, "1eb666d986582d3dcfe2325ed7306273dd627caae22fa638fe29efb8ee54e901"),
     "sample --n 65 --samples 200 --seed 5":
-        (0, "ce8e7b2c083032b099e1089fc498faed60b7db88bd6e899cd856bd3a1f180886"),
+        (0, "442480d2f77d205e861ccf470b95d9d3b5eeb477de9fbc26a1359f7de486541b"),
     "sample --n 513 --samples 200 --seed 5 --format json":
-        (0, "d1bba279b15c93376333067aaade54331a22f0d692b877b8080ddc62f417c4b8"),
+        (0, "3931495435254c281baf5fb3ede94c71eb8bc77b33655afca265503cbb5f7308"),
     "verify --max-n 6":
         (0, "9507ca0bbf479911e39e5bddd36ca9a5a72d167c1edb8546512820ddf64bfc58"),
     "enumerate --n 4":
@@ -195,7 +197,7 @@ JSON_TABLES = {
     "sample --n 0 --samples 3 --seed 1 --format json":
         (0, "7d52ea10c6adb3362e8e15fc92533fa5756ce888926bc242c0454e932084ae8b"),
     "sample --n 4000 --samples 3 --seed 9 --format json":
-        (0, "933a51529c003fce17789775af30c8995ab698342559243887bc8e3cbbd6fff9"),
+        (0, "136d0a49ab8c1283710aa8f40c4d27a917f55cd7a34f571ea3d63cdd73b2dae8"),
     "dist --n 5000 --method closed --format json":
         (0, "bd2cbc17598a1ca62b837dd1c915745ce026f70a56356be7782bd27d7b53a8c4"),
 }

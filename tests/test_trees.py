@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinestat import CapExceeded, catalan, enumerate_codes
-from remy import grow_random, sample_uniform, spine_chain, spine_step, tree_from_arrays
+from remy import (
+    draw_spine,
+    grow_random,
+    sample_uniform,
+    spine_law,
+    spine_step,
+    tree_from_arrays,
+)
 from treeref import (
     MalformedCode,
     decode,
@@ -366,39 +373,98 @@ class TestSampler:
         for count in freq.values():
             assert abs(count / n_samples - 1 / 14) < 0.02
 
-    # The bound 4k+2 of step k gains a bit at k = 1, 2, 4, ..., 256, 512, so
-    # the last step of n = 2, 3, 5, 9, 17, 33, 257, 513 is the first of its
-    # width, and the last step of n = 64, k = 63, is the last one of the
-    # stepped prefix.  Past n = 64 the sampler jumps, so n = 256..513 raise
-    # the prefix to n: the stepped phase's wider bounds stay checked.
+    # Sizes 0 and 1 draw nothing, 2..64 draw from the prefix's table, and
+    # 256..513 raise the prefix to n, so their tables, built from the step
+    # rule, are drawn from against the ballot formula's law.
     @pytest.mark.parametrize("seed", [77, 0, 2 ** 64 - 1])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 12, 16, 17, 33, 63, 64,
                                    256, 257, 512, 513])
     def test_spine_stream_matches_tree_sampler(self, n, seed, monkeypatch):
-        # Draw for draw, up to the prefix's end: successive spine chains on
-        # one generator give the same spines as sample_spines with that seed.
+        # Draw for draw, up to the prefix's end: each sample of
+        # sample_spines is one inverse-CDF draw from the chain's exact law,
+        # as remy.draw_spine makes it from the same generator.
         import random
 
         monkeypatch.setattr(trees, "_PREFIX", max(n, trees._PREFIX))
         samples = 20 if n > 100 else 50
-        rng = random.Random(seed)
-        expected = [spine_chain(n, rng) for _ in range(samples)]
+        law = spine_law(n) if n <= 64 else ballot_law(n)
+        getrandbits = random.Random(seed).getrandbits
+        expected = [draw_spine(law, getrandbits) for _ in range(samples)]
         assert list(sample_spines(n, samples, seed)) == expected
 
     def test_spine_chain_law_is_exact(self):
-        # The spine chain pushed forward in exact arithmetic: at step n each
-        # of its 2(2n+1) outcomes u has probability 1/(2(2n+1)).
+        # The spine chain pushed forward in exact arithmetic, over all of
+        # step n's 2(2n+1) draws, is the ballot law, up to the prefix's end.
+        for n in range(65):
+            assert spine_law(n) == ballot_law(n), n
+
+    def test_prefix_law_is_the_chain_pushed_forward(self):
+        # The sampler's int table after s steps is the chain's law pushed
+        # forward over every draw, in Fractions, and its reduced total is
+        # c_s: the gcd of the counts is 1, since the right comb is one tree.
         from fractions import Fraction
 
-        law = {0: Fraction(1)}
-        for n in range(31):
-            assert law == ballot_law(n), n
-            bound = 2 * (2 * n + 1)
-            step = Counter()
-            for spine, p in law.items():
-                for u in range(bound):
-                    step[spine_step(spine, u)] += p / bound
-            law = dict(step)
+        for s in range(65):
+            weights = trees._prefix_law(s)
+            total = sum(weights)
+            assert len(weights) == s + 1 and total == catalan(s), s
+            law = {spine: Fraction(w, total) for spine, w in enumerate(weights) if w}
+            assert law == spine_law(s), s
+
+    def test_prefix_draw_is_the_inverse_cdf(self, monkeypatch):
+        # Every word r < 2^bits, scripted as the generator's first draw: an
+        # r below the table's total gives each spine L for exactly weight[L]
+        # values of r, and any other r is rejected and draws again.  Sizes
+        # 0 and 1 draw nothing: a draw from no words would raise.
+        import random
+
+        words = []
+
+        class Scripted:
+            def __init__(self, seed):
+                pass
+
+            def getrandbits(self, width):
+                assert width == bits
+                return words.pop(0)
+
+        monkeypatch.setattr(random, "Random", Scripted)
+        for s in range(2):
+            assert list(sample_spines(s, 3, 0)) == [s] * 3
+        for s in range(2, 8):
+            weights = trees._prefix_law(s)
+            total = sum(weights)
+            bits = (total - 1).bit_length()
+            landed = Counter()
+            for r in range(2 ** bits):
+                words[:] = [r] if r < total else [r, total - 1]
+                [spine] = sample_spines(s, 1, 0)
+                assert not words, "a word was left undrawn"
+                if r < total:
+                    landed[spine] += 1
+                else:
+                    assert spine == s
+            assert landed == {L: w for L, w in enumerate(weights) if w}
+
+    @pytest.mark.parametrize("n", [2, 9, 50, 64])
+    def test_prefix_draws_fewer_than_two_words_a_sample(self, n, monkeypatch):
+        # The table's total is more than half of 2^bits, so a sample draws
+        # fewer than 2 words on average; 2.2 leaves room for chance at
+        # 10,000 samples.
+        import random
+
+        calls = 0
+
+        class Counted(random.Random):
+            def getrandbits(self, bits):
+                nonlocal calls
+                calls += 1
+                return super().getrandbits(bits)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        samples = 10_000
+        assert len(list(sample_spines(n, samples, 5))) == samples
+        assert calls / samples < 2.2
 
     @pytest.mark.parametrize("n", range(6))
     def test_remy_growth_is_uniform_over_every_draw_sequence(self, n):
@@ -552,7 +618,7 @@ class TestSampler:
             assert jumped == stepped, i
 
     def test_draws_grow_with_log_n(self, monkeypatch):
-        # Past the prefix a sample draws O(log n) words: 1,221 calls for
+        # Past the prefix a sample draws O(log n) words: 883 calls for
         # these 3 samples of size 10^12, where one draw a step would make
         # at least 3 * 10^12 of them.
         import random
