@@ -1,9 +1,10 @@
 """spinestat command line: distributions, averages, limits, verification,
 sampling, and raw enumeration.
 
-Exit codes: 0 success, 1 usage error or a closed output pipe, 2 enumeration
-cap exceeded, 3 verification failure.  Stdout's own text buffer batches
-what is written to it, under PYTHONUNBUFFERED=1 too (see main).
+Exit codes: 0 success, 1 usage error, a closed output pipe or out of
+memory, 2 enumeration cap exceeded, 3 verification failure.  Stdout's own
+text buffer batches what is written to it, under PYTHONUNBUFFERED=1 too
+(see main).
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="spine-segment distribution for one size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=METHODS, default="recurrence")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="enumeration cap; only --method exhaustive reads it")
     p.set_defaults(func=cmd_dist, minimum={"n": 0})
     common(p)
 

@@ -1,9 +1,8 @@
 """Binary trees as preorder codes: canonical enumeration by one fold over
 the sizes, on strings and on int codes with the right spine as a mask, the
 growth step and its inverse on those ints, and a seeded sampler of spine
-lengths of uniform random trees, which draws the spine after the first
-growth steps from its exact law, a table of ints built from the growth
-step, and then jumps to each step that may change the spine, by exact waits.
+lengths of uniform random trees, which draws each spine by inverse CDF from
+the ballot law's tail in closed form.
 
 A tree is either a single external node or an internal node with a left and a
 right subtree.  "Size" always means the number of internal nodes; a size-n
@@ -14,7 +13,7 @@ reference of the growth step, on nested tuples, is tests/treeref.py.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, chain, repeat
+from itertools import chain, islice, repeat
 
 from .errors import CapExceeded
 
@@ -143,116 +142,56 @@ def predecessor_code(image: int, bit: int, segments: int) -> tuple[int, int]:
     return (image - b + image % b) >> 2, segments - 1
 
 
-# The first _PREFIX steps of a sample are one draw from a table of the
-# chain's law, built per call in about _PREFIX^2 int additions; past them
-# a sample jumps.  A table 4 times as long costs about 35 times as much
-# (0.8 ms at 64 steps, 29 ms at 256), paid even by a call of one sample.
-_PREFIX = 64
+def _tails(n: int) -> Iterator[tuple[int, int]]:
+    """The spine's tail T(k) = P(spine >= k) of a uniform size-n tree, for
+    k = 1..n, as int pairs (num, den): T(1) = 1 and T(k+1) = T(k)(k+2)(n-k)
+    / ((k+1)(2n-k)), the ballot law's S_(n+1)^(k+1) / c_n.  The pairs are
+    not reduced."""
+    num = den = 1
+    for k in range(1, n + 1):
+        yield num, den
+        num *= (k + 2) * (n - k)
+        den *= (k + 1) * (2 * n - k)
 
 
-def _prefix_law(s: int) -> list[int]:
-    """The law of the spine L after s steps of sample_spines' chain, as int
-    weights of L = 0..s with gcd 1, pushed forward from L = 0 by the step
-    rule: out of the 4k+2 draws of step k, L gives each j <= L+1 one (side
-    1), L+1 another L+1 (side 0), and keeps the 4k-2L off the spine.  So
-    the weight of j after the step sums every weight at L >= j-1, j times
-    that at j-1, and 4k-2j times that at j.
-    """
-    from math import gcd
-
-    weights = [1]
-    for k in range(s):
-        pushed, tail = [0] * (k + 2), 0
-        for spine in range(k, -1, -1):
-            weight = weights[spine]
-            tail += weight
-            pushed[spine + 1] += tail + (spine + 1) * weight
-            pushed[spine] += (4 * k - 2 * spine) * weight
-        weights = pushed
-    common = gcd(*weights)
-    return [weight // common for weight in weights]
-
-
-# The bits of one word of a wait's uniform draw; a wait refines by a word
-# until its value is decided.
+# The bits of one word of a sample's uniform U.
 _WORD_BITS = 64
 
 
-def _wait(x: int, cap: int, getrandbits) -> int:
-    """min(V, cap) for a wait V with P(V >= s) = x/(x+2s), s = 0, 1, ...
-
-    V = ceil(y) - 1 for y = x(1-U)/(2U), U uniform on (0, 1), since
-    V >= s iff U < x/(x+2s) iff s < y.  A prefix R of U's words, R < M,
-    holds U in [R/M, (R+1)/M), where y runs over (x(M-R-1)/(2(R+1)),
-    x(M-R)/(2R)], so V over low = x(M-R-1) // (2(R+1)) to
-    (x(M-R)-1) // (2R).  When low >= cap every U there gives cap; when the
-    two ends meet every U there gives low; otherwise the next word of U
-    is drawn.  A prefix decides a value only when every U it holds gives
-    that value, and the undecided mass shrinks to 0, so the result has the
-    law of min(V, cap) with no rounding.
-    """
+def _refine(n: int, spine: int, r: int, getrandbits) -> int:
+    """The spine of U = r/2^64 + ..., where U < T(k) is decided for the first
+    `spine` tails and not yet for the next: each next tail is compared with
+    U's interval [r/2^bits, (r+1)/2^bits) in ints, U < T once (r+1) den <=
+    num 2^bits and U >= T once r den >= num 2^bits, and a word of U is drawn
+    while neither holds."""
     bits = _WORD_BITS
-    r, m = getrandbits(bits), 1 << bits
-    while True:
-        low = x * (m - r - 1) // (2 * (r + 1))
-        if low >= cap:
-            return cap
-        if r and (x * (m - r) - 1) // (2 * r) == low:
-            return low
-        r = r << bits | getrandbits(bits)
-        m <<= bits
+    for num, den in islice(_tails(n), spine, None):
+        while (r + 1) * den > num << bits:
+            if r * den >= num << bits:
+                return spine
+            r = r << _WORD_BITS | getrandbits(_WORD_BITS)
+            bits += _WORD_BITS
+        spine += 1
+    return spine
 
 
 def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
     """Spine segment counts of `samples` uniform size-n trees from one seeded
-    generator, by Remy's growth followed on the spine length alone.
+    generator, each drawn by inverse CDF from the ballot law's tail.
 
-    Step k (k = 0..n-1) grafts onto a tree of m = 2k+1 nodes whose right
-    spine has L segments, so L+1 spine nodes.  Remy picks a node v < m and a
-    side < 2, each pair with probability 1/(2m).  Side 1 at spine index i
-    leaves i+1 segments, side 0 at any spine index leaves L+1, and a v off
-    the spine leaves L.  So one uniform u < 2m decides the step:
-
-        u <= L            L = u + 1   (side 1 at spine index u)
-        L < u <= 2L + 1   L = L + 1   (side 0 at spine index u - L - 1)
-        otherwise         L unchanged (the graft is off the spine)
-
-    Each (spine index, side) pair keeps its probability 1/(2m), so L has
-    the law of the spine of a uniform size-n tree, the ballot law.  The
-    chain's references are `spine_step` and its exact law `spine_law` in
-    tests/remy.py, and the tests check that law against the ballot law and
-    the step against every draw sequence of Remy's growth to size 5.
-
-    The first s = min(n, _PREFIX) steps are one draw: _prefix_law(s) is
-    the chain's law after them, in ints, and a sample draws r =
-    getrandbits(bits) until r is below the weights' total, which is more
-    than half of 2^bits, so fewer than two words on average.  L is then
-    the first index whose cumulative weight exceeds r, so each L takes
-    exactly its weight of the values of r.  For n <= 1 the law is a point
-    mass and nothing is drawn.  The tests check _prefix_law against the
-    chain pushed forward in exact arithmetic for every s <= 64.
-
-    From step j = _PREFIX on, the sampler jumps to the next step that may
-    change L.  L survives step i with probability (2i-L)/(2i+1), and for
-    odd L = 2a+1 the product over steps j..t telescopes: of the odd
-    numerators 2j-L..2t-L and the odd denominators 2j+1..2t+1, only
-    2j-L..2j-1 and 2t-L+2..2t+1 are left:
-
-        prod_{i=j..t} (2i-L)/(2i+1) = prod_{r=0..a} x_r/(x_r+2s),
-        x_r = 2j-L+2r, s = t-j+1.
-
-    So the number of steps L survives from j is the minimum of a+1
-    independent waits V with P(V >= s) = x_r/(x_r+2s), each drawn exactly
-    by _wait and capped at the n-j steps left.  The step that ends the wait
-    then changes L, with u uniform below 2L+2 and the rule above.  An even
-    L takes the wait of the odd L+1, whose survival is smaller: its step is
-    a change of L+1 with probability (2L+4)/(4i+2), and u uniform below
-    2L+4 leaves the 2L+2 changes of L, each with probability 1/(4i+2), and
-    two values that leave L, so each outcome of the step keeps its
-    probability.  The steps are independent given L, so after a step that
-    leaves L the next wait starts afresh, and the chain's law is unchanged.
-    A jump keeps O(1) state; a sample costs O(log n) draws past the prefix.
-    A negative n raises ValueError at the first next().
+    A sample's spine is #{k >= 1 : U < T(k)} for U uniform on [0, 1), with
+    T(k) = P(spine >= k) from _tails, so spine >= k exactly when U < T(k).
+    Once per call, cuts holds floor(T(k) 2^64) for k = 1.. up to the first
+    0, the cut of a tail below 2^-64: every k for n <= 36, where T(n) =
+    1/c_n > 2^-64, and fewer from n = 37 on.  A sample draws one word r <
+    2^64, the top of U, and counts the cuts above r: r < cut gives U < T,
+    and r > cut gives U >= T.  Only r equal to a cut leaves U's place
+    against that tail open, r = 0 among them once the list is cut short,
+    and then _refine reads further words until it is decided, so nothing
+    is rounded.  The tests check the tails against the law of Remy's
+    growth followed on the spine (tests/remy.py) and the ballot counts, and
+    the draws, word for word, against a Fraction reference.  A negative n
+    raises ValueError at the first next().
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
@@ -260,31 +199,16 @@ def sample_spines(n: int, samples: int, seed: int) -> Iterator[int]:
     from bisect import bisect_right
 
     getrandbits = random.Random(seed).getrandbits
-    prefix = min(n, _PREFIX)
-    cumulative = list(accumulate(_prefix_law(prefix)))
-    total = cumulative[-1]
-    bits = (total - 1).bit_length()
+    cuts = []
+    for num, den in _tails(n):
+        cuts.append((num << _WORD_BITS) // den)
+        if not cuts[-1]:
+            break
+    cuts.reverse()
     for _ in range(samples):
-        spine = prefix
-        if bits:
-            r = getrandbits(bits)
-            while r >= total:
-                r = getrandbits(bits)
-            spine = bisect_right(cumulative, r)
-        k = _PREFIX
-        while k < n:
-            odd = spine | 1
-            wait = n - k
-            for x in range(2 * k - odd, 2 * k, 2):
-                wait = _wait(x, wait, getrandbits)
-            k += wait
-            if k < n:
-                bound = 2 * odd + 2
-                width = bound.bit_length()
-                u = getrandbits(width)
-                while u >= bound:
-                    u = getrandbits(width)
-                if u <= 2 * spine + 1:
-                    spine = u + 1 if u <= spine else spine + 1
-                k += 1
+        r = getrandbits(_WORD_BITS)
+        at_most = bisect_right(cuts, r)
+        spine = len(cuts) - at_most
+        if at_most and cuts[at_most - 1] == r:
+            spine = _refine(n, spine, r, getrandbits)
         yield spine

@@ -3,10 +3,10 @@ the trees, and the spine-length chain it projects to.
 
 `spine_step` is one step of the chain and `spine_law` its exact law after n
 steps, pushed forward over every draw of every step: the law reference of
-`spinestat.trees.sample_spines`.  `draw_spine` draws from such a law as the
-sampler's first steps do.  The tests check the chain against Remy's growth,
-which is also their generator of random trees.  Trees are the nested tuples
-of treeref.py.
+`spinestat.trees.sample_spines`.  `draw_spine` draws from a law's tails in
+exact arithmetic, the sampler's reference draw for draw.  The tests check
+the chain against Remy's growth, which is also their generator of random
+trees.  Trees are the nested tuples of treeref.py.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from itertools import accumulate
 
 
 def grow_random(n: int, rng: random.Random) -> tuple[list[int], list[int], int]:
@@ -106,22 +106,19 @@ def spine_law(n: int) -> dict[int, Fraction]:
     return dict(law)
 
 
+def spine_tails(law: dict[int, Fraction]) -> list[Fraction]:
+    """The tails T(k) = P(spine >= k) of `law`, for k = 1..max spine."""
+    return list(accumulate(law.get(k, 0) for k in range(max(law), 0, -1)))[::-1]
+
+
 def draw_spine(law: dict[int, Fraction], getrandbits) -> int:
-    """One spine from `law` by inverse CDF: r = getrandbits(bits) until r is
-    below the law's common denominator D, bits = (D-1).bit_length(), and
-    then the least spine whose cumulative probability exceeds r/D.  A point
-    mass draws nothing."""
-    total = lcm(*(p.denominator for p in law.values()))
-    bits = (total - 1).bit_length()
-    if not bits:
-        [spine] = law
-        return spine
-    r = getrandbits(bits)
-    while r >= total:
-        r = getrandbits(bits)
-    below = Fraction(0)
-    for spine in sorted(law):
-        below += law[spine]
-        if r < below * total:
-            return spine
-    raise AssertionError("the law does not sum to 1")
+    """One spine from `law` by inverse CDF, #{k >= 1 : U < T(k)} over its
+    tails for U uniform on [0, 1), read in 64-bit words: after b bits U lies
+    in [r/2^b, (r+1)/2^b), a word is drawn while a tail lies strictly inside
+    that interval, and then every tail is above it or at most its low end.
+    At least one word is drawn, for a point mass too."""
+    tails = spine_tails(law)
+    r, scale = getrandbits(64), 1 << 64
+    while any(r < tail * scale < r + 1 for tail in tails):
+        r, scale = r << 64 | getrandbits(64), scale << 64
+    return sum(r + 1 <= tail * scale for tail in tails)

@@ -28,7 +28,7 @@ README = {
     "verify --max-n 9":
         (0, "4f397ba3de3e2f85bcfd2bcc32afa37c713a5feb32da9f0ccf7aa9a7494be0e3"),
     "sample --n 50 --samples 100000 --seed 42":
-        (0, "d3838d27c89f0225223413adc6e605c4557b873318c48c4500ebd82f9f2077d1"),
+        (0, "7c53901f685524756dc2b8f48d52f87f6e14a125604b8853060938dfeaeba542"),
     "enumerate --n 3":
         (0, "b5b47384ceff2ac68e8dc6119f22916f9d0790ff2af78c3a60c9642d8d30ae85"),
 }
@@ -62,7 +62,7 @@ ROUTE_SIZES = {
     # sample's exact column at n = 4000, where the ballot counts have about
     # 8,000 bits.
     "sample --n 4000 --samples 3 --seed 9 --format csv":
-        (0, "5021628a4813189e750a986f9b6ece530ae3f6f97ce341f09c970011bc49d718"),
+        (0, "11944478557c50f90158491eb993801732f4b7ff48a3c4f2e188daaa647d2b2c"),
     "verify --max-n 12 --cap 13":
         (0, "17fa2959c21e676a59cf0d1c60452911c96b71d4e516f0aad31ccbc144a923af"),
 }
@@ -136,7 +136,7 @@ SMALL = {
     "limit --k 7 --format text --precision 5":
         (0, "569d80311186ae731f4f4d7a35921ee878774185430de66ff76727f3dda3fdce"),
     "sample --n 9 --samples 300 --seed 3 --format text":
-        (0, "77ba2ef7c3cb3e3b795eeae48ef7c62929c74776044c7ba69c2ef995afd5cfd9"),
+        (0, "048ecfa8bceb54e24cee0004c5e926e950b2dadf122e8dc3de2a1a311b39ec1d"),
     "dist --n 5 --format csv --precision 0":
         (0, "69161b6376d2ac93475c6a7917c19ea2c524e2b0c62714d07962a024377627bc"),
     "average --n 10 --format csv":
@@ -146,7 +146,7 @@ SMALL = {
     "limit --k 7 --format csv --precision 5":
         (0, "569d80311186ae731f4f4d7a35921ee878774185430de66ff76727f3dda3fdce"),
     "sample --n 9 --samples 300 --seed 3 --format csv":
-        (0, "0364fb4635299d84bf0efd972c8526a747b6f4eebd6d2906cf46a15afe5519ca"),
+        (0, "fa066f0e293568e2634286fb0441f27c70936b0f2c2a8d80c55504cd4a9836bd"),
     "dist --n 5 --format json --precision 0":
         (0, "11a3cdea1555eef6ecb82ad11aecaa41663dc1d8669ff2f3a58606a4827a6abc"),
     "average --n 10 --format json":
@@ -156,23 +156,27 @@ SMALL = {
     "limit --k 7 --format json --precision 5":
         (0, "0a495fe7d3ce7b0bac21f3728602961b3c749a008f9b34104c2ca586ed06331f"),
     "sample --n 9 --samples 300 --seed 3 --format json":
-        (0, "122806a9b3b7c726f1ad479ad7f5dd40fecc00d546178447a33fc85805ad39d6"),
-    # Sampler edges of the table of the first trees._PREFIX = 64 steps:
-    # n = 0 and 1, point masses that draw nothing; n = 2, the smallest
-    # table drawn from; n = 64, the whole table and no jump; n = 65, the
-    # first jump past it; and n = 513, a jump over 449 steps.
+        (0, "65142651fe369fa1203e3cb1d1bed1419e51ee16b595ac2c2a2659f343a3dad2"),
+    # Sampler edges of its list of cuts, floor(P(spine >= k) 2^64): n = 0
+    # and 1, point masses; n = 2, the smallest law with two spines; n = 36,
+    # the last size whose cuts cover every k; and n = 37, the first whose
+    # list is cut short.  Then n = 64, 65 and 513, past it.
     "sample --n 0 --samples 3 --seed 1":
         (0, "0e914612db280cdb03875f53d751a5e92982498f4241fc085040cfba6d54749e"),
     "sample --n 1 --samples 3 --seed 1":
         (0, "134c2a7cf64428d86fb325e139f0cc823c538556b6f54d129ca7beb7e3880990"),
     "sample --n 2 --samples 50 --seed 0 --format csv":
-        (0, "1b9039f0d8cb1119d45a0471aef902c63f0465566a57a765ad7b1c9af11d2751"),
+        (0, "194bc4bd2b5b4eef7057c62eed22052c7232772b437845c340746032804657e7"),
+    "sample --n 36 --samples 200 --seed 5":
+        (0, "150633eeaffc17e4cebe9025c712019c982f43cf1d5da95da1aa446a878b4e87"),
+    "sample --n 37 --samples 200 --seed 5":
+        (0, "ed6fcfdc077254200d8e78d7a666dc0c5b6628e1e4b88cf0661b485753f43ee3"),
     "sample --n 64 --samples 200 --seed 5":
-        (0, "1eb666d986582d3dcfe2325ed7306273dd627caae22fa638fe29efb8ee54e901"),
+        (0, "8f802cd1196b8946837da5d745df8b5fad04a628709abd02ba70e75a1e610dc7"),
     "sample --n 65 --samples 200 --seed 5":
-        (0, "442480d2f77d205e861ccf470b95d9d3b5eeb477de9fbc26a1359f7de486541b"),
+        (0, "bacd93ce541168c483fbb8aafe0f5db2252fcbbd886ce7e9163242949c6c7897"),
     "sample --n 513 --samples 200 --seed 5 --format json":
-        (0, "3931495435254c281baf5fb3ede94c71eb8bc77b33655afca265503cbb5f7308"),
+        (0, "864028efffe4748dbf4a60b9753cd29c88b97117bbd8fe254de8acb1cbbae4c4"),
     "verify --max-n 6":
         (0, "9507ca0bbf479911e39e5bddd36ca9a5a72d167c1edb8546512820ddf64bfc58"),
     "enumerate --n 4":
@@ -197,7 +201,7 @@ JSON_TABLES = {
     "sample --n 0 --samples 3 --seed 1 --format json":
         (0, "7d52ea10c6adb3362e8e15fc92533fa5756ce888926bc242c0454e932084ae8b"),
     "sample --n 4000 --samples 3 --seed 9 --format json":
-        (0, "136d0a49ab8c1283710aa8f40c4d27a917f55cd7a34f571ea3d63cdd73b2dae8"),
+        (0, "7aeaa92c2afb545d8a85a82372d0034e0806505e3934d25492e3384818621955"),
     "dist --n 5000 --method closed --format json":
         (0, "bd2cbc17598a1ca62b837dd1c915745ce026f70a56356be7782bd27d7b53a8c4"),
 }

@@ -1,6 +1,10 @@
 import gc
+import random
 import tracemalloc
 from collections import Counter
+from functools import cache
+from math import floor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from remy import (
     sample_uniform,
     spine_law,
     spine_step,
+    spine_tails,
     tree_from_arrays,
 )
 from treeref import (
@@ -362,8 +367,6 @@ class TestSampler:
             next(spines)
 
     def test_uniform_over_size_four(self):
-        import random
-
         rng = random.Random(42)
         freq = Counter()
         n_samples = 14000
@@ -373,98 +376,70 @@ class TestSampler:
         for count in freq.values():
             assert abs(count / n_samples - 1 / 14) < 0.02
 
-    # Sizes 0 and 1 draw nothing, 2..64 draw from the prefix's table, and
-    # 256..513 raise the prefix to n, so their tables, built from the step
-    # rule, are drawn from against the ballot formula's law.
+    # Sizes 0 and 1 are point masses; 36 is the last size whose cuts cover
+    # every tail and 37 the first whose list is cut short; past 64 the law
+    # is the ballot formula's.
     @pytest.mark.parametrize("seed", [77, 0, 2 ** 64 - 1])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 12, 16, 17, 33, 63, 64,
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 12, 16, 17, 33, 36, 37, 63, 64,
                                    256, 257, 512, 513])
-    def test_spine_stream_matches_tree_sampler(self, n, seed, monkeypatch):
-        # Draw for draw, up to the prefix's end: each sample of
-        # sample_spines is one inverse-CDF draw from the chain's exact law,
-        # as remy.draw_spine makes it from the same generator.
-        import random
-
-        monkeypatch.setattr(trees, "_PREFIX", max(n, trees._PREFIX))
+    def test_spine_stream_matches_tree_sampler(self, n, seed):
+        # Draw for draw: each sample of sample_spines is remy.draw_spine's
+        # inverse-CDF draw from the same generator over the chain's exact
+        # law.
         samples = 20 if n > 100 else 50
-        law = spine_law(n) if n <= 64 else ballot_law(n)
         getrandbits = random.Random(seed).getrandbits
-        expected = [draw_spine(law, getrandbits) for _ in range(samples)]
+        expected = [draw_spine(exact_law(n), getrandbits) for _ in range(samples)]
         assert list(sample_spines(n, samples, seed)) == expected
 
     def test_spine_chain_law_is_exact(self):
         # The spine chain pushed forward in exact arithmetic, over all of
-        # step n's 2(2n+1) draws, is the ballot law, up to the prefix's end.
+        # step n's 2(2n+1) draws, is the ballot law.
         for n in range(65):
             assert spine_law(n) == ballot_law(n), n
 
-    def test_prefix_law_is_the_chain_pushed_forward(self):
-        # The sampler's int table after s steps is the chain's law pushed
-        # forward over every draw, in Fractions, and its reduced total is
-        # c_s: the gcd of the counts is 1, since the right comb is one tree.
+    def test_tails_are_the_chain_law(self):
+        # The sampler's tails, in Fractions, are P(spine >= k) for every k:
+        # of the chain's exact law for every n <= 64, and of the ballot
+        # counts at n = 100, 513 and 1000.
         from fractions import Fraction
 
-        for s in range(65):
-            weights = trees._prefix_law(s)
-            total = sum(weights)
-            assert len(weights) == s + 1 and total == catalan(s), s
-            law = {spine: Fraction(w, total) for spine, w in enumerate(weights) if w}
-            assert law == spine_law(s), s
+        for n in [*range(65), 100, 513, 1000]:
+            tails = [Fraction(num, den) for num, den in trees._tails(n)]
+            assert tails == spine_tails(exact_law(n)), n
 
-    def test_prefix_draw_is_the_inverse_cdf(self, monkeypatch):
-        # Every word r < 2^bits, scripted as the generator's first draw: an
-        # r below the table's total gives each spine L for exactly weight[L]
-        # values of r, and any other r is rejected and draws again.  Sizes
-        # 0 and 1 draw nothing: a draw from no words would raise.
-        import random
+    @pytest.mark.parametrize("n", range(13))
+    def test_words_at_each_cut(self, n):
+        # Every cut floor(T(k) 2^64) of n as a sample's first word, and its
+        # neighbours: only a cut where T(k) 2^64 is not an int reads more
+        # than one word, which every n >= 3 has at k = 2, and each word
+        # gives draw_spine's spine from the same words.
+        refined = 0
+        for tail in spine_tails(exact_law(n)):
+            cut = floor(tail * 2 ** 64)
+            for r in (cut - 1, cut, cut + 1):
+                if r < 2 ** 64:
+                    spine, read = scripted_sample(n, [r])
+                    assert (read > 1) == (r == cut != tail * 2 ** 64), r
+                    assert (spine, read) == scripted_reference(n, [r]), r
+                    refined += read > 1
+        assert refined or n < 3
 
-        words = []
+    @pytest.mark.parametrize("second, spine", [(0, 37), (2 ** 64 - 1, 36)])
+    def test_zero_word_below_a_cut_short_list(self, second, spine):
+        # At n = 37, T(37) = 1/c_37 is below 2^-64, so the list of cuts ends
+        # at 0 and r = 0 ties with it: the second word decides U < T(37).
+        assert scripted_sample(37, [0, second]) == (spine, 2)
+        assert scripted_reference(37, [0, second]) == (spine, 2)
 
-        class Scripted:
-            def __init__(self, seed):
-                pass
-
-            def getrandbits(self, width):
-                assert width == bits
-                return words.pop(0)
-
-        monkeypatch.setattr(random, "Random", Scripted)
-        for s in range(2):
-            assert list(sample_spines(s, 3, 0)) == [s] * 3
-        for s in range(2, 8):
-            weights = trees._prefix_law(s)
-            total = sum(weights)
-            bits = (total - 1).bit_length()
-            landed = Counter()
-            for r in range(2 ** bits):
-                words[:] = [r] if r < total else [r, total - 1]
-                [spine] = sample_spines(s, 1, 0)
-                assert not words, "a word was left undrawn"
-                if r < total:
-                    landed[spine] += 1
-                else:
-                    assert spine == s
-            assert landed == {L: w for L, w in enumerate(weights) if w}
-
-    @pytest.mark.parametrize("n", [2, 9, 50, 64])
-    def test_prefix_draws_fewer_than_two_words_a_sample(self, n, monkeypatch):
-        # The table's total is more than half of 2^bits, so a sample draws
-        # fewer than 2 words on average; 2.2 leaves room for chance at
-        # 10,000 samples.
-        import random
-
-        calls = 0
-
-        class Counted(random.Random):
-            def getrandbits(self, bits):
-                nonlocal calls
-                calls += 1
-                return super().getrandbits(bits)
-
-        monkeypatch.setattr(random, "Random", Counted)
+    @pytest.mark.parametrize("n", [2, 9, 50, 64, 1000, 10 ** 12])
+    def test_one_word_a_sample(self, n):
+        # A word equal to a cut has probability about 2^-58 a sample, so
+        # 10,000 samples read exactly 10,000 words.
         samples = 10_000
-        assert len(list(sample_spines(n, samples, 5))) == samples
-        assert calls / samples < 2.2
+        generator = Scripted(5)
+        with mock.patch("random.Random", lambda seed: generator):
+            assert len(list(sample_spines(n, samples, 5))) == samples
+        assert generator.read == samples
 
     @pytest.mark.parametrize("n", range(6))
     def test_remy_growth_is_uniform_over_every_draw_sequence(self, n):
@@ -513,13 +488,10 @@ class TestSampler:
         chi2 = sum((observed[k] - samples * p) ** 2 / (samples * p) for k, p in law.items())
         assert chi2 < 24.32
 
-    @pytest.mark.parametrize("n, prefix", [(65, 64), (200, 64), (40, 1)])
-    def test_chi_square_against_ballot_law_past_the_prefix(self, n, prefix, monkeypatch):
-        # n = 65 and 200 jump past the stepped prefix; at n = 40 the prefix
-        # is lowered to one step, so almost every step is jumped over.  The
-        # spines 1..15 and a bin of the rest: 15 degrees of freedom, and
-        # 37.70 is the 0.1% upper point.
-        monkeypatch.setattr(trees, "_PREFIX", prefix)
+    @pytest.mark.parametrize("n", [40, 65, 200])
+    def test_chi_square_against_ballot_law_at_larger_n(self, n):
+        # Lists of cuts cut short.  The spines 1..15 and a bin of the rest:
+        # 15 degrees of freedom, and 37.70 is the 0.1% upper point.
         samples = 100_000
         observed = Counter(min(k, 16) for k in sample_spines(n, samples, 2026))
         law = Counter()
@@ -528,112 +500,6 @@ class TestSampler:
         chi2 = sum((observed[k] - samples * p) ** 2 / (samples * p) for k, p in law.items())
         assert set(observed) <= set(law) and len(law) == 16
         assert chi2 < 37.70
-
-    def test_survival_product_telescopes(self):
-        # L survives step i with probability (2i-L)/(2i+1); for odd L its
-        # product over steps j..t is that of a+1 waits, x/(x+2s) each, with
-        # s = t-j+1 steps and x = 2j-L+2r, r = 0..a: the odd numbers
-        # 2j-L..2j-1 that sample_spines runs through.
-        from fractions import Fraction
-        from math import prod
-
-        for j in range(1, 71):
-            for spine in range(1, j + 1, 2):
-                xs = range(2 * j - spine, 2 * j, 2)
-                assert len(xs) == (spine + 1) // 2
-                survival = Fraction(1)
-                for t in range(j, j + 51):
-                    survival *= Fraction(2 * t - spine, 2 * t + 1)
-                    s = t - j + 1
-                    assert survival == Fraction(prod(xs), prod(x + 2 * s for x in xs))
-
-    def test_wait_law_is_sandwiched_over_every_word_prefix(self, monkeypatch):
-        # At 3-bit words, every prefix of up to 5 words either decides
-        # min(V, cap) or asks for another word.  At each depth, the mass
-        # decided at V >= s is at most P(V >= s) = x/(x+2s), which is at most
-        # that plus the mass not yet decided; and that mass shrinks, below 1%
-        # at 5 words.
-        from fractions import Fraction
-
-        monkeypatch.setattr(trees, "_WORD_BITS", 3)
-
-        class Exhausted(Exception):
-            pass
-
-        def wait(x, cap, words):
-            draws = iter(words)
-
-            def getrandbits(bits):
-                assert bits == 3
-                try:
-                    return next(draws)
-                except StopIteration:
-                    raise Exhausted from None
-
-            try:
-                value = trees._wait(x, cap, getrandbits)
-            except Exhausted:
-                return None
-            assert next(draws, None) is None
-            return value
-
-        for x in (1, 2, 3, 7, 63, 127, 129):
-            for cap in (0, 1, 5, 40, 300):
-                undecided, decided, free = [()], Counter(), Fraction(1)
-                for depth in range(1, 6):
-                    words, undecided = undecided, []
-                    for prefix in words:
-                        for word in range(8):
-                            value = wait(x, cap, prefix + (word,))
-                            if value is None:
-                                undecided.append(prefix + (word,))
-                            else:
-                                assert 0 <= value <= cap
-                                decided[value] += Fraction(1, 8 ** depth)
-                    assert Fraction(len(undecided), 8 ** depth) <= free
-                    free = Fraction(len(undecided), 8 ** depth)
-                    assert sum(decided.values()) + free == 1
-                    for s in range(cap + 1):
-                        at_least = sum(p for v, p in decided.items() if v >= s)
-                        assert at_least <= Fraction(x, x + 2 * s) <= at_least + free
-                assert free < Fraction(1, 64)
-
-    @pytest.mark.parametrize("spine", range(12))
-    def test_thinned_step_pushes_forward_like_one_draw(self, spine):
-        # The jump waits on the odd L | 1.  At the step that ends its wait,
-        # which has probability 1 - (2i-odd)/(2i+1), u uniform below
-        # 2 odd + 2 goes through spine_step; every other step leaves L.  So
-        # one step has the law of spine_step over u < 4i+2, for even L too.
-        from fractions import Fraction
-
-        odd = spine | 1
-        for i in range(max(spine, 1), 80):
-            hit = 1 - Fraction(2 * i - odd, 2 * i + 1)
-            jumped = Counter({spine: 1 - hit})
-            for u in range(2 * odd + 2):
-                jumped[spine_step(spine, u)] += hit / (2 * odd + 2)
-            stepped = Counter()
-            for u in range(4 * i + 2):
-                stepped[spine_step(spine, u)] += Fraction(1, 4 * i + 2)
-            assert jumped == stepped, i
-
-    def test_draws_grow_with_log_n(self, monkeypatch):
-        # Past the prefix a sample draws O(log n) words: 883 calls for
-        # these 3 samples of size 10^12, where one draw a step would make
-        # at least 3 * 10^12 of them.
-        import random
-
-        calls = 0
-
-        class Counted(random.Random):
-            def getrandbits(self, bits):
-                nonlocal calls
-                calls += 1
-                assert calls <= 3000, "more than 3,000 draws"
-                return super().getrandbits(bits)
-
-        monkeypatch.setattr(random, "Random", Counted)
-        assert len(list(sample_spines(10 ** 12, 3, 1))) == 3
 
     def test_sampler_keeps_no_per_step_state(self):
         tracemalloc.start()
@@ -655,6 +521,59 @@ def ballot_law(n):
         return {0: Fraction(1)}
     [dist] = dist_closed(range(n, n + 1))
     return {k: Fraction(dist.count(k), catalan(n)) for k in range(1, n + 1)}
+
+
+@cache
+def exact_law(n):
+    """The chain's exact law for n <= 64, and the ballot formula's past it."""
+    return spine_law(n) if n <= 64 else ballot_law(n)
+
+
+class Scripted(random.Random):
+    """A generator that gives `words` first and then its seed's words, 64
+    bits at a time, and counts in `read` the words drawn."""
+
+    def __init__(self, seed, words=()):
+        super().__init__(seed)
+        self.words, self.read = list(words), 0
+
+    def getrandbits(self, k):
+        assert k == 64
+        self.read += 1
+        return self.words.pop(0) if self.words else super().getrandbits(k)
+
+
+def scripted_sample(n, words, seed=0):
+    """The first spine of sample_spines(n, ...) fed `words` first, and the
+    number of words it read."""
+    generator = Scripted(seed, words)
+    with mock.patch("random.Random", lambda seed: generator):
+        [spine] = sample_spines(n, 1, seed)
+    return spine, generator.read
+
+
+def scripted_reference(n, words, seed=0):
+    """scripted_sample's spine and words read, from draw_spine."""
+    generator = Scripted(seed, words)
+    return draw_spine(exact_law(n), generator.getrandbits), generator.read
+
+
+@st.composite
+def words_near_cuts(draw):
+    """A size in 2..80 and up to three first words, each a random word or
+    one next to a cut floor(T(k) 2^64) of that size's tails."""
+    n = draw(st.integers(2, 80))
+    cuts = [floor(tail * 2 ** 64) for tail in spine_tails(exact_law(n))]
+    near = st.builds(int.__add__, st.sampled_from(cuts), st.integers(-1, 1))
+    word = st.one_of(st.integers(0, 2 ** 64 - 1), near.filter(lambda r: 0 <= r < 2 ** 64))
+    return n, draw(st.lists(word, min_size=1, max_size=3))
+
+
+@given(words_near_cuts(), st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_sampler_equals_fraction_reference(n_words, seed):
+    n, words = n_words
+    assert scripted_sample(n, words, seed) == scripted_reference(n, words, seed)
 
 
 @given(st.integers(1, 40), st.integers(0, 2 ** 64 - 1))
