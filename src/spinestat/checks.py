@@ -7,9 +7,18 @@ their modules, so a function replaced there is the one checked.
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress, repeat
+from operator import getitem, setitem
+
 from . import stats, trees
 from .series import catalan
 from .stats import SpineDistribution, render_int
+
+# Bit count of each byte value, as a translate table.
+_BIT_COUNTS = bytes(map(int.bit_count, range(256)))
+# One 64-bit field of trees._fields.
+_FIELD = (1 << 64) - 1
 
 
 def _spine_tails(n: int) -> list:
@@ -25,6 +34,161 @@ def _spine_tails(n: int) -> list:
     return [None, *((2 * (n + 1 - h), s) for h in range(n + 1) for s in range(1, h + 2))]
 
 
+def _bit_counts(fields: int, count: int, width: int) -> bytes:
+    """The bit count of each of `count` 64-bit fields below 2 ** width, one
+    byte each: the counts of each field's bytes, by translate, summed."""
+    data = fields.to_bytes(8 * count, "little")
+    return sum(int.from_bytes(data[k::8].translate(_BIT_COUNTS), "little")
+               for k in range((width + 7) // 8)).to_bytes(count, "little")
+
+
+def _chunks(level):
+    """A stored level's (codes, masks) in slices of at most trees.PIECE
+    codes, the size of the pieces the fold streams."""
+    codes, masks = level
+    for start in range(0, len(codes), trees.PIECE):
+        yield codes[start:start + trees.PIECE], masks[start:start + trees.PIECE]
+
+
+def _pairs(codes, masks, width: int):
+    """Every pair (t, d) of a code t and a spine depth d, one round per
+    spine node from the bottom, the terminal leaf's (bit 0) first: yields
+    (codes, nodes, depths) for the codes that have such a node, in order,
+    codes and nodes as fields (trees._fields) and depths as bytes: the
+    node's bit (1 << b) and the number of spine nodes above it.  The codes
+    have `width` bits.  A round takes each code's lowest spine bit left, so
+    each pair comes once.
+    """
+    count, spine = len(codes), trees._fields(masks) | trees._ones(len(codes))
+    while count:
+        node = spine ^ (spine & (spine - trees._ones(count)))
+        spine ^= node
+        depths = _bit_counts(spine, count, width)
+        yield trees._fields(codes), node, depths
+        if 0 in depths:
+            codes = array("Q", compress(codes, depths))
+            spine = trees._fields(array("Q", compress(trees._array(spine, count), depths)))
+            count = len(codes)
+
+
+class _Slots:
+    """Level n+1's slot table: a size-(n+1) code is a 1, 2n free bits and
+    two 0s (the last internal node in preorder has two external children),
+    so with head = 4 ** (n+1) its slot (code - head) >> 2 is one of 4 ** n.
+    A slot holds its code's spine tail, read from the code's own mask and
+    packed in one byte as _spine_tails lists it; 0 marks an empty slot."""
+
+    def __init__(self, n: int):
+        self.head, self.width, unpack = 4 ** (n + 1), 2 * n + 3, _spine_tails(n)
+        self.tails = bytearray(4 ** n)
+        base = bytearray(256)  # a tail (bit, s) packs to base[bit] + s
+        for packed, (bit, s) in enumerate(unpack[1:], 1):
+            base[bit] = packed - s
+        self.base = bytes(base)
+        self.segments = bytes([0, *(s for _, s in unpack[1:])]).ljust(256, b"\0")
+        # Byte k of each tail's lowest bit 1 << bit, for the k whose byte is
+        # not always 0: they spread a packed tail back into a 64-bit field.
+        lows = [0, *(1 << bit for bit, _ in unpack[1:])]
+        self.low_bytes = [(k, table) for k, table in enumerate(
+            bytes(low >> 8 * k & 255 for low in lows).ljust(256, b"\0") for k in range(8))
+            if any(table)]
+
+    def of(self, codes: int, count: int):
+        """The slots of `count` codes, as an array, or None if one has none."""
+        ones = trees._ones(count)
+        if codes & ~((2 * self.head - 4) * ones) or (codes & self.head * ones) != self.head * ones:
+            return None
+        return trees._array((codes - self.head * ones) >> 2, count)
+
+    def fill(self, chunks) -> int | None:
+        """Write each code's tail into its slot, and count the codes; None
+        if a code has no slot."""
+        written = 0
+        for codes, masks in chunks:
+            count, mask = len(codes), trees._fields(masks)
+            slots = self.of(trees._fields(codes), count)
+            if slots is None:
+                return None
+            ones = trees._ones(count)
+            low = mask ^ (mask & (mask - ones))
+            bits = _bit_counts(low - ones, count, self.width)
+            packed = int.from_bytes(bits.translate(self.base), "little") + int.from_bytes(
+                _bit_counts(mask, count, self.width), "little")
+            any(map(setitem, repeat(self.tails), slots, packed.to_bytes(count, "little")))
+            written += count
+        return written
+
+    def inverse(self, images: int, count: int):
+        """trees.shrink_codes of `count` images, given the tails in their
+        slots, or None if an image has no slot or an empty one."""
+        slots = self.of(images, count)
+        if slots is None:
+            return None
+        packed = bytes(map(getitem, repeat(self.tails), slots))
+        if 0 in packed:
+            return None
+        lows = bytearray(8 * count)
+        for k, table in self.low_bytes:
+            lows[k::8] = packed.translate(table)
+        return trees.shrink_codes(images, int.from_bytes(lows, "little"), packed.translate(self.segments))
+
+
+def _round_trips(slots: _Slots, lower) -> int | None:
+    """The number of pairs of `lower`, if each pair's image has a full slot
+    and the inverse, given the tail there, gives back the pair; else None."""
+    pairs = 0
+    for chunk in _chunks(lower):
+        for codes, nodes, depths in _pairs(*chunk, slots.width - 2):
+            count = len(depths)
+            if slots.inverse(trees.grow_codes(codes, nodes, count), count) != (codes, depths):
+                return None
+            pairs += count
+    return pairs
+
+
+def _first_fault(n: int, lower, slots: _Slots, cap: int):
+    """The first fault of level n, as a FAIL triple, in the order a check
+    of one pair at a time meets it: a size-(n+1) code that the fold gives
+    twice; then, pair by pair in canonical order, an image that is not a
+    size-(n+1) code or is one an earlier pair gave; then the first code, in
+    canonical order, that no pair gives; then the first pair that the
+    inverse does not give back.  None if there is none."""
+    width, fold, reached, pairs = 2 * n + 3, set(), set(), []
+    *_, pieces = trees.code_levels(n + 1, cap=cap)
+    upper = [code for codes, _ in pieces for code in codes]
+    for code in upper:
+        if slots.of(code, 1) is not None:
+            if code in fold:
+                return "FAIL", f"bijection n={n}", (
+                    f"bijection n={n}: the fold gives the size-{n + 1} code {code:0{width}b} twice")
+            fold.add(code)
+    for codes, nodes, depths in _pairs(*lower, width - 2):
+        images = trees.grow_codes(codes, nodes, len(depths))
+        # Field by field, so that no int the step returns is refused.
+        pairs += zip(trees._array(codes, len(depths)), depths,
+                     (images >> 64 * j & _FIELD for j in range(len(depths))))
+    order = {code: index for index, code in enumerate(lower[0])}
+    pairs.sort(key=lambda pair: (order[pair[0]], pair[1]))
+    for code, depth, image in pairs:
+        if image not in fold or image in reached:
+            return "FAIL", f"bijection n={n}", (
+                f"bijection n={n}: code {code:0{width - 2}b} at depth {depth} gives image"
+                f" {image:0{width}b}, a duplicate or not a size-{n + 1} code")
+        reached.add(image)
+    for code in upper:
+        if code not in reached:
+            return "FAIL", f"bijection n={n}", (
+                f"bijection n={n}: no code and depth gives the size-{n + 1} code {code:0{width}b}")
+    for code, depth, image in pairs:
+        origin, back = slots.inverse(image, 1)
+        if (origin, back[0]) != (code, depth):
+            # The returned code's width is its own, as its size is in question.
+            return "FAIL", f"predecessor round trip n={n + 1}", (
+                f"predecessor round trip n={n + 1}: image {image:0{width}b}"
+                f" returns ('{origin:b}', {back[0]}), expected ('{code:0{width - 2}b}', {depth})")
+    return None
+
+
 def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     """Check, for each n up to min(max_n, cap - 1), that the growth step maps
     the pairs (t, d) of a size-n tree and a spine depth one to one onto the
@@ -33,17 +197,16 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     labelled n+1 and comes after its level's bijection verdict; the detail
     of a FAIL names n, the code and the depth at fault.
 
-    The check runs on int codes through trees.successor_codes and
-    trees.predecessor_code, and builds no tree.  trees.code_levels folds
-    each level once per call.  A size-(n+1) code is a 1, 2n free bits and
-    two 0s (the last internal node in preorder has two external children),
-    so with head = 4 ** (n+1) its slot (code - head) >> 2 is one of 4 ** n.
-    Level n+1's slots are a bytearray: each code's slot holds its spine
-    tail packed in one byte by _spine_tails, 0 marks an empty slot, and a
-    code that finds its slot full is one the fold gives twice.  Each image
-    of the level-n codes empties its slot: an empty one is a duplicate or
-    foreign image, and a slot left full is a code that no pair reaches.  The
-    inverse reads the emptied spine tail, never the depth d of the image.
+    The check runs on int codes and builds no tree: trees.code_levels folds
+    each level once per call, and the level-wide trees.grow_codes and
+    trees.shrink_codes take up to trees.PIECE codes at a time, one spine
+    depth of them a call (_pairs).  Each image must have a full slot in
+    level n+1's table (_Slots), and the inverse, given the spine tail found
+    there, read from the fold's own mask, and never the depth d, must give
+    back the pair: then no two pairs share an image.  As there are as many
+    pairs, sum(spine + 1) over level n, as codes of level n+1, the images
+    are every code once.  A level that fails is checked again pair by pair
+    in canonical order (_first_fault), to name the fault.
     """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
@@ -53,58 +216,16 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     upper = next(levels)
     for n in range(top + 1):
         # Level n+1 is a pair of arrays, kept for the fold above it, except
-        # the last, which is streamed into `tails` and never held.
+        # the last, which is streamed a piece at a time and never held.
         lower, upper = upper, next(levels)
-        # A code's key is code - head, and its slot key >> 2.  key & outside
-        # is 0 just when 0 <= key < head and key & 3 == 0; a negative key
-        # would wrap in the bytearray.
-        head, width = 4 ** (n + 1), 2 * n + 3
-        outside = ~(head - 4)
-        unpack = _spine_tails(n)
-        # A tail packs to base[1 << bit] + segments.
-        base = {1 << bit: packed - s for packed, (bit, s) in enumerate(unpack[1:], 1)}
-        tails = bytearray(4 ** n)
-        stray = False  # a code of level n+1 that has no slot, so no image reaches it
-        for code, mask in zip(*upper):
-            key = code - head
-            if key & outside:
-                stray = True
-            elif tails[key >> 2]:
-                return "FAIL", f"bijection n={n}", (
-                    f"bijection n={n}: the fold gives the size-{n + 1} code"
-                    f" {code:0{width}b} twice")
-            else:
-                tails[key >> 2] = base[mask & -mask] + mask.bit_count()
-        fault = ""
-        for code, mask in zip(*lower):
-            for d, image in enumerate(trees.successor_codes(code, mask)):
-                key = image - head
-                tail = 0 if key & outside else tails[key >> 2]
-                if not tail:
-                    return "FAIL", f"bijection n={n}", (
-                        f"bijection n={n}: code {code:0{width - 2}b} at depth {d} gives image"
-                        f" {image:0{width}b}, a duplicate or not a size-{n + 1} code")
-                tails[key >> 2] = 0
-                # Positional arguments and an unpacked result: a call with *args
-                # and a compared tuple made the whole check about 15% slower.
-                bit, segments = unpack[tail]
-                origin, depth = trees.predecessor_code(image, bit, segments)
-                if not fault and (origin != code or depth != d):
-                    # The returned code's width is its own, as its size is in question.
-                    fault = (f"predecessor round trip n={n + 1}: image {image:0{width}b}"
-                             f" returns ('{origin:b}', {depth}),"
-                             f" expected ('{code:0{width - 2}b}', {d})")
-        if stray or tails.count(0) != len(tails):
-            # Fold level n+1 again to name its first code, in canonical order,
-            # that no image reached.
-            *_, (codes, _) = trees.code_levels(n + 1, cap=cap)
-            first = next(code for code in codes
-                         if (key := code - head) & outside or tails[key >> 2])
-            return "FAIL", f"bijection n={n}", (
-                f"bijection n={n}: no code and depth gives the size-{n + 1} code"
-                f" {first:0{width}b}")
-        if fault:
-            return "FAIL", f"predecessor round trip n={n + 1}", fault
+        slots = _Slots(n)
+        codes = slots.fill(_chunks(upper) if n < top else upper)
+        if codes is None or _round_trips(slots, lower) != codes:
+            fault = _first_fault(n, lower, slots, cap)
+            if fault:
+                return fault
+        # Release this table before the next one, 4 times larger, is made.
+        del slots
     return "PASS", f"{label} (n <= {top})", ""
 
 

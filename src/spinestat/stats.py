@@ -18,7 +18,7 @@ All agree wherever defined; the test suite holds them against each other.
 from __future__ import annotations
 
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import accumulate
 
 from . import series, trees
@@ -48,19 +48,23 @@ def _make(n: int, counts) -> SpineDistribution:
 
 def dist_exhaustive(sizes: range, cap: int = DEFAULT_CAP) -> list[SpineDistribution]:
     """Distributions by one canonical fold up to the largest size, each level
-    folded once, each tree visited as its spine length: a leaf has 0 segments,
-    and a join one more than its right subtree.  A negative size raises
-    ValueError and a size above the cap CapExceeded, before any fold."""
+    folded once, each tree one byte holding its spine length: a leaf has 0
+    segments, and a join one more than its right subtree.  Each level, or
+    each piece of the last, is counted by its count(), once per length.  A
+    negative size raises ValueError and a size above the cap CapExceeded,
+    before any fold."""
     if not sizes:
         return []
     if min(sizes) < 0:
         raise ValueError("size must be nonnegative")
 
-    found = {}
-    for n, level in enumerate(trees.spine_levels(max(sizes), cap)):
+    found, top = {}, max(sizes)
+    for n, level in enumerate(trees.spine_levels(top, cap)):
         if n in sizes:
-            spines = Counter(level)
-            found[n] = _make(n, (spines[k] for k in range(1, n + 1)))
+            counts = [0] * n
+            for piece in level if n == top else (level,):
+                counts = [count + piece.count(k) for k, count in enumerate(counts, 1)]
+            found[n] = _make(n, counts)
     return [found[n] for n in sizes]
 
 

@@ -1,19 +1,22 @@
 """Binary trees as preorder codes: canonical enumeration by one fold over
-the sizes, on strings and on int codes with the right spine as a mask, the
-growth step and its inverse on those ints, and a seeded sampler of spine
+the sizes, on strings, on spine counts and on int codes with the right spine
+as a mask, each level built a block of two sizes at a time; the growth step
+and its inverse on whole arrays of int codes; and a seeded sampler of spine
 lengths of uniform random trees, which draws each spine by inverse CDF from
 the ballot law's tail in closed form.
 
 A tree is either a single external node or an internal node with a left and a
 right subtree.  "Size" always means the number of internal nodes; a size-n
 tree has n+1 external nodes and 2n+1 nodes in total.  The tree-level
-reference of the growth step, on nested tuples, is tests/treeref.py.
+reference of the growth step, on nested tuples, and the same step on one int
+code at a time are tests/treeref.py.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice, repeat
+import sys
+from collections.abc import Iterator, Sequence
+from itertools import chain, islice
 
 from .errors import CapExceeded
 
@@ -28,32 +31,53 @@ DEFAULT_CAP = 14
 TreeCode = str
 
 
-# The stored levels are packed: spine counts in bytes, int codes and masks
+# The stored levels are packed: spine counts in bytearrays, int codes and masks
 # in array("Q"), string codes in tuples.  Spine counts are at most n and a
 # size-m code has 2m+1 bits, so a fold passes 255 or 64 bits only once it
 # holds level 31, c_31 ~ 1.5e16 trees; memory runs out well before that
 # (exit 1, "error: out of memory"), so no size is checked.
-def _levels(n: int, cap: int, leaf, block, pack) -> Iterator[Iterable]:
+def _levels(n: int, cap: int, leaf, block, pack) -> Iterator:
     """The levels 0..n of the canonical fold, each built once, in order: the
-    levels below n packed by pack(level), which the fold reads to build the
-    levels above, and level n as a stream.  Level 0 is (leaf,), and level m
-    chains block(lefts, rights, m, i) for i = 0..m-1: the joins of every
-    size-i left with every size-(m-1-i) right, left by left.
+    levels below n packed by pack(pieces), which the fold reads to build the
+    levels above, and level n as an iterator of its pieces (_pieces).  Level
+    0 is the one piece `leaf`.
 
     The levels are built for this call only and released with the last
-    stream; the guards raise at the first next().
+    piece; the guards raise at the first next().
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n > cap:
         raise CapExceeded(f"size {n} exceeds the exhaustive cap {cap}")
     smaller: list[Sequence] = []
-    level = (leaf,)
+    pieces = iter((leaf,))
     for m in range(1, n + 1):
-        smaller.append(pack(level))
+        smaller.append(pack(pieces))
         yield smaller[-1]
-        level = chain.from_iterable(map(block, smaller, reversed(smaller), repeat(m), range(m)))
-    yield level
+        pieces = _pieces(block, smaller, m)
+    yield pieces
+
+
+# A level is built, and the last one streamed, in pieces of at most this
+# many trees, so that the field operations on a piece stay small.
+PIECE = 1024
+
+
+def _pieces(block, smaller: list, m: int) -> Iterator:
+    """Level m in canonical order, block(lefts, rights, m, i) for i = 0..m-1:
+    the joins of size-i lefts with size-(m-1-i) rights, left by left.  Each
+    block is cut into pieces of at most PIECE joins: runs of whole lefts,
+    or, where one left has more rights than that, runs of its rights."""
+    for i in range(m):
+        lefts, rights = smaller[i], smaller[m - 1 - i]
+        if len(rights) < PIECE:
+            step = PIECE // len(rights)
+            for start in range(0, len(lefts), step):
+                yield block(lefts[start:start + step], rights, m, i)
+        else:
+            for left in range(len(lefts)):
+                for start in range(0, len(rights), PIECE):
+                    yield block(lefts[left:left + 1], rights[start:start + PIECE], m, i)
 
 
 def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
@@ -61,85 +85,136 @@ def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
     canonical order: left-subtree size ascending, then recursively the same
     rule on the left and then the right subtree.  The last level of _levels.
     """
-    for level in _levels(n, cap, "0", lambda lefts, rights, m, i: (
-            "1" + left + right for left in lefts for right in rights), tuple):
+    for level in _levels(n, cap, ("0",), lambda lefts, rights, m, i: (
+            "1" + left + right for left in lefts for right in rights),
+            lambda pieces: tuple(chain.from_iterable(pieces))):
         pass
-    yield from level
+    yield from chain.from_iterable(level)
 
 
-def _spine_block(lefts: bytes, rights: bytes, m: int, i: int) -> Iterator[int]:
-    # A lone left reads the spines once, with no copy as long as a level;
-    # more lefts repeat one bytes copy of the block's spines.
-    spines = map((1).__add__, rights)
-    if len(lefts) == 1:
-        return spines
-    return chain.from_iterable(repeat(bytes(spines), len(lefts)))
+# Spine count k -> k + 1, as a translate table.
+_SUCCESSOR = bytes(range(1, 256)) + b"\0"
 
 
-def spine_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator[Iterable[int]]:
-    """The levels of _levels as spine segment counts, bytes below m = n and
-    a stream at m = n: a leaf has 0 and a join one more than its right
-    subtree."""
-    return _levels(n, cap, 0, _spine_block, bytes)
+def _spine_block(lefts, rights: bytearray, m: int, i: int) -> bytearray:
+    return rights.translate(_SUCCESSOR) * len(lefts)
 
 
-def _code_block(lefts: Sequence[int], rights: Sequence[int], m: int, i: int) -> Iterator[int]:
-    top, shift = 1 << 2 * m, 2 * (m - i) - 1
-    return chain.from_iterable(map((top | left << shift).__or__, rights) for left in lefts)
+def spine_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator:
+    """The levels of _levels as spine segment counts, one byte a tree: a
+    bytearray below m = n, and at m = n an iterator of the level's pieces,
+    each one bytearray.  A leaf has 0 and a join one more than its right
+    subtree, so a piece is its rights' counts, each plus one, repeated once
+    per left."""
+    return _levels(n, cap, bytearray(1), _spine_block, lambda pieces: _joined(bytearray(), pieces))
 
 
-def _mask_block(lefts: Sequence[int], rights: Sequence[int], m: int, i: int) -> Iterator[int]:
+def _joined(level, pieces):
+    """The empty bytearray or array `level`, extended by each piece in
+    turn: the level grows in place, with no second copy of it."""
+    for piece in pieces:
+        level += piece
+    return level
+
+
+# The int folds and the growth step read an array("Q") as one int whose
+# 64-bit fields are its elements, element j in bits 64j..64j+63, and do one
+# field operation on it where a loop would visit every element.  Every field
+# stays below 2^64 and nonnegative, so no carry or borrow crosses a field.
+def _fields(values) -> int:
+    return int.from_bytes(values, sys.byteorder)
+
+
+def _array(fields: int, count: int):
     from array import array
 
-    # One copy of the block's masks, repeated over its lefts: a map per left
-    # made the bijection check about 7% slower.
-    return chain.from_iterable(repeat(array("Q", map((1 << 2 * m).__or__, rights)), len(lefts)))
+    return array("Q", fields.to_bytes(8 * count, sys.byteorder))
 
 
-def code_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
+def _ones(count: int) -> int:
+    """1 in each of `count` fields: for a piece or less, the top of _ONES."""
+    if count <= PIECE:
+        return _ONES >> 64 * (PIECE - count)
+    return int.from_bytes(b"\1\0\0\0\0\0\0\0" * count, "little")
+
+
+_ONES = int.from_bytes(b"\1\0\0\0\0\0\0\0" * PIECE, "little")
+
+
+def _code_block(lefts: Sequence[int], rights: Sequence[int], m: int, i: int):
+    # Each left makes one row, its high bits added to every right's field;
+    # with fewer rights than lefts, each right makes one column instead, the
+    # lefts shifted into place, written with a stride of len(rights).
+    from array import array
+
+    top, shift, width = 1 << 2 * m, 2 * (m - i) - 1, len(rights)
+    if len(lefts) <= width:
+        row, ones = _fields(rights), _ones(width)
+        block = array("Q")
+        for left in lefts:
+            block += _array(row + (top | left << shift) * ones, width)
+        return block
+    column, ones = _fields(lefts) << shift, _ones(len(lefts))
+    block = array("Q", bytes(8 * len(lefts) * width))
+    for j, right in enumerate(rights):
+        block[j::width] = _array(column + (top | right) * ones, len(lefts))
+    return block
+
+
+def _mask_block(lefts: Sequence[int], rights: Sequence[int], m: int, i: int):
+    return _array(_fields(rights) + (1 << 2 * m) * _ones(len(rights)), len(rights)) * len(lefts)
+
+
+def code_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator:
     """The levels of _levels on ints: level m is a pair (codes, masks) of
-    parallel arrays of unsigned 64-bit ints ("Q") below m = n, and of
-    streams at m = n.  A code holds the 2m+1 preorder bits, the root on top
-    (size 0 is 0), and its mask the right spine's internal nodes.  Sizes i
-    and r = m-1-i join to top | left << (2r+1) | right and mask
-    top | right's mask, top = 1 << 2m: a block shares one array of masks.
+    parallel arrays of unsigned 64-bit ints ("Q") below m = n, and at m = n
+    an iterator of the level's pieces, each such a pair.  A code holds the
+    2m+1 preorder bits, the root on top (size 0 is 0), and its mask the right
+    spine's internal nodes.  Sizes i and r = m-1-i join to top | left <<
+    (2r+1) | right and mask top | right's mask, top = 1 << 2m: a piece's
+    masks are one row repeated once per left.
     """
     from array import array
 
-    def pack(level):
-        return array("Q", level)
+    leaf = array("Q", [0])
 
-    return zip(_levels(n, cap, 0, _code_block, pack), _levels(n, cap, 0, _mask_block, pack))
+    def pack(pieces):
+        return _joined(array("Q"), pieces)
+
+    levels = zip(_levels(n, cap, leaf, _code_block, pack), _levels(n, cap, leaf, _mask_block, pack))
+    for m, level in enumerate(levels):
+        yield level if m < n else zip(*level)
 
 
-def successor_codes(code: int, mask: int) -> list[int]:
-    """The growth step on int codes: the size+1 codes that grow from
-    (code, mask), one per spine depth d from the root to the terminal leaf.
-    The subtree at depth d becomes the left child of a new internal node
-    with a leaf on its right, giving d+1 spine segments.  At spine bit b
-    (the leaf's is 0) the subtree is low = code % above, above = 2 << b,
-    and the image 4 code + 2 above - 2 low.  The spine is walked up and
-    reversed.  The reference is `successors` in tests/treeref.py.
+def grow_codes(codes: int, nodes: int, count: int) -> int:
+    """The growth step on `count` int codes at once, given and returned as
+    the 64-bit fields of one int, as _fields reads an array: image j grows
+    code j at its right-spine node of bit node j (1 << b; the terminal
+    leaf's is 1).  The subtree there, low = code % (2 node), becomes the
+    left child of a new internal node with a leaf on its right: image =
+    4 code + 4 node - 2 low.  With d spine nodes above it, the image has
+    d+1 spine segments.  The reference, one code at a time, is
+    `successor_codes` in tests/treeref.py.
     """
-    images, double, spine = [], code << 1, mask << 1 | 2
-    while spine:
-        above = spine & -spine
-        spine ^= above
-        images.append((double + above - code % above) << 1)
-    images.reverse()
-    return images
+    return 4 * codes + 4 * nodes - 2 * (codes & (2 * nodes - _ones(count)))
 
 
-def predecessor_code(image: int, bit: int, segments: int) -> tuple[int, int]:
-    """The inverse of the growth step on int codes: (p, d) such that
-    successor_codes of p has `image` at index d.  `bit` is the lowest set
-    bit of image's mask, its last internal spine node, and `segments` the
-    mask's bit count.  p drops that bit and bit 0, the leaf on its right:
-    image = high * 2b + b + low, b = 1 << bit > low, and p is
-    (high * b + low) / 2.  The reference is tests/treeref.py's `predecessor`.
+# Segment count s -> depth s - 1, as a translate table.
+_PREDECESSOR = b"\xff" + bytes(range(255))
+
+
+def shrink_codes(images: int, lows: int, segments: bytes) -> tuple[int, bytes]:
+    """The inverse of the growth step on len(segments) int codes at once,
+    the fields of one int as in grow_codes: (codes, depths) such that image
+    j grows from code j at depth depths[j].  Field j of `lows` is the lowest
+    set bit of image j's mask (1 << bit), its last internal spine node, and
+    segments[j] the mask's bit count.  The code drops that bit and bit 0,
+    the leaf on its right: image = high * 2b + b + low, b > low, and the
+    code is (high * b + low) / 2; the depth is segments - 1.  The
+    reference is tests/treeref.py's `predecessor_code`.
     """
-    b = 1 << bit
-    return (image - b + image % b) >> 2, segments - 1
+    codes = (images - lows + (images & (lows - _ones(len(segments))))) >> 2
+    return codes, segments.translate(_PREDECESSOR)
 
 
 def _tails(n: int) -> Iterator[tuple[int, int]]:

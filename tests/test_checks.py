@@ -2,8 +2,10 @@
 prints nothing."""
 
 import io
-import itertools
 import tracemalloc
+from array import array
+from itertools import chain
+from operator import add
 
 import pytest
 
@@ -42,15 +44,40 @@ def test_route_detail_is_returned_not_printed(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-_successor_codes = trees.successor_codes
+def each_image(fault):
+    """trees.grow_codes with each pair's image replaced by fault(code,
+    node, image), node the bit of the spine node grown at (1 << b; the
+    terminal leaf's is 1)."""
+    grow = trees.grow_codes
+
+    def planted(codes, nodes, count):
+        values = (trees._array(fields, count) for fields in (codes, nodes, grow(codes, nodes, count)))
+        return trees._fields(array("Q", map(fault, *values)))
+
+    return planted
+
+
+def appended(m, pairs):
+    """trees.code_levels with the (code, mask) pairs after level m's own."""
+    code_levels, extra = trees.code_levels, tuple(array("Q", values) for values in zip(*pairs))
+
+    def planted(n, cap):
+        for k, level in enumerate(code_levels(n, cap)):
+            if k == m:
+                level = tuple(map(add, level, extra)) if k < n else chain(level, [extra])
+            yield level
+
+    return planted
 
 
 # Each plants a fault in the second image of the size-1 code 100, whose
-# images are 11000 and 10100.
+# images are 11000 (depth 0, grown at the root) and 10100 (depth 1, grown at
+# the terminal leaf).
 @pytest.mark.parametrize("foreign", [
     lambda a, b: b << 1,     # one bit longer
     lambda a, b: b >> 1,     # one bit short
-    lambda a, b: -b,         # negative: its key would wrap in the table
+    # What -b is in a 64-bit field: bits far above a size-2 code's.
+    lambda a, b: (1 << 64) - b,
     # The right length, but no slot: without the top bit the key is below
     # 0, and the last two bits must be 00.
     lambda a, b: b - 16,
@@ -60,13 +87,8 @@ _successor_codes = trees.successor_codes
     lambda a, b: 0b11100,    # a slot, but of no size-2 code: no pair reaches it
 ])
 def test_foreign_image_fails_bijection(foreign, monkeypatch, capsys):
-    def planted(code, mask):
-        images = _successor_codes(code, mask)
-        if code == 0b100:
-            images[1] = foreign(*images)
-        return images
-
-    monkeypatch.setattr(trees, "successor_codes", planted)
+    monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
+        foreign(0b11000, image) if (code, node) == (0b100, 1) else image)))
     image = foreign(0b11000, 0b10100)
     assert checks.bijection(3, 11) == (
         "FAIL", "bijection n=1",
@@ -75,52 +97,50 @@ def test_foreign_image_fails_bijection(foreign, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-# Two size-4 codes, in canonical order but in reverse numeric order.
-MISSED = (0b111000100, 0b110101000)
+def test_two_pairs_on_one_code_fail_bijection(monkeypatch):
+    # Level 2's first code, 10100, grows at its terminal leaf the image it
+    # grows at its root, 1101000, and no pair gives 1010100.  The level
+    # still has as many pairs as level 3 has codes, so only the round trip
+    # through the inverse shows the fault.
+    monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
+        0b1101000 if (code, node) == (0b10100, 1) else image)))
+    assert checks.bijection(3, 11) == (
+        "FAIL", "bijection n=2",
+        "bijection n=2: code 10100 at depth 2 gives image 1101000, a duplicate or not a size-3 code")
 
 
-@pytest.mark.parametrize("max_n", [3, 5])  # level 4 streamed, then held as a tuple
+# Two size-4 codes with a slot but of no tree, in canonical order but in
+# reverse numeric order, each with a mask of the root alone.
+STRAYS = ((0b111111100, 0b100000000), (0b100000000, 0b100000000))
+
+
+@pytest.mark.parametrize("max_n", [3, 5])  # level 4 streamed, then stored
 def test_leftover_names_first_code_in_canonical_order(max_n, monkeypatch):
-    monkeypatch.setattr(trees, "successor_codes", lambda code, mask: [
-        image for image in _successor_codes(code, mask) if image not in MISSED])
+    monkeypatch.setattr(trees, "code_levels", appended(4, STRAYS))
     assert checks.bijection(max_n, 11) == (
         "FAIL", "bijection n=3",
-        "bijection n=3: no code and depth gives the size-4 code 111000100")
+        "bijection n=3: no code and depth gives the size-4 code 111111100")
 
 
 def test_leftover_at_size_0(monkeypatch):
-    monkeypatch.setattr(trees, "successor_codes", lambda code, mask: (
-        [] if code == 0 else _successor_codes(code, mask)))
+    # Level 1 gains the code 0 (000 at size 1's width), which has no slot.
+    monkeypatch.setattr(trees, "code_levels", appended(1, [(0, 0)]))
     assert checks.bijection(0, 11) == (
-        "FAIL", "bijection n=0", "bijection n=0: no code and depth gives the size-1 code 100")
+        "FAIL", "bijection n=0", "bijection n=0: no code and depth gives the size-1 code 000")
 
 
 def test_fold_code_without_a_slot_fails_bijection(monkeypatch):
     # Level 2 gains a code that no image can reach, since it has no slot.
-    code_levels = trees.code_levels
-
-    def padded(n, cap):
-        *smaller, (codes, masks) = code_levels(n, cap)
-        return iter([*smaller, (itertools.chain(codes, [0b01100]),
-                                itertools.chain(masks, [0b01100]))])
-
-    monkeypatch.setattr(trees, "code_levels", padded)
+    monkeypatch.setattr(trees, "code_levels", appended(2, [(0b01100, 0b01100)]))
     assert checks.bijection(1, 11) == (
         "FAIL", "bijection n=1", "bijection n=1: no code and depth gives the size-2 code 01100")
 
 
 def test_fold_code_given_twice_fails_bijection(monkeypatch):
-    # The streamed top level ends with a second copy of its first code, whose
-    # slot is then full already.  Writing it again would hide the repeat: the
-    # images would still empty every slot once.
-    code_levels = trees.code_levels
-
-    def padded(n, cap):
-        *smaller, (codes, masks) = code_levels(n, cap)
-        codes, masks = list(codes), list(masks)
-        return iter([*smaller, (codes + codes[:1], masks + masks[:1])])
-
-    monkeypatch.setattr(trees, "code_levels", padded)
+    # The streamed top level ends with a second copy of its first code,
+    # whose slot is then written twice.  The images still reach every code
+    # once, but there is one code more than pairs.
+    monkeypatch.setattr(trees, "code_levels", appended(4, [(0b101010100, 0b101010100)]))
     assert checks.bijection(3, 11) == (
         "FAIL", "bijection n=3", "bijection n=3: the fold gives the size-4 code 101010100 twice")
 
@@ -129,8 +149,8 @@ def test_fold_code_given_twice_fails_bijection(monkeypatch):
 def test_codes_have_distinct_slots(n):
     # A size-n code is a 1, 2n-2 free bits and two 0s, so its slot
     # (code - 4**n) >> 2 lies in range(4 ** (n-1)).
-    *_, (codes, _) = trees.code_levels(n)
-    codes = list(codes)
+    *_, pieces = trees.code_levels(n)
+    codes = [code for piece, _ in pieces for code in piece]
     assert all(code.bit_length() == 2 * n + 1 and code & 3 == 0 for code in codes)
     slots = {(code - 4 ** n) >> 2 for code in codes}
     assert len(slots) == len(codes)
@@ -152,8 +172,9 @@ def test_spine_tails_pack_in_one_byte():
 def test_bijection_peak_memory():
     # The dict keyed by int(code, 2) peaked at about 6.7 MiB, and levels
     # 0..10 as tuples of ints at about 3.1 MiB.  The slot table of level 11
-    # is 1 MiB, and with the levels as arrays the check peaks at about
-    # 1.6 MiB.
+    # is 1 MiB, and with the levels as arrays, level 10's table released
+    # first and a chunk of trees.PIECE codes at a time, the check peaks at
+    # about 1.5 MiB.
     tracemalloc.start()
     try:
         assert checks.bijection(10, 11)[0] == "PASS"
@@ -212,17 +233,44 @@ def test_verify_exits_3_on_broken_identities(label, monkeypatch, capsys):
 
 def test_bijection_folds_each_level_once(monkeypatch):
     # Levels 0..11 are joined once each, in order: c_1 + ... + c_11 = 82,499
-    # codes.
-    fold, code_block, levels = trees._levels, trees._code_block, []
+    # codes.  The growth step and its inverse take level n a chunk of at
+    # most trees.PIECE codes at a time, one call each a round, and a chunk
+    # has a round per spine depth, at most n + 1: never a call per code.
+    fold, code_block, sizes, calls = trees._levels, trees._code_block, [], []
 
     def counted(n, cap, leaf, block, *rest):
-        for level in fold(n, cap, leaf, block, *rest):
+        for m, level in enumerate(fold(n, cap, leaf, block, *rest)):
             if block is code_block:
-                level = list(level)
-                levels.append(level)
+                pieces = [level] if m < n else list(level)
+                sizes.append(sum(map(len, pieces)))
+                level = level if m < n else iter(pieces)
             yield level
 
+    class Counted(checks._Slots):
+        def __init__(self, n):
+            super().__init__(n)
+            calls.append({"n": n, "grow": 0, "shrink": 0, "pairs": 0})
+
+    def grow(codes, nodes, count):
+        calls[-1]["grow"] += 1
+        calls[-1]["pairs"] += count
+        return grow_codes(codes, nodes, count)
+
+    def shrink(images, lows, segments):
+        calls[-1]["shrink"] += 1
+        return shrink_codes(images, lows, segments)
+
+    grow_codes, shrink_codes = trees.grow_codes, trees.shrink_codes
     monkeypatch.setattr(trees, "_levels", counted)
+    monkeypatch.setattr(checks, "_Slots", Counted)
+    monkeypatch.setattr(trees, "grow_codes", grow)
+    monkeypatch.setattr(trees, "shrink_codes", shrink)
     assert checks.bijection(10, 11)[0] == "PASS"
-    assert [len(level) for level in levels] == [catalan(m) for m in range(12)]
-    assert sum(map(len, levels[1:])) == 82_499
+    assert sizes == [catalan(m) for m in range(12)]
+    assert sum(sizes[1:]) == 82_499
+    assert [level["n"] for level in calls] == list(range(11))
+    for level in calls:
+        n, chunks = level["n"], -(-catalan(level["n"]) // trees.PIECE)
+        assert level["pairs"] == catalan(n + 1)
+        assert level["grow"] == level["shrink"] <= chunks * (n + 1)
+    assert sum(level["grow"] for level in calls) < 200

@@ -10,6 +10,7 @@ import sys
 import textwrap
 import tomllib
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -228,11 +229,41 @@ class TestVerify:
         ]
 
 
-_successor_codes, _predecessor_code = trees.successor_codes, trees.predecessor_code
-
-
 def _size(code):
     return code.bit_length() // 2
+
+
+def each_image(fault):
+    """trees.grow_codes with each pair's image replaced by fault(code,
+    node, image), node the bit of the spine node grown at (1 << b; the
+    terminal leaf's is 1)."""
+    grow = trees.grow_codes
+
+    def planted(codes, nodes, count):
+        values = (trees._array(fields, count) for fields in (codes, nodes, grow(codes, nodes, count)))
+        return trees._fields(array("Q", map(fault, *values)))
+
+    return planted
+
+
+def each_return(fault):
+    """trees.shrink_codes with each image's returned (code, depth) replaced
+    by fault(image, code, depth)."""
+    shrink = trees.shrink_codes
+
+    def planted(images, lows, segments):
+        count = len(segments)
+        codes, depths = shrink(images, lows, segments)
+        pairs = list(map(fault, trees._array(images, count), trees._array(codes, count), depths))
+        return trees._fields(array("Q", (code for code, _ in pairs))), bytes(d for _, d in pairs)
+
+    return planted
+
+
+def grown_at_root(code):
+    """The image of a code grown at its root: a new root over it, a leaf on
+    the right."""
+    return 1 << code.bit_length() + 1 | code << 1
 
 
 class TestVerifyFailures:
@@ -246,44 +277,44 @@ class TestVerifyFailures:
         return code, out.splitlines()[0], capsys.readouterr().err.splitlines()
 
     def test_duplicated_image(self, monkeypatch, capsys):
-        monkeypatch.setattr(trees, "successor_codes", lambda code, mask: (
-            _successor_codes(code, mask) + _successor_codes(code, mask)[:1] if _size(code) == 2
-            else _successor_codes(code, mask)))
+        # Size-2 codes grow at their terminal leaf the image of their root.
+        monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
+            grown_at_root(code) if node == 1 and _size(code) == 2 else image)))
         assert self.verify(capsys) == (3, "FAIL bijection n=2", [
-            "bijection n=2: code 10100 at depth 3 gives image 1101000,"
+            "bijection n=2: code 10100 at depth 2 gives image 1101000,"
             " a duplicate or not a size-3 code"])
 
     def test_missing_image(self, monkeypatch, capsys):
-        monkeypatch.setattr(trees, "successor_codes", lambda code, mask: (
-            _successor_codes(code, mask)[:-1] if _size(code) == 3
-            else _successor_codes(code, mask)))
+        # Size-3 codes do not grow at their terminal leaf.
+        monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
+            code if node == 1 and _size(code) == 3 else image)))
         assert self.verify(capsys) == (3, "FAIL bijection n=3", [
-            "bijection n=3: no code and depth gives the size-4 code 101010100"])
+            "bijection n=3: code 1010100 at depth 3 gives image 001010100,"
+            " a duplicate or not a size-4 code"])
 
     def test_wrong_predecessor_depth(self, monkeypatch, capsys):
-        # Out of range: successor_codes of the size-0 code has no image at 99.
-        monkeypatch.setattr(trees, "predecessor_code", lambda image, bit, segments: (
-            _predecessor_code(image, bit, segments)[0], 99))
+        # Out of range: the size-0 code has no image at depth 99.
+        monkeypatch.setattr(trees, "shrink_codes", each_return(lambda image, code, depth: (
+            code, 99)))
         assert self.verify(capsys, max_n=3) == (3, "FAIL predecessor round trip n=1", [
             "predecessor round trip n=1: image 100 returns ('0', 99), expected ('0', 0)"])
 
     def test_wrong_predecessor_tree(self, monkeypatch, capsys):
-        monkeypatch.setattr(trees, "predecessor_code", lambda image, bit, segments: (
-            (0, segments - 1) if _size(image) == 3 else _predecessor_code(image, bit, segments)))
+        monkeypatch.setattr(trees, "shrink_codes", each_return(lambda image, code, depth: (
+            0 if _size(image) == 3 else code, depth)))
         assert self.verify(capsys) == (3, "FAIL predecessor round trip n=3", [
             "predecessor round trip n=3: image 1101000 returns ('0', 0), expected ('10100', 0)"])
 
     def test_bijection_verdict_comes_first(self, monkeypatch, capsys):
-        # Both fail at level 2: the images miss one code, and predecessor_code
-        # gets the depth wrong on every size-3 code.
-        monkeypatch.setattr(trees, "successor_codes", lambda code, mask: (
-            _successor_codes(code, mask)[:-1] if _size(code) == 2
-            else _successor_codes(code, mask)))
-        monkeypatch.setattr(trees, "predecessor_code", lambda image, bit, segments: (
-            (_predecessor_code(image, bit, segments)[0], 99) if _size(image) == 3
-            else _predecessor_code(image, bit, segments)))
+        # Both fail at level 2: size-2 codes do not grow at their terminal
+        # leaf, and the inverse gets the depth wrong on every size-3 code.
+        monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
+            code if node == 1 and _size(code) == 2 else image)))
+        monkeypatch.setattr(trees, "shrink_codes", each_return(lambda image, code, depth: (
+            code, 99 if _size(image) == 3 else depth)))
         assert self.verify(capsys) == (3, "FAIL bijection n=2", [
-            "bijection n=2: no code and depth gives the size-3 code 1010100"])
+            "bijection n=2: code 10100 at depth 2 gives image 0010100,"
+            " a duplicate or not a size-3 code"])
 
     def test_route_disagreement_detail(self, monkeypatch, capsys):
         dist_series = stats.dist_series
@@ -320,11 +351,17 @@ class TestVerifyFailures:
         # process whose stdout and stderr are one pipe.
         faults = textwrap.dedent("""
             import sys
+            from array import array
             from spinestat import cli, stats, trees
-            successor_codes, dist_series = trees.successor_codes, stats.dist_series
-            trees.successor_codes = lambda code, mask: (
-                successor_codes(code, mask) + successor_codes(code, mask)[:1]
-                if code.bit_length() == 5 else successor_codes(code, mask))
+            grow_codes, dist_series = trees.grow_codes, stats.dist_series
+
+            def grow(code, node, image):
+                # Size-2 codes grow at their terminal leaf the image of their root.
+                return 1 << 6 | code << 1 if node == 1 and code.bit_length() == 5 else image
+
+            trees.grow_codes = lambda codes, nodes, count: trees._fields(array("Q", map(
+                grow, *(trees._array(fields, count)
+                        for fields in (codes, nodes, grow_codes(codes, nodes, count))))))
             stats.dist_series = lambda sizes: [
                 stats.SpineDistribution(d.n, (d.counts[0], d.counts[1] + 1, *d.counts[2:]),
                                         d.total) if d.n == 5 else d
@@ -336,7 +373,7 @@ class TestVerifyFailures:
         assert cp.returncode == 3
         assert cp.stdout.splitlines() == [
             "FAIL bijection n=2",
-            "bijection n=2: code 10100 at depth 3 gives image 1101000,"
+            "bijection n=2: code 10100 at depth 2 gives image 1101000,"
             " a duplicate or not a size-3 code",
             "FAIL route agreement n=5",
             "route agreement n=5: first differing k=2: recurrence=14 series=15 closed=14",

@@ -261,7 +261,7 @@ class TestRouteIndependence:
                    (series, "ps_mul"), (trees, "_levels")],
         "series": [(series, "ps_mul"), (trees, "_levels"),
                    (stats, "dist_recurrence"), (stats, "dist_closed")],
-        "exhaustive": [(trees, "successor_codes"), (trees, "predecessor_code"),
+        "exhaustive": [(trees, "grow_codes"), (trees, "shrink_codes"),
                        (trees, "code_levels"), (trees, "_code_block"),
                        (trees, "_mask_block"), (series, "node_gf"),
                        (stats, "dist_recurrence"), (stats, "dist_closed")],

@@ -1,6 +1,8 @@
 import gc
 import random
+import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from functools import cache
 from math import floor
@@ -26,17 +28,21 @@ from treeref import (
     encode,
     enumerate_trees,
     predecessor,
+    predecessor_code,
     size,
     spine_segments,
+    successor_codes,
     successors,
 )
 from spinestat import trees
 from spinestat.trees import (
     DEFAULT_CAP,
+    PIECE,
     code_levels,
-    predecessor_code,
+    grow_codes,
     sample_spines,
-    successor_codes,
+    shrink_codes,
+    spine_levels,
 )
 
 SIZE_ONE = (None, None)
@@ -86,7 +92,15 @@ def marked_codes(n, cap=DEFAULT_CAP):
     code_levels, as (code, mask) pairs."""
     for level in code_levels(n, cap):
         pass
-    yield from zip(*level)
+    for codes, masks in level:
+        yield from zip(codes, masks)
+
+
+def folded(levels):
+    """Each level of a fold as the list of sequences it comes in: a stored
+    level whole, the last level piece by piece."""
+    *stored, last = levels
+    return [*([level] for level in stored), list(last)]
 
 
 def held_after_size_9(enumerate_):
@@ -196,6 +210,51 @@ def tail(mask):
     return (mask & -mask).bit_length() - 1, mask.bit_count()
 
 
+@cache
+def reference_level(m):
+    """Level m of tests/treeref.py's fold, in canonical order: each tree's
+    (code, mask), and the spine counts as bytes."""
+    level = list(enumerate_trees(m, cap=12))
+    return [marked(t) for t in level], bytes(map(spine_segments, level))
+
+
+def fields(values):
+    """The values as the 64-bit fields of one int, value j in bits
+    64j..64j+63."""
+    return int.from_bytes(array("Q", values), sys.byteorder)
+
+
+def unfields(fields, count):
+    return list(array("Q", fields.to_bytes(8 * count, sys.byteorder)))
+
+
+def spine_nodes(mask):
+    """The bits (1 << b) of the right spine's nodes by depth from the root,
+    the terminal leaf's (1) last."""
+    nodes, spine = [], mask | 1
+    while spine:
+        nodes.append(spine & -spine)
+        spine ^= nodes[-1]
+    return nodes[::-1]
+
+
+def assert_level_wide_step(marks, masks_above):
+    """grow_codes and shrink_codes on every pair of the (code, mask) list
+    `marks` at once equal successor_codes and predecessor_code, one code at
+    a time; masks_above gives each image's mask."""
+    pairs = [(code, node, depth) for code, mask in marks
+             for depth, node in enumerate(spine_nodes(mask))]
+    codes, nodes, depths = zip(*pairs)
+    images = unfields(grow_codes(fields(codes), fields(nodes), len(pairs)), len(pairs))
+    assert images == [image for code, mask in marks for image in successor_codes(code, mask)]
+    lows = [masks_above(image) & -masks_above(image) for image in images]
+    segments = bytes(masks_above(image).bit_count() for image in images)
+    back, back_depths = shrink_codes(fields(images), fields(lows), segments)
+    assert (unfields(back, len(pairs)), list(back_depths)) == (list(codes), list(depths))
+    assert [predecessor_code(image, *tail(masks_above(image))) for image in images] == [
+        (code, depth) for code, _, depth in pairs]
+
+
 class TestGrowthOnCodes:
     """The growth step and its inverse on int codes and spine masks are
     successors and predecessor through encode."""
@@ -205,8 +264,20 @@ class TestGrowthOnCodes:
             assert [code for code, _ in marked_codes(n)] == [int(c, 2) for c in enumerate_codes(n)]
 
     def test_marked_fold_marks_the_spine(self):
-        for n in range(9):
-            assert list(marked_codes(n)) == [marked(t) for t in enumerate_trees(n)]
+        # Every stored level and every streamed piece, in canonical order.
+        for n in range(13):
+            levels = folded(code_levels(n))
+            for m, pieces in enumerate(levels):
+                assert [pair for codes, masks in pieces for pair in zip(codes, masks)] == (
+                    reference_level(m)[0])
+            assert all(len(codes) == len(masks) <= PIECE for codes, masks in levels[n])
+
+    def test_spine_fold_counts_the_spine(self):
+        for n in range(13):
+            levels = folded(spine_levels(n))
+            for m, pieces in enumerate(levels):
+                assert b"".join(pieces) == reference_level(m)[1]
+            assert all(len(piece) <= PIECE for piece in levels[n])
 
     def test_marked_fold_keeps_nothing_after_return(self):
         assert held_after_size_9(marked_codes) < 10_000
@@ -229,6 +300,20 @@ class TestGrowthOnCodes:
                     p, d = predecessor(t)
                     assert tail(mask)[1] == spine_segments(t)
                     assert predecessor_code(code, *tail(mask)) == (as_int(p), d)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_level_wide_step_on_every_pair(self, n):
+        assert_level_wide_step(list(marked_codes(n)), dict(marked_codes(n + 1)).__getitem__)
+
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 2 ** 64 - 1)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_level_wide_step_on_random_codes(self, sizes_and_seeds):
+        # Codes of any sizes up to 30 share one call: an image of 63 bits
+        # still fits its field.
+        grown = [sample_uniform(n, seed) for n, seed in sizes_and_seeds]
+        masks = dict(marked(s) for t in grown for s in successors(t))
+        assert_level_wide_step([marked(t) for t in grown], masks.__getitem__)
 
     @given(st.integers(0, 40), st.integers(0, 2 ** 64 - 1))
     @settings(max_examples=100, deadline=None)

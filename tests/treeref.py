@@ -1,6 +1,7 @@
-"""The growth step on trees: the reference that the code-level step of
-`spinestat.trees` (successor_codes, predecessor_code) and its folds are
-held to.
+"""The growth step on trees, and the same step on one int code at a time
+(successor_codes, predecessor_code): the references that the level-wide
+step of `spinestat.trees` (grow_codes, shrink_codes) and its folds are held
+to.
 
 A tree is a nested tuple: an external node is None and an internal node is
 (left, right).  Tuples give equality, hashing, repr and pickling by value.
@@ -123,3 +124,34 @@ def decode(code: TreeCode):
         else:
             stack.append((stack.pop(), stack.pop()))
     return stack[0]
+
+
+def successor_codes(code: int, mask: int) -> list[int]:
+    """The growth step on one int code (its preorder bits, the root's on
+    top) and its spine mask (the bits of the right spine's internal nodes):
+    the size+1 codes that grow from it, one per spine depth d from the root
+    to the terminal leaf.  The subtree at depth d becomes the left child of
+    a new internal node with a leaf on its right, giving d+1 spine segments.
+    At spine bit b (the leaf's is 0) the subtree is low = code % above,
+    above = 2 << b, and the image 4 code + 2 above - 2 low.  The spine is
+    walked up and reversed.  `successors` is its reference on trees.
+    """
+    images, double, spine = [], code << 1, mask << 1 | 2
+    while spine:
+        above = spine & -spine
+        spine ^= above
+        images.append((double + above - code % above) << 1)
+    images.reverse()
+    return images
+
+
+def predecessor_code(image: int, bit: int, segments: int) -> tuple[int, int]:
+    """The inverse of the growth step on one int code: (p, d) such that
+    successor_codes of p has `image` at index d.  `bit` is the lowest set
+    bit of image's mask, its last internal spine node, and `segments` the
+    mask's bit count.  p drops that bit and bit 0, the leaf on its right:
+    image = high * 2b + b + low, b = 1 << bit > low, and p is
+    (high * b + low) / 2.  `predecessor` is its reference on trees.
+    """
+    b = 1 << bit
+    return (image - b + image % b) >> 2, segments - 1
