@@ -17,8 +17,6 @@ from .stats import SpineDistribution, render_int
 
 # Bit count of each byte value, as a translate table.
 _BIT_COUNTS = bytes(map(int.bit_count, range(256)))
-# One 64-bit field of trees._fields.
-_FIELD = (1 << 64) - 1
 
 
 def _spine_tails(n: int) -> list:
@@ -146,49 +144,6 @@ def _round_trips(slots: _Slots, lower) -> int | None:
     return pairs
 
 
-def _first_fault(n: int, lower, slots: _Slots, cap: int):
-    """The first fault of level n, as a FAIL triple, in the order a check
-    of one pair at a time meets it: a size-(n+1) code that the fold gives
-    twice; then, pair by pair in canonical order, an image that is not a
-    size-(n+1) code or is one an earlier pair gave; then the first code, in
-    canonical order, that no pair gives; then the first pair that the
-    inverse does not give back.  None if there is none."""
-    width, fold, reached, pairs = 2 * n + 3, set(), set(), []
-    *_, pieces = trees.code_levels(n + 1, cap=cap)
-    upper = [code for codes, _ in pieces for code in codes]
-    for code in upper:
-        if slots.of(code, 1) is not None:
-            if code in fold:
-                return "FAIL", f"bijection n={n}", (
-                    f"bijection n={n}: the fold gives the size-{n + 1} code {code:0{width}b} twice")
-            fold.add(code)
-    for codes, nodes, depths in _pairs(*lower, width - 2):
-        images = trees.grow_codes(codes, nodes, len(depths))
-        # Field by field, so that no int the step returns is refused.
-        pairs += zip(trees._array(codes, len(depths)), depths,
-                     (images >> 64 * j & _FIELD for j in range(len(depths))))
-    order = {code: index for index, code in enumerate(lower[0])}
-    pairs.sort(key=lambda pair: (order[pair[0]], pair[1]))
-    for code, depth, image in pairs:
-        if image not in fold or image in reached:
-            return "FAIL", f"bijection n={n}", (
-                f"bijection n={n}: code {code:0{width - 2}b} at depth {depth} gives image"
-                f" {image:0{width}b}, a duplicate or not a size-{n + 1} code")
-        reached.add(image)
-    for code in upper:
-        if code not in reached:
-            return "FAIL", f"bijection n={n}", (
-                f"bijection n={n}: no code and depth gives the size-{n + 1} code {code:0{width}b}")
-    for code, depth, image in pairs:
-        origin, back = slots.inverse(image, 1)
-        if (origin, back[0]) != (code, depth):
-            # The returned code's width is its own, as its size is in question.
-            return "FAIL", f"predecessor round trip n={n + 1}", (
-                f"predecessor round trip n={n + 1}: image {image:0{width}b}"
-                f" returns ('{origin:b}', {back[0]}), expected ('{code:0{width - 2}b}', {depth})")
-    return None
-
-
 def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     """Check, for each n up to min(max_n, cap - 1), that the growth step maps
     the pairs (t, d) of a size-n tree and a spine depth one to one onto the
@@ -206,7 +161,7 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     back the pair: then no two pairs share an image.  As there are as many
     pairs, sum(spine + 1) over level n, as codes of level n+1, the images
     are every code once.  A level that fails is checked again pair by pair
-    in canonical order (_first_fault), to name the fault.
+    in canonical order (_fault.first_fault), to name the fault.
     """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
@@ -221,7 +176,9 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
         slots = _Slots(n)
         codes = slots.fill(_chunks(upper) if n < top else upper)
         if codes is None or _round_trips(slots, lower) != codes:
-            fault = _first_fault(n, lower, slots, cap)
+            from ._fault import first_fault
+
+            fault = first_fault(n, lower, slots, cap)
             if fault:
                 return fault
         # Release this table before the next one, 4 times larger, is made.
