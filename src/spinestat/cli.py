@@ -14,7 +14,6 @@ import math
 import os
 import sys
 from collections import Counter
-from itertools import islice
 
 from . import __version__, stats, trees
 from .errors import CapExceeded
@@ -32,8 +31,9 @@ METHODS = ("exhaustive", "recurrence", "series", "closed")
 # so this bound, not --max-n, sets its cost once --max-n passes it.
 VERIFY_CAP = 11
 FORMATS = ("text", "csv", "json")
-# Characters per text that enumerate writes: the size of the text buffer of
-# sys.stdout (an io.TextIOWrapper), so that each text fills it about once.
+# enumerate writes texts of the whole lines that just pass this many
+# characters: the size of the text buffer of sys.stdout (an
+# io.TextIOWrapper), so that each text fills it about once.
 BATCH = 8192
 
 
@@ -149,13 +149,12 @@ def cmd_limit(args, out) -> int:
 
 
 def cmd_enumerate(args, out) -> int:
-    codes = trees.enumerate_codes(args.n, cap=args.cap)
-    # A size-n code and its newline take 2n+2 characters, so each chunk just
-    # reaches BATCH: a write per code made n = 12 take 1.4 times as long.
-    # Every code is nonempty.
-    per_chunk = BATCH // (2 * args.n + 2) + 1
-    while chunk := "\n".join(islice(codes, per_chunk)):
-        out.write(chunk + "\n")
+    from ._codetext import batches
+
+    # Each write just passes BATCH: a write per code made n = 12 take 1.4
+    # times as long.
+    for text in batches(args.n, args.cap, BATCH):
+        out.write(text)
     return EXIT_OK
 
 

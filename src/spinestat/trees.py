@@ -1,9 +1,10 @@
 """Binary trees as preorder codes: canonical enumeration by one fold over
-the sizes, on strings, on spine counts and on int codes with the right spine
-as a mask, each level built a block of two sizes at a time; the growth step
-and its inverse on whole arrays of int codes; and a seeded sampler of spine
-lengths of uniform random trees, which draws each spine by inverse CDF from
-the ballot law's tail in closed form.
+the sizes, on spine counts and on int codes with the right spine as a mask,
+each level built a block of two sizes at a time (spinestat._codetext
+renders the codes in binary a piece at a time); the growth step and its
+inverse on whole arrays of int codes; and a seeded sampler of spine lengths
+of uniform random trees, which draws each spine by inverse CDF from the
+ballot law's tail in closed form.
 
 A tree is either a single external node or an internal node with a left and a
 right subtree.  "Size" always means the number of internal nodes; a size-n
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator, Sequence
-from itertools import chain, islice
+from itertools import islice
 
 from .errors import CapExceeded
 
@@ -32,10 +33,10 @@ TreeCode = str
 
 
 # The stored levels are packed: spine counts in bytearrays, int codes and masks
-# in array("Q"), string codes in tuples.  Spine counts are at most n and a
-# size-m code has 2m+1 bits, so a fold passes 255 or 64 bits only once it
-# holds level 31, c_31 ~ 1.5e16 trees; memory runs out well before that
-# (exit 1, "error: out of memory"), so no size is checked.
+# in array("Q").  Spine counts are at most n and a size-m code has 2m+1 bits,
+# so a fold passes 255 or 64 bits only once it holds level 31, c_31 ~ 1.5e16
+# trees; memory runs out well before that (exit 1, "error: out of memory"),
+# so no size is checked.
 def _levels(n: int, cap: int, leaf, block, pack) -> Iterator:
     """The levels 0..n of the canonical fold, each built once, in order: the
     levels below n packed by pack(pieces), which the fold reads to build the
@@ -83,13 +84,13 @@ def _pieces(block, smaller: list, m: int) -> Iterator:
 def enumerate_codes(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeCode]:
     """Yield the preorder code of every tree of size n exactly once, in
     canonical order: left-subtree size ascending, then recursively the same
-    rule on the left and then the right subtree.  The last level of _levels.
+    rule on the left and then the right subtree.  The lines of
+    _codetext.texts.
     """
-    for level in _levels(n, cap, ("0",), lambda lefts, rights, m, i: (
-            "1" + left + right for left in lefts for right in rights),
-            lambda pieces: tuple(chain.from_iterable(pieces))):
-        pass
-    yield from chain.from_iterable(level)
+    from ._codetext import texts
+
+    for text in texts(n, cap):
+        yield from text.split()
 
 
 # Spine count k -> k + 1, as a translate table.
@@ -118,9 +119,13 @@ def _joined(level, pieces):
 
 
 # The int folds and the growth step read an array("Q") as one int whose
-# 64-bit fields are its elements, element j in bits 64j..64j+63, and do one
-# field operation on it where a loop would visit every element.  Every field
-# stays below 2^64 and nonnegative, so no carry or borrow crosses a field.
+# 64-bit fields are its elements, and do one field operation on it where a
+# loop would visit every element.  Every field stays below 2^64 and
+# nonnegative, so no carry or borrow crosses a field.  The bytes are read in
+# the host's order: element j is in bits 64j..64j+63 on a little-endian host
+# and in the j-th field from the top on a big-endian one.  Field operations
+# do not see the difference; only _codetext._lines, which prints the fields
+# in order, does.
 def _fields(values) -> int:
     return int.from_bytes(values, sys.byteorder)
 
@@ -165,6 +170,14 @@ def _mask_block(lefts: Sequence[int], rights: Sequence[int], m: int, i: int):
     return _array(_fields(rights) + (1 << 2 * m) * _ones(len(rights)), len(rights)) * len(lefts)
 
 
+def _code_fold(n: int, cap: int, block) -> Iterator:
+    """_levels with its levels in array("Q"): the codes by _code_block, or
+    their masks by _mask_block."""
+    from array import array
+
+    return _levels(n, cap, array("Q", [0]), block, lambda pieces: _joined(array("Q"), pieces))
+
+
 def code_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator:
     """The levels of _levels on ints: level m is a pair (codes, masks) of
     parallel arrays of unsigned 64-bit ints ("Q") below m = n, and at m = n
@@ -174,14 +187,7 @@ def code_levels(n: int, cap: int = DEFAULT_CAP) -> Iterator:
     (2r+1) | right and mask top | right's mask, top = 1 << 2m: a piece's
     masks are one row repeated once per left.
     """
-    from array import array
-
-    leaf = array("Q", [0])
-
-    def pack(pieces):
-        return _joined(array("Q"), pieces)
-
-    levels = zip(_levels(n, cap, leaf, _code_block, pack), _levels(n, cap, leaf, _mask_block, pack))
+    levels = zip(_code_fold(n, cap, _code_block), _code_fold(n, cap, _mask_block))
     for m, level in enumerate(levels):
         yield level if m < n else zip(*level)
 

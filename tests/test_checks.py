@@ -184,6 +184,29 @@ def test_bijection_peak_memory():
     assert peak <= 2 * 2 ** 20
 
 
+class _Discarded:
+    """An `out` for main that keeps nothing written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_peak_memory():
+    # Levels 0..11 as tuples of str peaked at about 6.3 MiB.  As arrays of
+    # int codes they take 0.63 MiB, and with one piece's text at a time
+    # enumerate peaks at about 0.9 MiB.
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "--n", "12"], out=_Discarded()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_run_builds_the_recurrence_route_once(monkeypatch):
     dist_recurrence, calls = stats.dist_recurrence, []
 

@@ -68,11 +68,13 @@ ROUTE_SIZES = {
 }
 
 # Outputs that span many of the CLI's stdout batches: enumerate's 5.4 MB
-# cross about 660 batch edges, and the recurrence route's 0.8 MB of csv
-# about 95.
+# cross about 660 batch edges, and its 20.8 MB of 27-digit codes about
+# 2,540, and the recurrence route's 0.8 MB of csv about 95.
 BATCH_EDGES = {
     "enumerate --n 12":
         (0, "918e315191a02296f6f32270c6ed05a256b60c907535c9e5f9eb73ab52ec963d"),
+    "enumerate --n 13":
+        (0, "0fa2ee90c3f157d34d8f19e25a12cd72b1761360faa121c4c67f347e3736e504"),
     "dist --n 1402 --method recurrence --format csv":
         (0, "df25f81f5198cd2eff8b0b696619a8d67b66b6fc0482d909cd8a815e41fa00aa"),
 }

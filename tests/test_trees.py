@@ -6,6 +6,7 @@ from array import array
 from collections import Counter
 from functools import cache
 from math import floor
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -34,7 +35,7 @@ from treeref import (
     successor_codes,
     successors,
 )
-from spinestat import trees
+from spinestat import _codetext, trees
 from spinestat.trees import (
     DEFAULT_CAP,
     PIECE,
@@ -170,6 +171,29 @@ class TestEnumerateCodes:
     def test_equals_encoded_trees(self):
         for n in range(12):
             assert list(enumerate_codes(n)) == [encode(t) for t in enumerate_trees(n)]
+
+    def test_equals_reference_codes_in_binary(self):
+        for n in range(13):
+            assert list(enumerate_codes(n)) == [
+                format(code, f"0{2 * n + 1}b") for code, _ in reference_level(n)[0]]
+
+    @given(st.integers(1, 63), st.integers(0, PIECE + 1), st.integers(0, 2 ** 32))
+    @settings(max_examples=100, deadline=None)
+    def test_piece_text_is_each_code_in_binary(self, width, count, seed):
+        rng = random.Random(seed)
+        codes = [rng.choice((0, 2 ** width - 1, rng.getrandbits(width))) for _ in range(count)]
+        assert _codetext._lines(array("Q", codes), width) == "".join(
+            f"{code:0{width}b}\n" for code in codes)
+
+    def test_piece_text_on_a_big_endian_host(self, monkeypatch):
+        # A big-endian host holds each element's bytes swapped; _fields reads
+        # them in its order, so code 0 is the top field there.
+        codes = [1, 2, 5, 6, 0, 7]
+        piece = array("Q", codes)
+        piece.byteswap()
+        for module in (trees, _codetext):
+            monkeypatch.setattr(module, "sys", SimpleNamespace(byteorder="big"))
+        assert _codetext._lines(piece, 3) == "".join(f"{code:03b}\n" for code in codes)
 
     @pytest.mark.parametrize("enumerate_",
                              [enumerate_codes, marked_codes, code_levels, enumerate_trees])
