@@ -8,52 +8,39 @@ entirely in exact arithmetic.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CapExceeded,
-    DomainError,
-    NoRoot,
-    SpinestatError,
-)
-from .series import catalan, node_gf, spine_gf
-from .stats import (
-    SpineDistribution,
-    average,
-    dist_closed,
-    dist_exhaustive,
-    dist_recurrence,
-    dist_series,
-)
-from .trees import enumerate_codes
+# Each public name and the module that defines it.  A name loads its module
+# on first use, so `import spinestat` loads no submodule and a command loads
+# only the layers it runs.
+_SOURCES = {
+    "CapExceeded": "errors",
+    "DomainError": "errors",
+    "NoRoot": "errors",
+    "SpinestatError": "errors",
+    "catalan": "series",
+    "node_gf": "series",
+    "spine_gf": "series",
+    "SpineDistribution": "stats",
+    "average": "stats",
+    "dist_closed": "stats",
+    "dist_exhaustive": "stats",
+    "dist_recurrence": "stats",
+    "dist_series": "stats",
+    "enumerate_codes": "trees",
+    "limit_fraction": "asymptotics",
+    "moment_sums": "asymptotics",
+    "tau": "asymptotics",
+}
 
-# The limit theory (and the fractions module it computes in) loads on first
-# use of one of these names, so a CLI start does not pay for it.
-_ASYMPTOTICS = ("limit_fraction", "moment_sums", "tau")
+__all__ = sorted(_SOURCES)
 
 
 def __getattr__(name):
-    if name in _ASYMPTOTICS:
-        from . import asymptotics
+    if name in _SOURCES:
+        from importlib import import_module
 
-        return getattr(asymptotics, name)
+        return getattr(import_module(f".{_SOURCES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "CapExceeded",
-    "DomainError",
-    "NoRoot",
-    "SpineDistribution",
-    "SpinestatError",
-    "average",
-    "catalan",
-    "dist_closed",
-    "dist_exhaustive",
-    "dist_recurrence",
-    "dist_series",
-    "enumerate_codes",
-    "limit_fraction",
-    "moment_sums",
-    "node_gf",
-    "spine_gf",
-    "tau",
-]
+def __dir__():
+    return [*globals(), *__all__]

@@ -1,8 +1,8 @@
 """The size-n codes as text, a piece of the int-code fold at a time, for
-trees.enumerate_codes and the enumerate command.  It is a module of its own
-so that only those compile it: with no bytecode cached, each start compiles
-what it imports, and every command imports trees, where this code raised the
-peak RSS of commands that never enumerate by about 0.1 MB.
+trees.enumerate_codes and the enumerate command.  Each command imports only
+the layers it runs, and with no bytecode cached each start compiles what it
+imports: as part of trees, this code would be compiled by `sample` and
+`dist --method exhaustive` too, which never enumerate.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The pair-by-pair check of one level of checks.bijection, run only when
-the level-wide check of that level fails, to name its first fault.  It is a
-module of its own so that `verify` compiles it only on a FAIL: with no
-bytecode cached, each start compiles what it imports, and the compiler's
-memory follows the size of the code.
+the level-wide check of that level fails, to name its first fault.  Each
+command imports only the layers it runs, and with no bytecode cached each
+start compiles what it imports: as part of checks, this code would be
+compiled by every `verify`, a passing one too, where it raised the child's
+peak RSS by about 0.4 MB.
 """
 
 from __future__ import annotations

@@ -15,11 +15,10 @@ import os
 import sys
 from collections import Counter
 
-from . import __version__, stats, trees
-from .errors import CapExceeded
+from . import __version__, stats
+from .errors import DEFAULT_CAP, CapExceeded
 from .series import catalan
 from .stats import render_int, render_ratio
-from .trees import DEFAULT_CAP
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,6 +172,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_sample(args, out) -> int:
+    from . import trees
+
     n, places = args.n, args.precision
     observed = Counter(trees.sample_spines(n, args.samples, args.seed))
     [exact] = stats.dist_closed(range(n, n + 1))

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size cap on
+exhaustive enumeration that CapExceeded enforces."""
+
+# Exhaustive enumeration above this size (~2.7M trees at 14) is refused
+# unless the caller raises the cap explicitly.
+DEFAULT_CAP = 14
 
 
 class SpinestatError(Exception):
@@ -10,7 +15,7 @@ class CapExceeded(SpinestatError):
 
 
 class NoRoot(SpinestatError):
-    """Characteristic equation has no positive root in the search range."""
+    """Characteristic equation has no positive root."""
 
 
 class DomainError(SpinestatError):

@@ -21,13 +21,13 @@ import sys
 from collections import namedtuple
 from itertools import accumulate
 
-from . import series, trees
-from .errors import DomainError
+from . import series
+from .errors import DEFAULT_CAP, DomainError
 from .series import catalan
-from .trees import DEFAULT_CAP
 
-# `fractions` is imported inside `average`, its one user here, so the CLI,
-# which renders ratios from ints, does not load it at start-up.
+# `trees` is imported inside `dist_exhaustive` and `fractions` inside
+# `average`, their one users here, so a command that runs neither does not
+# load them at start-up.
 
 
 class SpineDistribution(namedtuple("SpineDistribution", "n counts total")):
@@ -53,6 +53,8 @@ def dist_exhaustive(sizes: range, cap: int = DEFAULT_CAP) -> list[SpineDistribut
     each piece of the last, is counted by its count(), once per length.  A
     negative size raises ValueError and a size above the cap CapExceeded,
     before any fold."""
+    from . import trees
+
     if not sizes:
         return []
     if min(sizes) < 0:

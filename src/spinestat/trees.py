@@ -19,14 +19,10 @@ import sys
 from collections.abc import Iterator, Sequence
 from itertools import islice
 
-from .errors import CapExceeded
+from .errors import DEFAULT_CAP, CapExceeded
 
 # `random` is imported inside the sampler and `array` inside the int folds,
 # so the commands that do not run them do not load them at start-up.
-
-# Exhaustive enumeration above this size (~2.7M trees at 14) is refused
-# unless the caller raises the cap explicitly.
-DEFAULT_CAP = 14
 
 # Preorder bit encoding of a tree: '1' for internal, '0' for external.
 TreeCode = str

@@ -704,8 +704,14 @@ class TestProcessLevel:
         assert err == b"error: output pipe closed\n"
 
     def test_imports_only_the_standard_library(self):
-        # -S: no site module, whose .pth files may import third-party packages.
-        code = ("import sys, spinestat, spinestat.cli, spinestat.checks, spinestat.asymptotics; "
+        # Every module of the package, the lazily loaded ones too, but
+        # __main__, which runs the command line when imported; it imports
+        # only sys and cli.  -S: no site module, whose .pth files may import
+        # third-party packages.
+        modules = sorted(f"spinestat.{path.stem}".removesuffix(".__init__")
+                         for path in Path(SRC, "spinestat").glob("*.py") if path.stem != "__main__")
+        assert {"spinestat", "spinestat._codetext", "spinestat._fault"} <= set(modules)
+        code = (f"import sys, {', '.join(modules)}; "
                 "print(*sorted({name.partition('.')[0] for name in sys.modules}))")
         cp = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": SRC})

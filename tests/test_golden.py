@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from spinestat.cli import main
-from test_cli import STDOUT_MODES, stdout_mode_env
+from test_cli import STDOUT_MODES, stdout_mode_env, subprocess_env
 
 # The command lines shown in README.md.
 README = {
@@ -209,6 +209,26 @@ JSON_TABLES = {
 }
 
 
+# Help text, at a terminal width of 80 columns: argparse wraps it to the
+# width that COLUMNS gives.
+HELP = {
+    "--help":
+        (0, "fe31db01a956f4a538123e05ab6f5547597c0e03212610c102c7fcd17396a288"),
+    "dist --help":
+        (0, "7eb53f1f4ef807c248ecfd2d2a02edd650fa37c689a27dd82520d18ca6699535"),
+    "average --help":
+        (0, "c3051f0c02d28689f42775bf883885aee933b7e61d8cc41d1505d1c797a17ad7"),
+    "limit --help":
+        (0, "5cab755da4c779cc41b00c41b9932ed0b605d605155cbf2022dc7e5375dbcd3d"),
+    "verify --help":
+        (0, "0fcb506aaf7f8005c3f75885de95a374fec9f53731abeeb7f4df2547e3542f48"),
+    "sample --help":
+        (0, "2d3f3004e2e46bbbf4f48bcefb8d0bdb0ae21766269dc0d2e9044dff458dad53"),
+    "enumerate --help":
+        (0, "cd53b626cfcbde080311bf0d05d401b1027337653a85f17c7627d6e1c50560ff"),
+}
+
+
 GOLDEN = {**README, **SMALL, **EXHAUSTIVE, **ROUTE_SIZES, **BATCH_EDGES, **JSON_TABLES}
 
 
@@ -228,3 +248,10 @@ def test_console_stdout_hash(line, unbuffered):
     cp = subprocess.run([sys.executable, "-m", "spinestat", *line.split()],
                         capture_output=True, env=stdout_mode_env(unbuffered))
     assert (cp.returncode, hashlib.sha256(cp.stdout).hexdigest()) == BATCH_EDGES[line]
+
+
+@pytest.mark.parametrize("line", HELP)
+def test_help_hash(line):
+    cp = subprocess.run([sys.executable, "-m", "spinestat", *line.split()],
+                        capture_output=True, env=subprocess_env(COLUMNS="80"))
+    assert (cp.returncode, hashlib.sha256(cp.stdout).hexdigest()) == HELP[line]

@@ -20,44 +20,81 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 DEFERRED = {"dataclasses", "inspect", "typing", "json", "csv", "fractions", "decimal",
             "array", "spinestat.checks", "spinestat.asymptotics"}
 
+# The spinestat modules that every command loads: the package, the CLI, and
+# the report path's stats, series and errors.
+BASE = {"spinestat", "spinestat.cli", "spinestat.errors", "spinestat.series", "spinestat.stats"}
+
+# The spinestat modules each command line loads besides BASE: the layers it
+# runs, and no other.
+LAYERS = {
+    ("dist", "--n", "6"): set(),
+    ("dist", "--n", "6", "--method", "series"): set(),
+    ("dist", "--n", "6", "--method", "closed"): set(),
+    ("dist", "--n", "6", "--method", "exhaustive"): {"spinestat.trees"},
+    ("average", "--n", "5"): set(),
+    ("average", "--n", "40"): set(),
+    ("limit", "--k", "3"): set(),
+    ("sample", "--n", "5", "--samples", "10", "--seed", "1"): {"spinestat.trees"},
+    ("enumerate", "--n", "3"): {"spinestat.trees", "spinestat._codetext"},
+    ("--version",): set(),
+}
+
+
+def package(modules):
+    """The spinestat modules among `modules`."""
+    return {name for name in modules if name == "spinestat" or name.startswith("spinestat.")}
+
+
+def modules_after(code):
+    """The last stdout line of `code`, split, run in a fresh interpreter
+    without the site module (whose .pth files may import anything).  Its
+    stdout writes through, as under PYTHONUNBUFFERED=1."""
+    cp = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                        text=True, env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "1"})
+    assert cp.returncode == 0, cp.stderr
+    return cp.stdout.splitlines()[-1].split()
+
 
 def loaded(*argv, out="io.StringIO()"):
     """The exit code of cli.main(argv, out) and the names in sys.modules after
-    it, in a fresh interpreter without the site module (whose .pth files may
-    import anything).  Its stdout writes through, as under PYTHONUNBUFFERED=1."""
-    code = ("import io, sys\n"
-            "from spinestat import cli\n"
-            f"code = cli.main({list(argv)!r}, out={out})\n"
-            "print(code, *sorted(sys.modules))\n")
-    cp = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                        env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "1"})
-    assert cp.returncode == 0, cp.stderr
-    exit_code, *modules = cp.stdout.splitlines()[-1].split()
+    it, as modules_after runs it."""
+    exit_code, *modules = modules_after("import io, sys\n"
+                                        "from spinestat import cli\n"
+                                        f"code = cli.main({list(argv)!r}, out={out})\n"
+                                        "print(code, *sorted(sys.modules))\n")
     return int(exit_code), set(modules)
 
 
-@pytest.mark.parametrize("argv", [
-    ("dist", "--n", "6"),
-    ("dist", "--n", "6", "--method", "series"),
-    ("dist", "--n", "6", "--method", "closed"),
-    ("dist", "--n", "6", "--method", "exhaustive"),
-    ("average", "--n", "5"),
-    ("average", "--n", "40"),
-    ("limit", "--k", "3"),
-    ("sample", "--n", "5", "--samples", "10", "--seed", "1"),
-    ("enumerate", "--n", "3"),
-    ("--version",),
-], ids=" ".join)
+@pytest.mark.parametrize("argv", LAYERS, ids=" ".join)
 def test_text_commands_load_no_deferred_module(argv):
     code, modules = loaded(*argv)
     assert code == 0
+    assert package(modules) == BASE | LAYERS[argv]
     assert modules & DEFERRED == ({"array"} if argv[0] == "enumerate" else set())
     assert ("random" in modules) == (argv[0] == "sample")
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("dist", "--n", "6", "--method", "exhaustive")],
+                         ids=" ".join)
+def test_the_module_entry_point_loads_the_same_layers(argv):
+    # `python -m spinestat` imports the package and runs its __main__, which
+    # imports cli; -X importtime names every module imported on the way.
+    cp = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "spinestat", *argv],
+                        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert cp.returncode == 0, cp.stderr
+    imported = {line.rpartition("|")[2].strip() for line in cp.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert package(imported) == BASE | LAYERS[argv]
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert package(modules_after("import sys, spinestat; print(*sys.modules)")) == {"spinestat"}
 
 
 def test_writing_stdout_loads_no_deferred_module():
     code, modules = loaded("dist", "--n", "6", out="None")
     assert code == 0
+    assert package(modules) == BASE
     assert not modules & DEFERRED
 
 
@@ -73,19 +110,25 @@ def test_writing_stdout_loads_no_deferred_module():
 def test_a_format_loads_only_its_module(argv, module):
     code, modules = loaded(*argv)
     assert code == 0
+    assert package(modules) == BASE | ({"spinestat.trees"} if argv[0] == "sample" else set())
     assert modules & DEFERRED == ({module} if module else set())
 
 
 def test_verify_loads_checks():
     code, modules = loaded("verify", "--max-n", "3")
     assert code == 0
-    assert "spinestat.checks" in modules
+    # _fault, which names a failing level's first fault, loads only on a FAIL.
+    assert package(modules) == BASE | {"spinestat.trees", "spinestat.checks"}
     assert not modules & (DEFERRED - {"spinestat.checks", "array"})
 
 
 def test_every_exported_name_resolves():
     for name in spinestat.__all__:
         assert getattr(spinestat, name) is not None, name
+
+
+def test_dir_lists_every_exported_name():
+    assert set(spinestat.__all__) <= set(dir(spinestat))
 
 
 def test_limit_names_come_from_asymptotics():
