@@ -1,9 +1,10 @@
 """The pair-by-pair check of one level of checks.bijection, run only when
-the level-wide check of that level fails, to name its first fault.  Each
-command imports only the layers it runs, and with no bytecode cached each
-start compiles what it imports: as part of checks, this code would be
-compiled by every `verify`, a passing one too, where it raised the child's
-peak RSS by about 0.4 MB.
+a block of that level fails, to name its first fault.  It fills its own
+slot table of the whole level, 4^n bytes for level n+1, where the passing
+check holds one block's table at a time.  Each command imports only the
+layers it runs, and with no bytecode cached each start compiles what it
+imports: as part of checks, this code would be compiled by every `verify`,
+a passing one too, where it raised the child's peak RSS by about 0.4 MB.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .checks import _pairs, _Slots
 _FIELD = (1 << 64) - 1
 
 
-def first_fault(n: int, lower, slots: _Slots, cap: int):
+def first_fault(n: int, lower, cap: int):
     """The first fault of level n, as a FAIL triple, in the order a check
     of one pair at a time meets it: a size-(n+1) code that the fold gives
     twice; then, pair by pair in canonical order, an image that is not a
@@ -24,14 +25,19 @@ def first_fault(n: int, lower, slots: _Slots, cap: int):
     inverse does not give back.  None if there is none."""
     width, fold, reached, pairs = 2 * n + 3, set(), set(), []
     *_, pieces = trees.code_levels(n + 1, cap=cap)
+    pieces = list(pieces)
     upper = [code for codes, _ in pieces for code in codes]
+    slots = _Slots(n)
+    slots.block()
+    slots.fill(pieces, len(upper))
     for code in upper:
         if slots.of(code, 1) is not None:
             if code in fold:
                 return "FAIL", f"bijection n={n}", (
                     f"bijection n={n}: the fold gives the size-{n + 1} code {code:0{width}b} twice")
             fold.add(code)
-    for codes, nodes, depths in _pairs(*lower, width - 2):
+    spine = trees._fields(lower[1]) | trees._ones(len(lower[0]))
+    for codes, nodes, depths in _pairs(lower[0], spine, width - 2):
         images = trees.grow_codes(codes, nodes, len(depths))
         # Field by field, so that no int the step returns is refused.
         pairs += zip(trees._array(codes, len(depths)), depths,

@@ -8,7 +8,7 @@ their modules, so a function replaced there is the one checked.
 from __future__ import annotations
 
 from array import array
-from itertools import compress, repeat
+from itertools import accumulate, compress, pairwise, repeat
 from operator import getitem, setitem
 
 from . import stats, trees
@@ -40,67 +40,104 @@ def _bit_counts(fields: int, count: int, width: int) -> bytes:
                for k in range((width + 7) // 8)).to_bytes(count, "little")
 
 
-def _chunks(level):
-    """A stored level's (codes, masks) in slices of at most trees.PIECE
-    codes, the size of the pieces the fold streams."""
+def _edges(m: int, length: int) -> list:
+    """Where level m's blocks start, then the level's `length`: block i, the
+    joins of size-i lefts with size-(m-1-i) rights, is a run of c_i
+    c_(m-1-i) codes in canonical order.  The last block runs to `length`, so
+    that a code past the blocks is still in one."""
+    return [0, *accumulate(catalan(i) * catalan(m - 1 - i) for i in range(m - 1)), length]
+
+
+def _chunks(level, edges):
+    """A stored level's (codes, masks) from edges[0] to edges[-1] in slices
+    of at most trees.PIECE codes, the size of the pieces the fold streams,
+    none across an edge."""
     codes, masks = level
-    for start in range(0, len(codes), trees.PIECE):
-        yield codes[start:start + trees.PIECE], masks[start:start + trees.PIECE]
+    for start, stop in pairwise(edges):
+        for at in range(start, stop, trees.PIECE):
+            end = min(at + trees.PIECE, stop)
+            yield codes[at:end], masks[at:end]
 
 
-def _pairs(codes, masks, width: int):
-    """Every pair (t, d) of a code t and a spine depth d, one round per
-    spine node from the bottom, the terminal leaf's (bit 0) first: yields
-    (codes, nodes, depths) for the codes that have such a node, in order,
-    codes and nodes as fields (trees._fields) and depths as bytes: the
-    node's bit (1 << b) and the number of spine nodes above it.  The codes
-    have `width` bits.  A round takes each code's lowest spine bit left, so
-    each pair comes once.
+def _pairs(codes, spine: int, width: int, last: int = 0):
+    """Every pair (t, b) of a code t and a node b of its spine, one round per
+    node from the bottom: yields (codes, nodes, depths) for the codes that
+    have such a node, in order, codes and nodes as fields (trees._fields)
+    and depths as bytes: the node's bit (1 << b) and the number of spine
+    nodes above it.  `spine` holds each code's spine nodes, as fields, none
+    0, and the codes have `width` bits.  A round takes each code's lowest
+    spine bit left, so each pair comes once; a code leaves after its round
+    at depth `last`, so with `last` 1 its root's is left out.
     """
-    count, spine = len(codes), trees._fields(masks) | trees._ones(len(codes))
+    count = len(codes)
     while count:
         node = spine ^ (spine & (spine - trees._ones(count)))
         spine ^= node
         depths = _bit_counts(spine, count, width)
         yield trees._fields(codes), node, depths
-        if 0 in depths:
-            codes = array("Q", compress(codes, depths))
-            spine = trees._fields(array("Q", compress(trees._array(spine, count), depths)))
+        left = depths.translate(trees._PREDECESSOR) if last else depths
+        if 0 in left:
+            codes = array("Q", compress(codes, left))
+            spine = trees._fields(array("Q", compress(trees._array(spine, count), left)))
             count = len(codes)
 
 
 class _Slots:
-    """Level n+1's slot table: a size-(n+1) code is a 1, 2n free bits and
-    two 0s (the last internal node in preorder has two external children),
-    so with head = 4 ** (n+1) its slot (code - head) >> 2 is one of 4 ** n.
+    """Level n+1's slot tables, one at a time (block).  A size-m code, m >=
+    1, is a 1, 2m-2 free bits and two 0s (the last internal node in
+    preorder has two external children), and the size-0 code is a 0.  A
+    code's slot in its table is its key, the free bits that are not the
+    same for every code of the table; the other bits must be the table's.
     A slot holds its code's spine tail, read from the code's own mask and
     packed in one byte as _spine_tails lists it; 0 marks an empty slot."""
 
     def __init__(self, n: int):
-        self.head, self.width, unpack = 4 ** (n + 1), 2 * n + 3, _spine_tails(n)
-        self.tails = bytearray(4 ** n)
-        base = bytearray(256)  # a tail (bit, s) packs to base[bit] + s
+        self.n, self.width, unpack = n, 2 * n + 3, _spine_tails(n)
+        # A tail (bit, s) packs to base[bit] + s, and the packed tail p gives
+        # back s = segments[p] and, in byte k of a 64-bit field, byte k of
+        # its lowest bit 1 << bit: lows[k][p], for the k where that is not
+        # always 0.
+        base, segments, lows = bytearray(256), bytearray(256), [bytearray(256) for _ in range(8)]
         for packed, (bit, s) in enumerate(unpack[1:], 1):
-            base[bit] = packed - s
-        self.base = bytes(base)
-        self.segments = bytes([0, *(s for _, s in unpack[1:])]).ljust(256, b"\0")
-        # Byte k of each tail's lowest bit 1 << bit, for the k whose byte is
-        # not always 0: they spread a packed tail back into a 64-bit field.
-        lows = [0, *(1 << bit for bit, _ in unpack[1:])]
-        self.low_bytes = [(k, table) for k, table in enumerate(
-            bytes(low >> 8 * k & 255 for low in lows).ljust(256, b"\0") for k in range(8))
-            if any(table)]
+            base[bit], segments[packed] = packed - s, s
+            lows[bit // 8][packed] = 1 << bit % 8
+        self.base, self.segments = bytes(base), bytes(segments)
+        self.low_bytes = [(k, bytes(table)) for k, table in enumerate(lows) if any(table)]
+
+    def block(self, i: int | None = None):
+        """Release the table, and make block i's: the joins of a size-i left
+        with a size-(n-i) right under a 1, keyed by the free bits of the
+        left's code above the right's.  That is 4 ** (n-1) slots for the two
+        end blocks and 4 ** (n-2) for the others.  With i None, make the
+        table of the whole level, keyed by the 2n free bits of the code
+        itself: 4 ** n slots."""
+        self.table, n, head = None, self.n, 4 ** (self.n + 1)
+        if i is None:
+            self.low, self.high, self.shift, self.value = 4 ** n - 1, 0, 2, head
+        else:
+            # The right's free bits from bit 2 go to the bottom of the key,
+            # and the left's from bit 2r+3 (3 if the right is the leaf) to
+            # bit max(2r-2, 0) of the key.
+            r = n - i
+            self.low = 4 ** max(r - 1, 0) - 1
+            self.high = (4 ** max(i - 1, 0) - 1) * (self.low + 1)
+            self.shift = 5 if r else 3
+            self.value = head | (i and head >> 1) | (r and 1 << 2 * r)
+        self.free = self.low << 2 | self.high << self.shift
+        self.table = bytearray((self.low | self.high) + 1)
 
     def of(self, codes: int, count: int):
         """The slots of `count` codes, as an array, or None if one has none."""
         ones = trees._ones(count)
-        if codes & ~((2 * self.head - 4) * ones) or (codes & self.head * ones) != self.head * ones:
+        if codes & ~(self.free * ones) != self.value * ones:
             return None
-        return trees._array((codes - self.head * ones) >> 2, count)
+        return trees._array(codes >> 2 & self.low * ones | codes >> self.shift & self.high * ones,
+                            count)
 
-    def fill(self, chunks) -> int | None:
-        """Write each code's tail into its slot, and count the codes; None
-        if a code has no slot."""
+    def fill(self, chunks, size: int) -> int | None:
+        """Write the tails of the codes of `chunks` into their slots, a chunk
+        at a time until `size` or more are written, and count them; None if
+        a code has no slot."""
         written = 0
         for codes, masks in chunks:
             count, mask = len(codes), trees._fields(masks)
@@ -112,8 +149,10 @@ class _Slots:
             bits = _bit_counts(low - ones, count, self.width)
             packed = int.from_bytes(bits.translate(self.base), "little") + int.from_bytes(
                 _bit_counts(mask, count, self.width), "little")
-            any(map(setitem, repeat(self.tails), slots, packed.to_bytes(count, "little")))
+            any(map(setitem, repeat(self.table), slots, packed.to_bytes(count, "little")))
             written += count
+            if written >= size:
+                break
         return written
 
     def inverse(self, images: int, count: int):
@@ -122,7 +161,7 @@ class _Slots:
         slots = self.of(images, count)
         if slots is None:
             return None
-        packed = bytes(map(getitem, repeat(self.tails), slots))
+        packed = bytes(map(getitem, repeat(self.table), slots))
         if 0 in packed:
             return None
         lows = bytearray(8 * count)
@@ -131,17 +170,46 @@ class _Slots:
         return trees.shrink_codes(images, int.from_bytes(lows, "little"), packed.translate(self.segments))
 
 
-def _round_trips(slots: _Slots, lower) -> int | None:
-    """The number of pairs of `lower`, if each pair's image has a full slot
-    and the inverse, given the tail there, gives back the pair; else None."""
-    pairs = 0
-    for chunk in _chunks(lower):
-        for codes, nodes, depths in _pairs(*chunk, slots.width - 2):
+def _round_trips(slots: _Slots, chunks, root: bool) -> int | None:
+    """The number of pairs (t, d) of the codes of `chunks`, those of d = 0,
+    grown at the root, if `root`, else those of d >= 1, if each pair's
+    image has a full slot and the inverse, given the tail there, gives back
+    the pair, and each code's spine (its mask and the terminal leaf) has the
+    root's bit on top, so that the pairs are those of a check of one table
+    per level; else None."""
+    pairs, top = 0, 1 << 2 * slots.n
+    for codes, masks in chunks:
+        count, ones = len(codes), trees._ones(len(codes))
+        spine = trees._fields(masks) | ones
+        if spine & ~((top - 1) * ones) != top * ones:
+            return None
+        if root:
+            rounds = [(trees._fields(codes), top * ones, bytes(count))]
+        else:
+            rounds = _pairs(codes, spine, slots.width - 2, 1)
+        for fields, nodes, depths in rounds:
             count = len(depths)
-            if slots.inverse(trees.grow_codes(codes, nodes, count), count) != (codes, depths):
+            if slots.inverse(trees.grow_codes(fields, nodes, count), count) != (fields, depths):
                 return None
             pairs += count
     return pairs
+
+
+def _level_holds(n: int, lower, chunks) -> bool:
+    """Whether the growth step maps level n's pairs one to one onto level
+    n+1's codes, read from `chunks`, block by block: block i < n from the
+    pairs of depth >= 1 of level n's block i, which grow inside the right
+    subtree, and block n, the joins with a leaf on the right, from the pairs
+    of depth 0.  Each block's table is released before the next is made."""
+    slots, edges = _Slots(n), _edges(n, len(lower[0]))
+    for i in range(n + 1):
+        slots.block(i)
+        size = catalan(i) * catalan(n - i)
+        pairs = _chunks(lower, edges[i:i + 2] if i < n else (0, edges[-1]))
+        if slots.fill(chunks, size) != size or _round_trips(slots, pairs, i == n) != size:
+            return False
+    # No code of level n+1 is left past its last block.
+    return next(chunks, None) is None
 
 
 def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
@@ -155,13 +223,20 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     The check runs on int codes and builds no tree: trees.code_levels folds
     each level once per call, and the level-wide trees.grow_codes and
     trees.shrink_codes take up to trees.PIECE codes at a time, one spine
-    depth of them a call (_pairs).  Each image must have a full slot in
-    level n+1's table (_Slots), and the inverse, given the spine tail found
-    there, read from the fold's own mask, and never the depth d, must give
-    back the pair: then no two pairs share an image.  As there are as many
-    pairs, sum(spine + 1) over level n, as codes of level n+1, the images
-    are every code once.  A level that fails is checked again pair by pair
-    in canonical order (_fault.first_fault), to name the fault.
+    depth of them a call (_pairs).  Level n+1 is checked a block at a time
+    (_level_holds): a pair of depth d >= 1 of a code of level n's block i
+    grows inside its right subtree, so its image is in level n+1's block i,
+    and the pairs of depth 0, one per code, give block n.  Each image must
+    have a full slot in its block's table (_Slots), and the inverse, given
+    the spine tail found there, read from the fold's own mask, and never the
+    depth d, must give back the pair: then no two pairs share an image.  As
+    each block has as many pairs as codes, c_i c_(n-i), the images are every
+    code once.  So a level whose blocks pass would pass with one table of
+    the whole level, unless its fold gives a code in two blocks, with a
+    different mask in each.  A level with a block that fails, or with codes
+    past its blocks, is checked again pair by pair in canonical order
+    (_fault.first_fault), to name the fault; a step that is one to one but
+    crosses blocks passes there.
     """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
@@ -171,18 +246,16 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     upper = next(levels)
     for n in range(top + 1):
         # Level n+1 is a pair of arrays, kept for the fold above it, except
-        # the last, which is streamed a piece at a time and never held.
+        # the last, which is streamed a piece at a time and never held; no
+        # piece crosses a block.
         lower, upper = upper, next(levels)
-        slots = _Slots(n)
-        codes = slots.fill(_chunks(upper) if n < top else upper)
-        if codes is None or _round_trips(slots, lower) != codes:
+        chunks = iter(upper) if n == top else _chunks(upper, _edges(n + 1, len(upper[0])))
+        if not _level_holds(n, lower, chunks):
             from ._fault import first_fault
 
-            fault = first_fault(n, lower, slots, cap)
+            fault = first_fault(n, lower, cap)
             if fault:
                 return fault
-        # Release this table before the next one, 4 times larger, is made.
-        del slots
     return "PASS", f"{label} (n <= {top})", ""
 
 

@@ -51,6 +51,11 @@ def _text(value) -> str:
     return value
 
 
+def _json_field(value) -> str:
+    """A row field as json writes it: an int by _text, a string quoted."""
+    return _text(value) if isinstance(value, int) else f'"{value}"'
+
+
 def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
     """Write a report in `fmt`; every command with --format ends here.
 
@@ -66,7 +71,7 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
     """
     head, line, render, joint, tail = text + "\n", line + "\n", _text, "", ""
     # Every field is an int or a string of digits, "-" and ".": csv needs no
-    # quoting, and json.dumps of each field gives the json encoder's bytes.
+    # quoting, and json no escaping (_json_field).
     if fmt == "json":
         import json
 
@@ -74,7 +79,7 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
         if columns is not None:
             head = head.removesuffix("\n}\n") + ',\n  "rows": ['
             line = "\n    {{" + ",".join(f'\n      "{c}": {{{c}}}' for c in columns) + "\n    }}"
-            render, joint, tail = json.dumps, ",", "\n  ]\n}\n"
+            render, joint, tail = _json_field, ",", "\n  ]\n}\n"
     elif fmt == "csv" and columns is not None:
         head = ",".join(["n", *columns]) + "\n"
         line = ",".join([_text(meta["n"]), *(f"{{{c}}}" for c in columns)]) + "\n"
@@ -104,12 +109,13 @@ def cmd_dist(args, out) -> int:
     text = f"n={dist.n} method={args.method} total={total}"
     if dist.n == 0:
         text += "\n(size 0: the single external node, no spine segments)"
-    rows = (
-        {"k": k, "count": _text(c),
-         "fraction": render_ratio(c, dist.total, places),
-         "limit": _limit_str(k, places)}
-        for k, c in enumerate(dist.counts, start=1)
-    )
+    counts = enumerate(dist.counts, start=1)
+    # The text format prints only each count and its k.
+    if args.format == "text":
+        rows = ({"k": k, "count": _text(c)} for k, c in counts)
+    else:
+        rows = ({"k": k, "count": _text(c), "fraction": render_ratio(c, dist.total, places),
+                 "limit": _limit_str(k, places)} for k, c in counts)
     meta = {"n": dist.n, "total": total, "method": args.method}
     return _report(out, args.format, text, meta, ("k", "count", "fraction", "limit"),
                    rows, "{count} x {k}")

@@ -122,6 +122,16 @@ def test_leftover_names_first_code_in_canonical_order(max_n, monkeypatch):
         "bijection n=3: no code and depth gives the size-4 code 111111100")
 
 
+@pytest.mark.parametrize("max_n", [3, 5])  # level 4 streamed, then stored
+def test_leftover_in_the_last_block(max_n, monkeypatch):
+    # 1 1111100 0 has the fixed bits of level 4's last block, the joins with
+    # a leaf on the right, and a slot there, but 1111100 is no tree: the
+    # block holds one code more than it has pairs.
+    monkeypatch.setattr(trees, "code_levels", appended(4, [(0b111111000, 0b100000000)]))
+    assert checks.bijection(max_n, 11) == (
+        "FAIL", "bijection n=3", "bijection n=3: no code and depth gives the size-4 code 111111000")
+
+
 def test_leftover_at_size_0(monkeypatch):
     # Level 1 gains the code 0 (000 at size 1's width), which has no slot.
     monkeypatch.setattr(trees, "code_levels", appended(1, [(0, 0)]))
@@ -170,18 +180,32 @@ def test_spine_tails_pack_in_one_byte():
 
 
 def test_bijection_peak_memory():
-    # The dict keyed by int(code, 2) peaked at about 6.7 MiB, and levels
-    # 0..10 as tuples of ints at about 3.1 MiB.  The slot table of level 11
-    # is 1 MiB, and with the levels as arrays, level 10's table released
-    # first and a chunk of trees.PIECE codes at a time, the check peaks at
-    # about 1.5 MiB.
+    # The dict keyed by int(code, 2) peaked at about 6.7 MiB, levels 0..10
+    # as tuples of ints at about 3.1 MiB, and one slot table of level 11's
+    # 4 ** 10 free bits at about 1.5 MiB.  A block's table is at most
+    # 4 ** 9 bytes, 256 KiB, and with levels 0..10 as arrays the check
+    # peaks at about 0.8 MiB.
     tracemalloc.start()
     try:
         assert checks.bijection(10, 11)[0] == "PASS"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 2 ** 20
+    assert peak <= 2 ** 20
+
+
+def test_bijection_peak_memory_at_level_13():
+    # Levels 0..12 as arrays of codes and masks are 4.4 MiB, and level 13's
+    # largest block table is 4 ** 11 bytes, 4 MiB: the check peaks at about
+    # 8.7 MiB, where one table of the whole level, 4 ** 12 bytes, peaked at
+    # about 20.7 MiB.
+    tracemalloc.start()
+    try:
+        assert checks.bijection(12, 13)[0] == "PASS"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 class _Discarded:
@@ -256,10 +280,13 @@ def test_verify_exits_3_on_broken_identities(label, monkeypatch, capsys):
 
 def test_bijection_folds_each_level_once(monkeypatch):
     # Levels 0..11 are joined once each, in order: c_1 + ... + c_11 = 82,499
-    # codes.  The growth step and its inverse take level n a chunk of at
-    # most trees.PIECE codes at a time, one call each a round, and a chunk
-    # has a round per spine depth, at most n + 1: never a call per code.
-    fold, code_block, sizes, calls = trees._levels, trees._code_block, [], []
+    # codes.  Level n+1 is checked a block at a time, blocks 0..n in order,
+    # in tables of at most 4 ** (n-1) bytes.  The growth step and its
+    # inverse take a block's pairs from a chunk of at most trees.PIECE codes
+    # of level n at a time, one call each a round: a chunk of block i < n
+    # has a round per spine node below the root, at most n - i, and block n
+    # one round per chunk of level n, at the root.  Never a call per code.
+    fold, code_block, sizes, blocks = trees._levels, trees._code_block, [], []
 
     def counted(n, cap, leaf, block, *rest):
         for m, level in enumerate(fold(n, cap, leaf, block, *rest)):
@@ -270,18 +297,22 @@ def test_bijection_folds_each_level_once(monkeypatch):
             yield level
 
     class Counted(checks._Slots):
-        def __init__(self, n):
-            super().__init__(n)
-            calls.append({"n": n, "grow": 0, "shrink": 0, "pairs": 0})
+        def block(self, i=None):
+            super().block(i)
+            blocks.append({"n": self.n, "i": i, "bytes": len(self.table),
+                           "grow": 0, "shrink": 0, "pairs": 0})
 
     def grow(codes, nodes, count):
-        calls[-1]["grow"] += 1
-        calls[-1]["pairs"] += count
+        blocks[-1]["grow"] += 1
+        blocks[-1]["pairs"] += count
         return grow_codes(codes, nodes, count)
 
     def shrink(images, lows, segments):
-        calls[-1]["shrink"] += 1
+        blocks[-1]["shrink"] += 1
         return shrink_codes(images, lows, segments)
+
+    def chunks(codes):
+        return -(-codes // trees.PIECE)
 
     grow_codes, shrink_codes = trees.grow_codes, trees.shrink_codes
     monkeypatch.setattr(trees, "_levels", counted)
@@ -291,9 +322,35 @@ def test_bijection_folds_each_level_once(monkeypatch):
     assert checks.bijection(10, 11)[0] == "PASS"
     assert sizes == [catalan(m) for m in range(12)]
     assert sum(sizes[1:]) == 82_499
-    assert [level["n"] for level in calls] == list(range(11))
-    for level in calls:
-        n, chunks = level["n"], -(-catalan(level["n"]) // trees.PIECE)
-        assert level["pairs"] == catalan(n + 1)
-        assert level["grow"] == level["shrink"] <= chunks * (n + 1)
-    assert sum(level["grow"] for level in calls) < 200
+    assert [(block["n"], block["i"]) for block in blocks] == [
+        (n, i) for n in range(11) for i in range(n + 1)]
+    for block in blocks:
+        n, i = block["n"], block["i"]
+        assert block["bytes"] <= max(4 ** (n - 1), 1)
+        assert block["pairs"] == catalan(i) * catalan(n - i)
+        if i < n:
+            assert block["grow"] == block["shrink"] <= chunks(catalan(i) * catalan(n - 1 - i)) * (n - i)
+        else:
+            assert block["grow"] == block["shrink"] == chunks(catalan(n))
+    assert sum(block["grow"] for block in blocks) < 300
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_each_block_has_its_own_slots(n):
+    # Level n+1's block i keys a code by the free bits of its left and
+    # right subtrees: 4 ** (n-1) slots for the two end blocks, 4 ** (n-2)
+    # for the others (one at n = 0).  The bits of a code of another block
+    # may fit the block's fixed bits, but then its key is no code's of the
+    # block.
+    *_, pieces = trees.code_levels(n + 1)
+    codes = [code for piece, _ in pieces for code in piece]
+    slots, start = checks._Slots(n), 0
+    for i in range(n + 1):
+        slots.block(i)
+        stop = start + catalan(i) * catalan(n - i)
+        keys = {slots.of(code, 1)[0] for code in codes[start:stop]}
+        assert len(keys) == stop - start and max(keys) < len(slots.table)
+        assert len(slots.table) == 4 ** max(n - 1 - (0 < i < n), 0)
+        others = (slots.of(code, 1) for code in codes[:start] + codes[stop:])
+        assert keys.isdisjoint(slot[0] for slot in others if slot is not None)
+        start = stop

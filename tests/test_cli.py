@@ -316,6 +316,38 @@ class TestVerifyFailures:
             "bijection n=2: code 10100 at depth 2 gives image 0010100,"
             " a duplicate or not a size-3 code"])
 
+    # One image sent into another block of its level, onto a code that a
+    # pair of that block gives too; the details are those of the check
+    # with one table per level.  Level 3's blocks are 1010100 1011000 |
+    # 1100100 | 1101000 1110000, the last the root's: a leaf on the right.
+    @pytest.mark.parametrize("code, node, image, detail", [
+        # Depth 1 of block 0 onto the image of 11000 at depth 1.
+        (0b10100, 0b100, 0b1100100, "bijection n=2: code 11000 at depth 1 gives image 1100100"),
+        # Depth 0, from the root's block onto the image of 10100 at depth 1.
+        (0b11000, 0b10000, 0b1011000, "bijection n=2: code 11000 at depth 0 gives image 1011000"),
+        # In the streamed level 5: level 4's last code grown at its root
+        # onto block 0's first code.
+        (0b111100000, 1 << 8, 0b10101010100,
+         "bijection n=4: code 111100000 at depth 0 gives image 10101010100"),
+    ])
+    def test_image_in_another_block(self, code, node, image, detail, monkeypatch, capsys):
+        monkeypatch.setattr(trees, "grow_codes", each_image(lambda c, b, grown: (
+            image if (c, b) == (code, node) else grown)))
+        label, size = detail.partition(":")[0], _size(image)
+        assert self.verify(capsys) == (3, f"FAIL {label}", [
+            f"{detail}, a duplicate or not a size-{size} code"])
+
+    def test_one_to_one_across_blocks(self, monkeypatch, capsys):
+        # Two pairs of level 2 swap their images, across blocks 0 and 1 of
+        # level 3, and the inverse swaps them back: a bijection all the
+        # same, which fails its blocks' check but passes pair by pair.
+        swapped = {(0b10100, 0b100): 0b1100100, (0b11000, 1): 0b1011000}
+        monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
+            swapped.get((code, node), image))))
+        monkeypatch.setattr(trees, "shrink_codes", each_return(lambda image, code, depth: {
+            0b1100100: (0b10100, 1), 0b1011000: (0b11000, 1)}.get(image, (code, depth))))
+        assert self.verify(capsys) == (0, "PASS bijection and predecessor round trip (n <= 4)", [])
+
     def test_route_disagreement_detail(self, monkeypatch, capsys):
         dist_series = stats.dist_series
 

@@ -325,6 +325,24 @@ class TestGrowthOnCodes:
                     assert tail(mask)[1] == spine_segments(t)
                     assert predecessor_code(code, *tail(mask)) == (as_int(p), d)
 
+    @pytest.mark.parametrize("n", range(10))
+    def test_pairs_grow_within_their_block(self, n):
+        # Block i of level m is its trees with a size-i left subtree: a run
+        # of canonical order, c_i c_(m-1-i) trees long.  A pair of depth
+        # d >= 1 grows inside the right subtree, so its image stays in its
+        # tree's block, and the pair of depth 0, (t, leaf), is in block n of
+        # level n+1.
+        def block(code):
+            return size(decode(f"{code:0{2 * n + 3}b}")[0])
+
+        blocks = [size(t[0]) for t in enumerate_trees(n + 1)]
+        assert blocks == sorted(blocks)
+        assert Counter(blocks) == {i: catalan(i) * catalan(n - i) for i in range(n + 1)}
+        for t, (code, mask) in zip(enumerate_trees(n), reference_level(n)[0], strict=True):
+            root, *below = map(block, successor_codes(code, mask))
+            assert root == n
+            assert all(image == size(t[0]) for image in below)
+
     @pytest.mark.parametrize("n", range(11))
     def test_level_wide_step_on_every_pair(self, n):
         assert_level_wide_step(list(marked_codes(n)), dict(marked_codes(n + 1)).__getitem__)
