@@ -1,10 +1,11 @@
 """The pair-by-pair check of one level of checks.bijection, run only when
-a block of that level fails, to name its first fault.  It fills its own
-slot table of the whole level, 4^n bytes for level n+1, where the passing
-check holds one block's table at a time.  Each command imports only the
-layers it runs, and with no bytecode cached each start compiles what it
-imports: as part of checks, this code would be compiled by every `verify`,
-a passing one too, where it raised the child's peak RSS by about 0.4 MB.
+the check of that level, or of one of its blocks, fails, to name its first
+fault.  It fills its own slot table of the whole level, 4^n bytes for level
+n+1, where a passing check of the top level holds one block's table at a
+time.  Each command imports only the layers it runs, and with no bytecode
+cached each start compiles what it imports: as part of checks, this code
+would be compiled by every `verify`, a passing one too, where it raised the
+child's peak RSS by about 0.4 MB.
 """
 
 from __future__ import annotations

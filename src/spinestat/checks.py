@@ -59,15 +59,14 @@ def _chunks(level, edges):
             yield codes[at:end], masks[at:end]
 
 
-def _pairs(codes, spine: int, width: int, last: int = 0):
+def _pairs(codes, spine: int, width: int):
     """Every pair (t, b) of a code t and a node b of its spine, one round per
     node from the bottom: yields (codes, nodes, depths) for the codes that
     have such a node, in order, codes and nodes as fields (trees._fields)
-    and depths as bytes: the node's bit (1 << b) and the number of spine
-    nodes above it.  `spine` holds each code's spine nodes, as fields, none
-    0, and the codes have `width` bits.  A round takes each code's lowest
-    spine bit left, so each pair comes once; a code leaves after its round
-    at depth `last`, so with `last` 1 its root's is left out.
+    and depths as bytes: the node's bit (1 << b) and the number of the
+    spine's nodes above it.  `spine` holds each code's spine nodes, as
+    fields, none 0, and the codes have `width` bits.  A round takes each
+    code's lowest spine bit left, so each pair comes once.
     """
     count = len(codes)
     while count:
@@ -75,11 +74,20 @@ def _pairs(codes, spine: int, width: int, last: int = 0):
         spine ^= node
         depths = _bit_counts(spine, count, width)
         yield trees._fields(codes), node, depths
-        left = depths.translate(trees._PREDECESSOR) if last else depths
-        if 0 in left:
-            codes = array("Q", compress(codes, left))
-            spine = trees._fields(array("Q", compress(trees._array(spine, count), left)))
+        if 0 in depths:
+            codes = array("Q", compress(codes, depths))
+            spine = trees._fields(array("Q", compress(trees._array(spine, count), depths)))
             count = len(codes)
+
+
+# Depth d -> d + 1, as a translate table.
+_DEEPER = bytes(range(1, 256)) + b"\0"
+
+# Of a byte read from its top bit, plus 8 each: the least excess of 1s over
+# 0s of its nonempty prefixes (from its two halves'), and its excess.
+_HALF = [min(2 * (x >> 4 - m).bit_count() - m for m in range(1, 5)) for x in range(16)]
+_LEAST = bytes(8 + min(_HALF[b >> 4], 2 * (b >> 4).bit_count() - 4 + _HALF[b & 15]) for b in range(256))
+_EXCESS = bytes(2 * b.bit_count() for b in range(256))
 
 
 class _Slots:
@@ -111,7 +119,7 @@ class _Slots:
         end blocks and 4 ** (n-2) for the others.  With i None, make the
         table of the whole level, keyed by the 2n free bits of the code
         itself: 4 ** n slots."""
-        self.table, n, head = None, self.n, 4 ** (self.n + 1)
+        self.table, self.i, n, head = None, i, self.n, 4 ** (self.n + 1)
         if i is None:
             self.low, self.high, self.shift, self.value = 4 ** n - 1, 0, 2, head
         else:
@@ -134,15 +142,42 @@ class _Slots:
         return trees._array(codes >> 2 & self.low * ones | codes >> self.shift & self.high * ones,
                             count)
 
+    def lefts_hold(self, codes: int, count: int) -> bool:
+        """Whether each of `count` codes of block i >= 1 has a left subtree
+        of size i: read from the root, each of its first 2i+1 prefixes has
+        more 1s than 0s, and the last of them one more, so that the left's
+        last bit, a 0 (of), closes the left.  A code's left has one size, so
+        no code is in two blocks; block 0's codes, whose left is the leaf,
+        are the only ones with a 0 after the root."""
+        i = self.i
+        if not i:
+            return True
+        lanes, columns = int.from_bytes(b"\1" * count, "little"), i // 4 + 1
+        # The root at bit 63, and the bits past the first 2i+1 set, so that
+        # they lower no prefix's excess; then a byte column at a time.
+        data = (codes << 61 - 2 * self.n | ((1 << 63 - 2 * i) - 1) * trees._ones(count)).to_bytes(
+            8 * count, "little")
+        excess = 0
+        for c in range(columns):
+            column = data[7 - c::8]
+            # A lane: the least excess of the prefixes that end in this
+            # byte, + 8c + 8; bit 7 is set where that excess is 1 or more.
+            least = excess + int.from_bytes(column.translate(_LEAST), "little")
+            if (least + (119 - 8 * c) * lanes) & 128 * lanes != 128 * lanes:
+                return False
+            excess += int.from_bytes(column.translate(_EXCESS), "little")
+        # An excess of 1, with the set bits and the 8 a byte: 16 columns - 2i.
+        return excess == (16 * columns - 2 * i) * lanes
+
     def fill(self, chunks, size: int) -> int | None:
         """Write the tails of the codes of `chunks` into their slots, a chunk
         at a time until `size` or more are written, and count them; None if
-        a code has no slot."""
+        a code has no slot, or a left subtree of another block's size."""
         written = 0
         for codes, masks in chunks:
-            count, mask = len(codes), trees._fields(masks)
-            slots = self.of(trees._fields(codes), count)
-            if slots is None:
+            count, mask, fields = len(codes), trees._fields(masks), trees._fields(codes)
+            slots = self.of(fields, count)
+            if slots is None or not self.lefts_hold(fields, count):
                 return None
             ones = trees._ones(count)
             low = mask ^ (mask & (mask - ones))
@@ -170,23 +205,29 @@ class _Slots:
         return trees.shrink_codes(images, int.from_bytes(lows, "little"), packed.translate(self.segments))
 
 
-def _round_trips(slots: _Slots, chunks, root: bool) -> int | None:
-    """The number of pairs (t, d) of the codes of `chunks`, those of d = 0,
-    grown at the root, if `root`, else those of d >= 1, if each pair's
-    image has a full slot and the inverse, given the tail there, gives back
-    the pair, and each code's spine (its mask and the terminal leaf) has the
-    root's bit on top, so that the pairs are those of a check of one table
-    per level; else None."""
-    pairs, top = 0, 1 << 2 * slots.n
+def _round_trips(slots: _Slots, chunks) -> int | None:
+    """The number of pairs (t, d) of the codes of `chunks` whose images the
+    table of `slots` holds: all of them in the whole level's; in block i's,
+    those of d >= 1 for i < n, and those of d = 0, at the root, for i = n.
+    None unless each pair's image has a full slot and the inverse, given the
+    tail there, gives back the pair; in a block, also unless each code's
+    spine (its mask and the terminal leaf) has the root's bit on top, so
+    that the blocks split the pairs of the whole level."""
+    n, i, width, pairs = slots.n, slots.i, slots.width - 2, 0
+    top = 1 << 2 * n
     for codes, masks in chunks:
         count, ones = len(codes), trees._ones(len(codes))
         spine = trees._fields(masks) | ones
-        if spine & ~((top - 1) * ones) != top * ones:
+        if i is None:
+            rounds = _pairs(codes, spine, width)
+        elif spine & ~((top - 1) * ones) != top * ones:
             return None
-        if root:
+        elif i == n:
             rounds = [(trees._fields(codes), top * ones, bytes(count))]
         else:
-            rounds = _pairs(codes, spine, slots.width - 2, 1)
+            # Below the root: one more spine node above each than _pairs counts.
+            rounds = ((fields, nodes, depths.translate(_DEEPER))
+                      for fields, nodes, depths in _pairs(codes, spine & (top - 1) * ones, width))
         for fields, nodes, depths in rounds:
             count = len(depths)
             if slots.inverse(trees.grow_codes(fields, nodes, count), count) != (fields, depths):
@@ -195,18 +236,21 @@ def _round_trips(slots: _Slots, chunks, root: bool) -> int | None:
     return pairs
 
 
-def _level_holds(n: int, lower, chunks) -> bool:
+def _level_holds(n: int, lower, chunks, blocks: bool) -> bool:
     """Whether the growth step maps level n's pairs one to one onto level
-    n+1's codes, read from `chunks`, block by block: block i < n from the
-    pairs of depth >= 1 of level n's block i, which grow inside the right
-    subtree, and block n, the joins with a leaf on the right, from the pairs
-    of depth 0.  Each block's table is released before the next is made."""
+    n+1's codes, read from `chunks`: in one table of the whole level, or,
+    with `blocks`, a block at a time, each table released before the next
+    is made.  Block i < n takes the pairs of depth >= 1 of level n's block
+    i, which grow inside the right subtree, and block n, the joins with a
+    leaf on the right, the pairs of depth 0."""
     slots, edges = _Slots(n), _edges(n, len(lower[0]))
-    for i in range(n + 1):
+    for i in range(n + 1) if blocks else [None]:
         slots.block(i)
-        size = catalan(i) * catalan(n - i)
-        pairs = _chunks(lower, edges[i:i + 2] if i < n else (0, edges[-1]))
-        if slots.fill(chunks, size) != size or _round_trips(slots, pairs, i == n) != size:
+        if i is None or i == n:
+            size, pairs = catalan(n + 1) if i is None else catalan(n), (0, edges[-1])
+        else:
+            size, pairs = catalan(i) * catalan(n - i), edges[i:i + 2]
+        if slots.fill(chunks, size) != size or _round_trips(slots, _chunks(lower, pairs)) != size:
             return False
     # No code of level n+1 is left past its last block.
     return next(chunks, None) is None
@@ -223,20 +267,22 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     The check runs on int codes and builds no tree: trees.code_levels folds
     each level once per call, and the level-wide trees.grow_codes and
     trees.shrink_codes take up to trees.PIECE codes at a time, one spine
-    depth of them a call (_pairs).  Level n+1 is checked a block at a time
-    (_level_holds): a pair of depth d >= 1 of a code of level n's block i
-    grows inside its right subtree, so its image is in level n+1's block i,
-    and the pairs of depth 0, one per code, give block n.  Each image must
-    have a full slot in its block's table (_Slots), and the inverse, given
-    the spine tail found there, read from the fold's own mask, and never the
-    depth d, must give back the pair: then no two pairs share an image.  As
-    each block has as many pairs as codes, c_i c_(n-i), the images are every
-    code once.  So a level whose blocks pass would pass with one table of
-    the whole level, unless its fold gives a code in two blocks, with a
-    different mask in each.  A level with a block that fails, or with codes
-    past its blocks, is checked again pair by pair in canonical order
-    (_fault.first_fault), to name the fault; a step that is one to one but
-    crosses blocks passes there.
+    depth of them a call (_pairs).  Each image must have a full slot in a
+    table of level n+1's codes (_Slots), and the inverse, given the spine
+    tail found there, read from the fold's own mask, and never the depth d,
+    must give back the pair: then no two pairs share an image.  As there are
+    as many pairs, sum(spine + 1) over level n, as codes, the images are
+    every code once.  A level below the top has one table; the top level,
+    streamed, is checked a block at a time (_level_holds), so that no table
+    is larger than 4 ** (top-1) bytes: a pair of depth d >= 1 of a code of
+    level n's block i grows inside its right subtree, so its image is in
+    level n+1's block i, and the pairs of depth 0, one per code, give block
+    n.  Each block has as many pairs as codes, c_i c_(n-i), and each code
+    of block i must have a left subtree of size i, so no code is in two
+    blocks: the blocks pass only where one table of the level would.  A
+    level that fails, or that has codes past its blocks, is checked again
+    pair by pair in canonical order (_fault.first_fault), to name the
+    fault; a step that is one to one but crosses blocks passes there.
     """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)
@@ -249,8 +295,8 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
         # the last, which is streamed a piece at a time and never held; no
         # piece crosses a block.
         lower, upper = upper, next(levels)
-        chunks = iter(upper) if n == top else _chunks(upper, _edges(n + 1, len(upper[0])))
-        if not _level_holds(n, lower, chunks):
+        chunks = iter(upper) if n == top else _chunks(upper, (0, len(upper[0])))
+        if not _level_holds(n, lower, chunks, n == top):
             from ._fault import first_fault
 
             fault = first_fault(n, lower, cap)

@@ -109,13 +109,14 @@ def cmd_dist(args, out) -> int:
     text = f"n={dist.n} method={args.method} total={total}"
     if dist.n == 0:
         text += "\n(size 0: the single external node, no spine segments)"
-    counts = enumerate(dist.counts, start=1)
     # The text format prints only each count and its k.
-    if args.format == "text":
-        rows = ({"k": k, "count": _text(c)} for k, c in counts)
-    else:
-        rows = ({"k": k, "count": _text(c), "fraction": render_ratio(c, dist.total, places),
-                 "limit": _limit_str(k, places)} for k, c in counts)
+    ratios = args.format != "text"
+    rows = (
+        {"k": k, "count": _text(c),
+         **({"fraction": render_ratio(c, dist.total, places),
+             "limit": _limit_str(k, places)} if ratios else {})}
+        for k, c in enumerate(dist.counts, start=1)
+    )
     meta = {"n": dist.n, "total": total, "method": args.method}
     return _report(out, args.format, text, meta, ("k", "count", "fraction", "limit"),
                    rows, "{count} x {k}")

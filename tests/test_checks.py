@@ -70,6 +70,44 @@ def appended(m, pairs):
     return planted
 
 
+def replaced(m, old, new):
+    """trees.code_levels with level m's code `old` replaced by the (code,
+    mask) pair `new`."""
+    code_levels = trees.code_levels
+
+    def swapped(codes, masks):
+        codes, masks = array("Q", codes), array("Q", masks)
+        if old in codes:
+            at = codes.index(old)
+            codes[at], masks[at] = new
+        return codes, masks
+
+    def planted(n, cap):
+        for k, level in enumerate(code_levels(n, cap)):
+            if k == m:
+                level = swapped(*level) if k < n else (swapped(*piece) for piece in level)
+            yield level
+
+    return planted
+
+
+def rootless(m, code):
+    """trees.code_levels with a copy of stored level m, whose `code` loses
+    the root's bit from its mask once level m+1 is asked for: after level
+    m's own check, before the check of the level above it."""
+    code_levels = trees.code_levels
+
+    def planted(n, cap):
+        for k, level in enumerate(code_levels(n, cap)):
+            if k == m:
+                codes, masks = level = tuple(array("Q", values) for values in level)
+            yield level
+            if k == m:
+                masks[codes.index(code)] ^= 1 << 2 * m
+
+    return planted
+
+
 # Each plants a fault in the second image of the size-1 code 100, whose
 # images are 11000 (depth 0, grown at the root) and 10100 (depth 1, grown at
 # the terminal leaf).
@@ -155,6 +193,32 @@ def test_fold_code_given_twice_fails_bijection(monkeypatch):
         "FAIL", "bijection n=3", "bijection n=3: the fold gives the size-4 code 101010100 twice")
 
 
+@pytest.mark.parametrize("max_n", [3, 5])  # level 4 streamed, then stored
+def test_code_in_two_blocks_fails_bijection(max_n, monkeypatch):
+    # 1 100 11000 is a code of level 4's block 1 that also has the fixed
+    # bits of block 3, the joins with a leaf on the right.  The fold gives
+    # it there too, in place of 1 1100100 0, with a mask whose tail, bit 4
+    # and one segment, sends it back to (1100100, 0) through the inverse;
+    # and 1100100 grows at its root onto it.  Each block alone is one to
+    # one, but the level is not, and the fold gives the code twice.
+    monkeypatch.setattr(trees, "code_levels", replaced(4, 0b111001000, (0b110011000, 1 << 4)))
+    monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
+        0b110011000 if (code, node) == (0b1100100, 1 << 6) else image)))
+    assert checks.bijection(max_n, 11) == (
+        "FAIL", "bijection n=3", "bijection n=3: the fold gives the size-4 code 110011000 twice")
+
+
+def test_rootless_spine_fails_bijection(monkeypatch):
+    # Level 3's first code, 1010100, loses its root's bit from its mask
+    # after level 3 is checked: the pairs of one table per level then lack
+    # its root's, while the blocks of level 4 split pairs at the root, so
+    # that a block check that took the root from the level and not from
+    # the mask would pass.
+    monkeypatch.setattr(trees, "code_levels", rootless(3, 0b1010100))
+    assert checks.bijection(3, 11) == (
+        "FAIL", "bijection n=3", "bijection n=3: no code and depth gives the size-4 code 110101000")
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_codes_have_distinct_slots(n):
     # A size-n code is a 1, 2n-2 free bits and two 0s, so its slot
@@ -182,9 +246,9 @@ def test_spine_tails_pack_in_one_byte():
 def test_bijection_peak_memory():
     # The dict keyed by int(code, 2) peaked at about 6.7 MiB, levels 0..10
     # as tuples of ints at about 3.1 MiB, and one slot table of level 11's
-    # 4 ** 10 free bits at about 1.5 MiB.  A block's table is at most
-    # 4 ** 9 bytes, 256 KiB, and with levels 0..10 as arrays the check
-    # peaks at about 0.8 MiB.
+    # 4 ** 10 free bits at about 1.5 MiB.  Level 11's block tables, and
+    # level 10's one table, are at most 4 ** 9 bytes, 256 KiB, and with
+    # levels 0..10 as arrays the check peaks at about 0.8 MiB.
     tracemalloc.start()
     try:
         assert checks.bijection(10, 11)[0] == "PASS"
@@ -280,13 +344,13 @@ def test_verify_exits_3_on_broken_identities(label, monkeypatch, capsys):
 
 def test_bijection_folds_each_level_once(monkeypatch):
     # Levels 0..11 are joined once each, in order: c_1 + ... + c_11 = 82,499
-    # codes.  Level n+1 is checked a block at a time, blocks 0..n in order,
-    # in tables of at most 4 ** (n-1) bytes.  The growth step and its
-    # inverse take a block's pairs from a chunk of at most trees.PIECE codes
-    # of level n at a time, one call each a round: a chunk of block i < n
-    # has a round per spine node below the root, at most n - i, and block n
-    # one round per chunk of level n, at the root.  Never a call per code.
-    fold, code_block, sizes, blocks = trees._levels, trees._code_block, [], []
+    # codes.  Levels 1..10 are checked in one table each, and the streamed
+    # level 11 a block at a time, blocks 0..10 in order: no table is larger
+    # than its end blocks', 4 ** 9 bytes.  The growth step and its inverse
+    # take level n a chunk of at most trees.PIECE codes at a time, one call
+    # each a round, and a chunk has a round per spine depth, at most n + 1,
+    # summed over the blocks: never a call per code.
+    fold, code_block, sizes, tables = trees._levels, trees._code_block, [], []
 
     def counted(n, cap, leaf, block, *rest):
         for m, level in enumerate(fold(n, cap, leaf, block, *rest)):
@@ -299,20 +363,17 @@ def test_bijection_folds_each_level_once(monkeypatch):
     class Counted(checks._Slots):
         def block(self, i=None):
             super().block(i)
-            blocks.append({"n": self.n, "i": i, "bytes": len(self.table),
+            tables.append({"n": self.n, "i": i, "bytes": len(self.table),
                            "grow": 0, "shrink": 0, "pairs": 0})
 
     def grow(codes, nodes, count):
-        blocks[-1]["grow"] += 1
-        blocks[-1]["pairs"] += count
+        tables[-1]["grow"] += 1
+        tables[-1]["pairs"] += count
         return grow_codes(codes, nodes, count)
 
     def shrink(images, lows, segments):
-        blocks[-1]["shrink"] += 1
+        tables[-1]["shrink"] += 1
         return shrink_codes(images, lows, segments)
-
-    def chunks(codes):
-        return -(-codes // trees.PIECE)
 
     grow_codes, shrink_codes = trees.grow_codes, trees.shrink_codes
     monkeypatch.setattr(trees, "_levels", counted)
@@ -322,17 +383,17 @@ def test_bijection_folds_each_level_once(monkeypatch):
     assert checks.bijection(10, 11)[0] == "PASS"
     assert sizes == [catalan(m) for m in range(12)]
     assert sum(sizes[1:]) == 82_499
-    assert [(block["n"], block["i"]) for block in blocks] == [
-        (n, i) for n in range(11) for i in range(n + 1)]
-    for block in blocks:
-        n, i = block["n"], block["i"]
-        assert block["bytes"] <= max(4 ** (n - 1), 1)
-        assert block["pairs"] == catalan(i) * catalan(n - i)
-        if i < n:
-            assert block["grow"] == block["shrink"] <= chunks(catalan(i) * catalan(n - 1 - i)) * (n - i)
-        else:
-            assert block["grow"] == block["shrink"] == chunks(catalan(n))
-    assert sum(block["grow"] for block in blocks) < 300
+    assert [(table["n"], table["i"]) for table in tables] == [
+        *((n, None) for n in range(10)), *((10, i) for i in range(11))]
+    assert max(table["bytes"] for table in tables) == 4 ** 9
+    for table in tables[10:]:
+        assert table["pairs"] == catalan(table["i"]) * catalan(10 - table["i"])
+    for n in range(11):
+        level, chunks = [table for table in tables if table["n"] == n], -(-catalan(n) // trees.PIECE)
+        assert sum(table["pairs"] for table in level) == catalan(n + 1)
+        assert all(table["grow"] == table["shrink"] for table in level)
+        assert sum(table["grow"] for table in level) <= chunks * (n + 1)
+    assert sum(table["grow"] for table in tables) < 200
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -351,6 +412,37 @@ def test_each_block_has_its_own_slots(n):
         keys = {slots.of(code, 1)[0] for code in codes[start:stop]}
         assert len(keys) == stop - start and max(keys) < len(slots.table)
         assert len(slots.table) == 4 ** max(n - 1 - (0 < i < n), 0)
-        others = (slots.of(code, 1) for code in codes[:start] + codes[stop:])
-        assert keys.isdisjoint(slot[0] for slot in others if slot is not None)
+        others = [code for code in codes[:start] + codes[stop:] if slots.of(code, 1) is not None]
+        assert keys.isdisjoint(slots.of(code, 1)[0] for code in others)
+        # And such a code's left subtree is not of size i.
+        assert slots.lefts_hold(trees._fields(array("Q", codes[start:stop])), stop - start)
+        assert not any(slots.lefts_hold(code, 1) for code in others)
         start = stop
+
+
+def _left_size(code, width):
+    """The size of the left subtree of a `width`-bit code read as preorder,
+    1 internal and 0 external: where the 1s after the root first fall one
+    short of the 0s; None if they never do."""
+    excess = 0
+    for k, bit in enumerate(f"{code:0{width}b}"[1:], 1):
+        excess += 1 if bit == "1" else -1
+        if excess < 0:
+            return k // 2
+    return None
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_left_sizes_tell_the_blocks_apart(n):
+    # Of every bit pattern with block i's fixed bits, those with a left
+    # subtree of size i, one at a time and all in one call.
+    width, slots = 2 * n + 3, checks._Slots(n)
+    for i in range(n + 1):
+        slots.block(i)
+        fitting = [code for code in range(1 << width) if slots.of(code, 1) is not None]
+        own = [code for code in fitting if i == 0 or _left_size(code, width) == i]
+        assert [code for code in fitting if slots.lefts_hold(code, 1)] == own
+        assert slots.lefts_hold(trees._fields(array("Q", own)), len(own))
+        for code in fitting[::7]:
+            if code not in own:
+                assert not slots.lefts_hold(trees._fields(array("Q", [*own, code])), len(own) + 1)

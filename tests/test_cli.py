@@ -320,13 +320,13 @@ class TestVerifyFailures:
     # pair of that block gives too; the details are those of the check
     # with one table per level.  Level 3's blocks are 1010100 1011000 |
     # 1100100 | 1101000 1110000, the last the root's: a leaf on the right.
+    # Level 3 is checked in one table; level 5, streamed, a block at a time.
     @pytest.mark.parametrize("code, node, image, detail", [
         # Depth 1 of block 0 onto the image of 11000 at depth 1.
         (0b10100, 0b100, 0b1100100, "bijection n=2: code 11000 at depth 1 gives image 1100100"),
         # Depth 0, from the root's block onto the image of 10100 at depth 1.
         (0b11000, 0b10000, 0b1011000, "bijection n=2: code 11000 at depth 0 gives image 1011000"),
-        # In the streamed level 5: level 4's last code grown at its root
-        # onto block 0's first code.
+        # Level 4's last code grown at its root onto block 0's first code.
         (0b111100000, 1 << 8, 0b10101010100,
          "bijection n=4: code 111100000 at depth 0 gives image 10101010100"),
     ])
@@ -338,14 +338,17 @@ class TestVerifyFailures:
             f"{detail}, a duplicate or not a size-{size} code"])
 
     def test_one_to_one_across_blocks(self, monkeypatch, capsys):
-        # Two pairs of level 2 swap their images, across blocks 0 and 1 of
-        # level 3, and the inverse swaps them back: a bijection all the
-        # same, which fails its blocks' check but passes pair by pair.
-        swapped = {(0b10100, 0b100): 0b1100100, (0b11000, 1): 0b1011000}
+        # Two pairs of level 4 swap their images, across blocks 0 and 1 of
+        # the streamed level 5: 101010100 and 110010100 grown at their
+        # terminal leaves, at depths 4 and 3.  The inverse swaps them back:
+        # a bijection all the same, which fails its blocks' check but
+        # passes pair by pair.
+        swapped = {(0b101010100, 1): 0b11001010100, (0b110010100, 1): 0b10101010100}
         monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
             swapped.get((code, node), image))))
         monkeypatch.setattr(trees, "shrink_codes", each_return(lambda image, code, depth: {
-            0b1100100: (0b10100, 1), 0b1011000: (0b11000, 1)}.get(image, (code, depth))))
+            0b11001010100: (0b101010100, 4), 0b10101010100: (0b110010100, 3)}.get(
+                image, (code, depth))))
         assert self.verify(capsys) == (0, "PASS bijection and predecessor round trip (n <= 4)", [])
 
     def test_route_disagreement_detail(self, monkeypatch, capsys):
