@@ -1,8 +1,9 @@
 """The pair-by-pair check of one level of checks.bijection, run only when
 the check of that level, or of one of its blocks, fails, to name its first
-fault.  It fills its own slot table of the whole level, 4^n bytes for level
-n+1, where a passing check of the top level holds one block's table at a
-time.  Each command imports only the layers it runs, and with no bytecode
+fault.  It shares no code with the check it diagnoses, only trees' public
+step and inverse: it keeps level n+1 as one dict of codes and masks and
+takes one pair at a time, so it is linear in the level and holds no slot
+table.  Each command imports only the layers it runs, and with no bytecode
 cached each start compiles what it imports: as part of checks, this code
 would be compiled by every `verify`, a passing one too, where it raised the
 child's peak RSS by about 0.4 MB.
@@ -11,10 +12,6 @@ child's peak RSS by about 0.4 MB.
 from __future__ import annotations
 
 from . import trees
-from .checks import _pairs, _Slots
-
-# One 64-bit field of trees._fields.
-_FIELD = (1 << 64) - 1
 
 
 def first_fault(n: int, lower, cap: int):
@@ -24,28 +21,30 @@ def first_fault(n: int, lower, cap: int):
     size-(n+1) code or is one an earlier pair gave; then the first code, in
     canonical order, that no pair gives; then the first pair that the
     inverse does not give back.  None if there is none."""
-    width, fold, reached, pairs = 2 * n + 3, set(), set(), []
+    width, upper, fold, reached = 2 * n + 3, [], {}, set()
     *_, pieces = trees.code_levels(n + 1, cap=cap)
-    pieces = list(pieces)
-    upper = [code for codes, _ in pieces for code in codes]
-    slots = _Slots(n)
-    slots.block()
-    slots.fill(pieces, len(upper))
-    for code in upper:
-        if slots.of(code, 1) is not None:
-            if code in fold:
-                return "FAIL", f"bijection n={n}", (
-                    f"bijection n={n}: the fold gives the size-{n + 1} code {code:0{width}b} twice")
-            fold.add(code)
-    spine = trees._fields(lower[1]) | trees._ones(len(lower[0]))
-    for codes, nodes, depths in _pairs(lower[0], spine, width - 2):
-        images = trees.grow_codes(codes, nodes, len(depths))
-        # Field by field, so that no int the step returns is refused.
-        pairs += zip(trees._array(codes, len(depths)), depths,
-                     (images >> 64 * j & _FIELD for j in range(len(depths))))
-    order = {code: index for index, code in enumerate(lower[0])}
-    pairs.sort(key=lambda pair: (order[pair[0]], pair[1]))
-    for code, depth, image in pairs:
+    for codes, masks in pieces:
+        for code, mask in zip(codes, masks):
+            upper.append(code)
+            # A code of the level's one table is a 1, 2n free bits and 00.
+            if code >> width - 1 == 1 and not code & 3:
+                if code in fold:
+                    return "FAIL", f"bijection n={n}", (
+                        f"bijection n={n}: the fold gives the size-{n + 1} code {code:0{width}b} twice")
+                fold[code] = mask
+
+    def pairs():
+        # Level n's pairs (code, depth, image) in canonical order: the codes
+        # as stored, and each one's spine nodes (its mask and the terminal
+        # leaf) from the root down; the image is read as one 64-bit field.
+        for code, mask in zip(*lower):
+            spine, depth = mask | 1, 0
+            while spine:
+                node = 1 << spine.bit_length() - 1
+                yield code, depth, trees.grow_codes(code, node, 1) % 2 ** 64
+                spine, depth = spine ^ node, depth + 1
+
+    for code, depth, image in pairs():
         if image not in fold or image in reached:
             return "FAIL", f"bijection n={n}", (
                 f"bijection n={n}: code {code:0{width - 2}b} at depth {depth} gives image"
@@ -55,8 +54,9 @@ def first_fault(n: int, lower, cap: int):
         if code not in reached:
             return "FAIL", f"bijection n={n}", (
                 f"bijection n={n}: no code and depth gives the size-{n + 1} code {code:0{width}b}")
-    for code, depth, image in pairs:
-        origin, back = slots.inverse(image, 1)
+    for code, depth, image in pairs():
+        mask = fold[image]
+        origin, back = trees.shrink_codes(image, mask & -mask, bytes([mask.bit_count()]))
         if (origin, back[0]) != (code, depth):
             # The returned code's width is its own, as its size is in question.
             return "FAIL", f"predecessor round trip n={n + 1}", (

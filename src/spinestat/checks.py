@@ -112,7 +112,7 @@ class _Slots:
         self.base, self.segments = bytes(base), bytes(segments)
         self.low_bytes = [(k, bytes(table)) for k, table in enumerate(lows) if any(table)]
 
-    def block(self, i: int | None = None):
+    def block(self, i: int | None):
         """Release the table, and make block i's: the joins of a size-i left
         with a size-(n-i) right under a 1, keyed by the free bits of the
         left's code above the right's.  That is 4 ** (n-1) slots for the two
@@ -172,14 +172,15 @@ class _Slots:
     def fill(self, chunks, size: int) -> int | None:
         """Write the tails of the codes of `chunks` into their slots, a chunk
         at a time until `size` or more are written, and count them; None if
-        a code has no slot, or a left subtree of another block's size."""
+        a code has no slot, a mask lacks its code's root bit (as a mask of 0
+        does), or a code has a left subtree of another block's size."""
         written = 0
         for codes, masks in chunks:
             count, mask, fields = len(codes), trees._fields(masks), trees._fields(codes)
-            slots = self.of(fields, count)
-            if slots is None or not self.lefts_hold(fields, count):
+            slots, ones = self.of(fields, count), trees._ones(count)
+            root = (1 << self.width - 1) * ones
+            if slots is None or mask & root != root or not self.lefts_hold(fields, count):
                 return None
-            ones = trees._ones(count)
             low = mask ^ (mask & (mask - ones))
             bits = _bit_counts(low - ones, count, self.width)
             packed = int.from_bytes(bits.translate(self.base), "little") + int.from_bytes(
@@ -282,7 +283,11 @@ def bijection(max_n: int, cap: int) -> tuple[str, str, str]:
     blocks: the blocks pass only where one table of the level would.  A
     level that fails, or that has codes past its blocks, is checked again
     pair by pair in canonical order (_fault.first_fault), to name the
-    fault; a step that is one to one but crosses blocks passes there.
+    fault.  That replay shares none of this check's tables, rounds or
+    tails: it takes one pair at a time through trees.grow_codes and
+    trees.shrink_codes, against a dict of level n+1's codes and masks.  Its
+    verdict is the level's, so a step that is one to one but crosses blocks
+    passes there.
     """
     label = "bijection and predecessor round trip"
     top = min(max_n, cap - 1)

@@ -1,7 +1,9 @@
 """verify's checks as a library: each returns (verdict, label, detail) and
 prints nothing."""
 
+import hashlib
 import io
+import sys
 import tracemalloc
 from array import array
 from itertools import chain
@@ -446,3 +448,167 @@ def test_left_sizes_tell_the_blocks_apart(n):
         for code in fitting[::7]:
             if code not in own:
                 assert not slots.lefts_hold(trees._fields(array("Q", [*own, code])), len(own) + 1)
+
+
+def _grid_pairs(n):
+    """Level n's pairs (code, node) in canonical order: its codes as the
+    fold stores them, and each code's spine nodes from the root down."""
+    *_, pieces = trees.code_levels(n)
+    return [(code, 1 << b) for codes, masks in pieces for code, mask in zip(codes, masks)
+            for b in range((mask | 1).bit_length() - 1, -1, -1) if (mask | 1) >> b & 1]
+
+
+def _depth_flipped(image):
+    """trees.shrink_codes with the depth that `image` returns to flipped in
+    its lowest bit."""
+    shrink = trees.shrink_codes
+
+    def planted(images, lows, segments):
+        codes, depths = shrink(images, lows, segments)
+        fields = trees._array(images, len(segments))
+        return codes, bytes(d ^ (field == image) for field, d in zip(fields, depths))
+
+    return planted
+
+
+def _grid(max_n, kind, monkeypatch):
+    """The (verdict, label, detail) of checks.bijection(max_n, 11) with one
+    fault planted at a time: for kind k, fault k of
+    test_foreign_image_fails_bijection at each pair of level max_n in turn
+    (its `a` the image of the level's first pair); for "shrink", a flipped
+    depth at each image of level max_n+1 in turn."""
+    if kind == "shrink":
+        *_, pieces = trees.code_levels(max_n + 1)
+        plants = [(trees, "shrink_codes", _depth_flipped(image))
+                  for codes, _ in pieces for image in codes]
+    else:
+        foreign, pairs = _FOREIGN[kind], _grid_pairs(max_n)
+        first = trees.grow_codes(*pairs[0], 1)
+        plants = [(trees, "grow_codes", each_image(
+            lambda code, node, image, pair=pair: foreign(first, image) if (code, node) == pair else image))
+            for pair in pairs]
+    results = []
+    for plant in plants:
+        with monkeypatch.context() as context:
+            context.setattr(*plant)
+            results.append(checks.bijection(max_n, 11))
+    return results
+
+
+# The faults of test_foreign_image_fails_bijection, as (a, b) -> image.
+_FOREIGN = test_foreign_image_fails_bijection.pytestmark[0].args[1]
+
+# sha256 of the joined (verdict, label, detail) lines of _grid, one per
+# max_n and fault kind.
+GRID = {
+    (1, 0): "99fbad319a2a7f8115165b5eb9183e3ea786ce6502d445e07c9100f7c0ed8c62",
+    (1, 1): "c5684b37e94ceba4332da45fee2fef6c28664f4038b81ef94d72513dda98d3ae",
+    (1, 2): "c19a8ff22d24f8c40e77aed127ab3cb1d7d82b05fcfc385e44be18fad121e264",
+    (1, 3): "6de79cefff73823bd7ea1aeccd323ab603157a7b537dc0712bc3327c65c68f83",
+    (1, 4): "d0805d81dd3e2f7c6b170827d0675d9e56767252255839cb8c72e52b85d862e5",
+    (1, 5): "36a4d91275f7ecf35c628e4a18495f6a71c83d6f27f1bb4954d4392404424c30",
+    (1, 6): "c7b0514935d71b759c78f02070d53f09ec573ced70f1842d05eace279ed0eeeb",
+    (1, 7): "857debe10ee76411b8d430b67a7d40bd2bf5efca6c2b8359b8b5eaa7ad9f989e",
+    (1, 'shrink'): "af7433280f15c05dbb0fc0182432f73de5224f7524db18b28bc4cf5d6acff0f9",
+    (2, 0): "f7f9390e1aa135eefb5f094041401864fa9df98fd01c0ecf1710e7642880d201",
+    (2, 1): "bcf61c0203715419fddbdc4da4eefb40b9cf4b5470a618a20f4539618c076054",
+    (2, 2): "bcc0dbaf4b37eb72d0916eb7da04507fad52e2a94bd9852872af1e7019f37da4",
+    (2, 3): "f0a3e08cc52e2cedd10371174250c35d9ccde6705356c62eb0c4f7758384bc0b",
+    (2, 4): "ec7c0a5d678d34be2496dc63d188a85f2c75959f99a5729d8cf11dfaa00b0791",
+    (2, 5): "14ab2e316fbb48839b6a9be542625e23bf5c65bb409274a3ecbd72e055245aa3",
+    (2, 6): "b204ea1d94d4bcfa64f96064f3bb767d541ba29994c2d1618a4a8a6b21242469",
+    (2, 7): "b7dc80be69cf091ea28510869ab57499cc1093cc40def28b81f77fc7297e0555",
+    (2, 'shrink'): "db326fb0f2fd511a740998fd3da20e28e906d2408c612f3c3ac124201e069eb1",
+    (3, 0): "7acf7e34f38ba040b7edbc5090bd9af11b7495f96ca11e02615124b6be1fb204",
+    (3, 1): "c8bc15e96278b49b02dbd59d2665d374314e0ad9e79b90eecda0f3359c46d8f1",
+    (3, 2): "043b5c59dc9df906f31ff7c8012dc3447583f0a469071caa73502d83af5b3f8f",
+    (3, 3): "2295a81a8f32a269bd0d0eba519730ec88eb5127f3154befcd5f374292cd5ef7",
+    (3, 4): "8e5b585de03073a7a3f464e339b7d0191d98627d5c2db88856dc3ce4cd11cdcd",
+    (3, 5): "0759e88dbf93e42a176fff8629a502000fc65ff0a7c33d6449b59886c0ac34de",
+    (3, 6): "60ad8ec4f40254780c79b9bd66efbb806ee2214453aeb8aa3a69350f37721d7b",
+    (3, 7): "f29c47273dbcf0cc33b56d8eefc4266184fcd9dfd57c9d21b5fc17d0ddef6fbb",
+    (3, 'shrink'): "d81122266cd400f0f3f3949e4cb1ab21e86d43592d271f92a4e431bc4302e570",
+    (4, 0): "74cd3704cae24cf8c6bb8c54b7dd849478a80a7d49fd0ddd06b4c1fb9b1ac6ef",
+    (4, 1): "16ae5ec9d3408d8471ec1aac09489e4009ffcae015ab94db9d2c414527dc1f91",
+    (4, 2): "02985c2f8f077e425985972ccafd84c382d2588ae268cc6a79347dfaa52f314d",
+    (4, 3): "9d61b7f277fcc4cd51480d4140277aa159341cd5d41cc54786140bfbd7e83657",
+    (4, 4): "ff0b83a74aeb5b4c77be4ea1686467589e4d5dbd5a8261610d6017c5830d4504",
+    (4, 5): "bac7b3a24071c63215beca0de67461d92e2884351c4b71f9f86f228622d6a533",
+    (4, 6): "997b657cbd43c518c8ce59cd863b3eb9e6a201f88ca1352a64dda38f09293990",
+    (4, 7): "b4b6d5aaee13ff94142f4e7cbbbc28d742a1d3858a415be4a6a2601f4df7fb68",
+    (4, 'shrink'): "3d6bd87b559bd0a4b9ea8157bddf9130c15e526f3a95f5bf7e2a223e5f095524",
+}
+
+
+@pytest.mark.parametrize("max_n, kind", sorted(GRID, key=str))
+def test_fault_grid_details(max_n, kind, monkeypatch):
+    results = _grid(max_n, kind, monkeypatch)
+    assert all(verdict == "FAIL" for verdict, _, _ in results[1:])
+    joined = "\n".join("\t".join(result) for result in results)
+    assert hashlib.sha256(joined.encode()).hexdigest() == GRID[max_n, kind]
+
+
+# Level 2's code 11000, grown at the root from 100, with the mask 0.
+ZERO_MASK = "predecessor round trip n=2: image 11000 returns ('1100', 255), expected ('100', 0)"
+
+
+@pytest.mark.parametrize("max_n", [3, 1])  # level 2 stored, then streamed
+def test_zero_mask_fails_bijection(max_n, monkeypatch):
+    monkeypatch.setattr(trees, "code_levels", replaced(2, 0b11000, (0b11000, 0)))
+    assert checks.bijection(max_n, 11) == ("FAIL", "predecessor round trip n=2", ZERO_MASK)
+
+
+def test_verify_exits_3_on_a_zero_mask(monkeypatch, capsys):
+    monkeypatch.setattr(trees, "code_levels", replaced(2, 0b11000, (0b11000, 0)))
+    out = io.StringIO()
+    assert main(["verify", "--max-n", "3"], out=out) == EXIT_VERIFY
+    assert "FAIL predecessor round trip n=2" in out.getvalue().splitlines()
+    assert capsys.readouterr().err.splitlines() == [ZERO_MASK]
+
+
+@pytest.mark.parametrize("code", [0b11001, 0b01100, 0b11010])
+@pytest.mark.parametrize("max_n", [3, 1])  # level 2 stored, then streamed
+def test_slotless_code_given_twice_is_not_reached(code, max_n, monkeypatch):
+    # A code that does not end in 00, or lacks its root bit, has no slot of
+    # the level's one table: given twice, it is a code that no pair gives,
+    # as at a check of one table, not a code the fold gives twice.
+    monkeypatch.setattr(trees, "code_levels", appended(2, [(code, 0b10000)] * 2))
+    assert checks.bijection(max_n, 11) == (
+        "FAIL", "bijection n=1", f"bijection n=1: no code and depth gives the size-2 code {code:05b}")
+
+
+def test_replay_shares_no_rounds_with_the_check(monkeypatch):
+    # A _pairs that drops its last round fails the check of every level,
+    # and each level is refolded for the replay.  The step is one to one,
+    # and the replay, which takes its pairs itself, finds no fault there.
+    # spinestat._fault is imported afresh, as by a `verify` that fails.
+    pairs, code_levels, folds = checks._pairs, trees.code_levels, []
+
+    def counted(n, cap):
+        folds.append(n)
+        return code_levels(n, cap)
+
+    monkeypatch.setattr(checks, "_pairs", lambda *args: list(pairs(*args))[:-1])
+    monkeypatch.setattr(trees, "code_levels", counted)
+    monkeypatch.delitem(sys.modules, "spinestat._fault", raising=False)
+    assert checks.bijection(4, 11) == ("PASS", f"{BIJECTION} (n <= 4)", "")
+    assert folds == [5, 1, 2, 3, 4, 5]
+
+
+def test_fault_replay_peak_memory(monkeypatch):
+    # Each size-9 code's root image is its leaf image.  The replay keeps
+    # level 10 as one dict of codes and masks, about 1.9 MiB at its peak,
+    # where one slot table of the whole level, a list of its pairs and
+    # their sort peaked at about 5.6 MiB.
+    monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
+        4 * code + 4 if node == 1 << 18 and code.bit_length() == 19 else image)))
+    tracemalloc.start()
+    try:
+        result = checks.bijection(9, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == ("FAIL", "bijection n=9", (
+        "bijection n=9: code 1010101010101010100 at depth 9 gives image"
+        " 101010101010101010100, a duplicate or not a size-10 code"))
+    assert peak <= 3 * 2 ** 20

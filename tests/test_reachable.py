@@ -117,3 +117,16 @@ def test_a_planted_private_load_is_flagged():
     assert private_loads(planted) == [
         "spinestat.trees._levels", "trees._code_block", "spinestat.stats._make", "Cap._x"]
     assert private_loads("from spinestat import trees\nprint(trees.code_levels)\n") == []
+
+
+def test_the_fault_replay_loads_nothing_of_the_check():
+    # spinestat._fault names the first fault of a level that checks.bijection
+    # fails; evidence that reused the check's own tables and rounds would
+    # check them against themselves.  Its relative imports are read as
+    # imports from spinestat.
+    text = (PACKAGE / "_fault.py").read_text()
+    tree = ast.parse(text)
+    imported = [f"{getattr(node, 'module', '') or ''}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert not any("checks" in name.split(".") for name in imported)
+    assert private_loads(text.replace("from . import", "from spinestat import")) == []
