@@ -179,15 +179,16 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_sample(args, out) -> int:
-    from . import trees
+    from . import sampler
 
     n, places = args.n, args.precision
-    observed = Counter(trees.sample_spines(n, args.samples, args.seed))
-    [exact] = stats.dist_closed(range(n, n + 1))
+    observed = Counter(sampler.sample_spines(n, args.samples, args.seed))
+    # Only the printed rows, k <= max(observed), whatever n is.
+    exact = stats.spine_fractions(n, max(observed))
     rows = (
         {"k": k, "observed": observed[k],
          "empirical": render_ratio(observed[k], args.samples, places),
-         "exact": render_ratio(exact.count(k), exact.total, places),
+         "exact": render_ratio(*exact[k - 1], places),
          "limit": _limit_str(k, places)}
         for k in range(1, max(observed) + 1)
     )

@@ -13,6 +13,9 @@ spine.  The four routes:
 Each route has one entry point, dist_<route>(sizes): it takes a range of
 sizes and returns one SpineDistribution per size, in the order of the range.
 All agree wherever defined; the test suite holds them against each other.
+spine_fractions(n, k_max) is the closed formula again, as the fractions
+S_n^k / c_n of the first k_max rows only: not a fifth route, but what
+`sample` prints as its exact column.
 """
 
 from __future__ import annotations
@@ -125,6 +128,23 @@ def dist_closed(sizes: range) -> list[SpineDistribution]:
         counts.reverse()
         dists.append(_make(n, counts))
     return dists
+
+
+def spine_fractions(n: int, k_max: int) -> list[tuple[int, int]]:
+    """S_n^k / c_n for k = 1..k_max as unreduced int pairs (num, den): the
+    closed route's ballot formula in ratio form, k(n+1)/(2n-k) times
+    prod_(i<k) (n-i)/(2n-i).  Row k costs a few factors of about log2(2n)
+    bits each, and no binomial of size n is built, so the first rows of any
+    n are cheap.  Needs 0 <= k_max <= n."""
+    if not 0 <= k_max <= n:
+        raise DomainError(f"need 0 <= k_max <= n, got k_max={k_max}, n={n}")
+    fractions, num, den = [], 1, 1
+    for k in range(1, k_max + 1):
+        # num/den is prod_(i<k) (n-i)/(2n-i).
+        num *= n - k + 1
+        den *= 2 * n - k + 1
+        fractions.append((k * (n + 1) * num, (2 * n - k) * den))
+    return fractions
 
 
 def average(n: int) -> Fraction:

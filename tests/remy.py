@@ -3,7 +3,7 @@ the trees, and the spine-length chain it projects to.
 
 `spine_step` is one step of the chain and `spine_law` its exact law after n
 steps, pushed forward over every draw of every step: the law reference of
-`spinestat.trees.sample_spines`.  `draw_spine` draws from a law's tails in
+`spinestat.sampler.sample_spines`.  `draw_spine` draws from a law's tails in
 exact arithmetic, the sampler's reference draw for draw.  The tests check
 the chain against Remy's growth, which is also their generator of random
 trees.  Trees are the nested tuples of treeref.py.

@@ -9,7 +9,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from spinestat import cli, stats, trees
+from spinestat import cli, sampler, stats
 from spinestat.asymptotics import limit_fraction, moment_sums
 from spinestat.series import catalan
 
@@ -143,7 +143,7 @@ def test_criterion_9_oracle_agreement():
 def test_criterion_10_sampler():
     with _Criterion(10, "seeded sampler at n=50: frequencies and determinism", 60):
         n, samples, seed = 50, 100000, 42
-        observed = Counter(trees.sample_spines(n, samples, seed))
+        observed = Counter(sampler.sample_spines(n, samples, seed))
         exact = stats.dist_recurrence(range(n, n + 1))[0]
         for k in range(1, 6):
             empirical = Fraction(observed.get(k, 0), samples)

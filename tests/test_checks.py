@@ -46,6 +46,59 @@ def test_route_detail_is_returned_not_printed(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def planted_fractions(n, fault):
+    """stats.spine_fractions with its list at size n given to fault(pairs)."""
+    spine_fractions = stats.spine_fractions
+
+    def planted(m, k_max):
+        pairs = spine_fractions(m, k_max)
+        return fault(pairs) if m == n else pairs
+
+    return planted
+
+
+# A fault in the fractions that `sample` prints, planted at n = 5 (k = 3 is
+# 9/42, unreduced 1080/5040) or at n = 4, and the detail it gives.
+FRACTION_FAULTS = {
+    "value": (5, lambda p: [*p[:2], (p[2][0] + 1, p[2][1]), *p[3:]],
+              "route agreement n=5: first differing k=3: recurrence=9/42"
+              " spine_fractions=1081/5040"),
+    "missing row": (4, lambda p: p[:-1],
+                    "route agreement n=4: first differing k=4: recurrence=1/14"
+                    " spine_fractions=none"),
+    "extra row": (4, lambda p: [*p, (1, 1)],
+                  "route agreement n=4: first differing k=5: recurrence=none"
+                  " spine_fractions=1/1"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FRACTION_FAULTS))
+def test_spine_fractions_fault_fails_route_agreement(fault, monkeypatch, capsys):
+    n, plant, detail = FRACTION_FAULTS[fault]
+    monkeypatch.setattr(stats, "spine_fractions", planted_fractions(n, plant))
+    rec = stats.dist_recurrence(range(7))
+    assert checks.routes(rec, 11) == ("FAIL", f"route agreement n={n}", detail)
+    out = io.StringIO()
+    assert main(["verify", "--max-n", "6"], out=out) == EXIT_VERIFY
+    assert f"FAIL route agreement n={n}" in out.getvalue().splitlines()
+    assert capsys.readouterr().err.splitlines() == [detail]
+
+
+def test_spine_fractions_are_compared_by_value():
+    # Unreduced pairs pass: 1080/5040 is 9/42.
+    assert stats.spine_fractions(5, 5)[2] == (1080, 5040)
+    assert checks.routes(stats.dist_recurrence(range(7)), 11)[0] == "PASS"
+
+
+@pytest.mark.parametrize("n, verdict", [(checks.FRACTIONS_MAX_N, "FAIL"),
+                                        (checks.FRACTIONS_MAX_N + 1, "PASS")])
+def test_spine_fractions_are_checked_up_to_their_bound(n, verdict, monkeypatch):
+    monkeypatch.setattr(stats, "spine_fractions",
+                        planted_fractions(n, lambda p: [(1, 1), *p[1:]]))
+    rec = stats.dist_recurrence(range(checks.FRACTIONS_MAX_N + 2))
+    assert checks.routes(rec, 3)[0] == verdict
+
+
 def each_image(fault):
     """trees.grow_codes with each pair's image replaced by fault(code,
     node, image), node the bit of the spine node grown at (1 << b; the

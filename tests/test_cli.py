@@ -451,6 +451,43 @@ class TestSample:
         code, _ = run_main("sample", "--n", "4", "--samples", "0", "--seed", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("n", [0, 1, 9, 4000, 10 ** 12])
+    def test_exact_column_builds_no_closed_row(self, n, fmt, monkeypatch):
+        def refuse(sizes):
+            raise AssertionError("sample built the closed route's row")
+
+        asked = []
+        spine_fractions = stats.spine_fractions
+
+        def recorded(n, k_max):
+            asked.append(k_max)
+            return spine_fractions(n, k_max)
+
+        monkeypatch.setattr(stats, "dist_closed", refuse)
+        monkeypatch.setattr(stats, "spine_fractions", recorded)
+        code, out = run_main("sample", "--n", str(n), "--samples", "300", "--seed", "4",
+                             "--format", fmt)
+        assert code == 0
+        # One call, for the printed rows k = 1..max(observed) only.
+        rows = len(json.loads(out)["rows"]) if fmt == "json" else len(out.splitlines()) - 1
+        assert asked == [rows]
+
+    def test_memory_does_not_grow_with_n(self):
+        # Only the printed rows: the closed route's whole row at n, n counts
+        # of up to 2n bits each, runs out of memory at n = 10^8.  The first
+        # run loads the sampler's modules outside the measurement.
+        run_main("sample", "--n", "1", "--samples", "1", "--seed", "1")
+        tracemalloc.start()
+        try:
+            code, _ = run_main("sample", "--n", str(10 ** 8), "--samples", "1500",
+                               "--seed", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 256 * 1024
+
 
 class TestEnumerate:
     def test_n2_codes(self):
@@ -772,7 +809,8 @@ class TestProcessLevel:
 
 
 # Bounded so that every argv runs in milliseconds: exhaustive sizes stay at
-# most 9 and every other size at most 30.
+# most 9 and every other size at most 30, but sample's, whose cost follows
+# the spines drawn and not n, up to 10^18.
 _BAD_TOKENS = ["--n", "x", "-1", "3.5", "", "--", "--bogus", "--format", "xml",
                "--method", "--precision", "--cap", "--seed", "frobnicate"]
 
@@ -799,7 +837,8 @@ def _argv(draw):
     elif command == "verify":
         flags = [_flag("--max-n", small), _flag("--cap", small)]
     elif command == "sample":
-        flags = [_flag("--n", sizes), _flag("--samples", st.integers(-1, 50)),
+        flags = [_flag("--n", st.one_of(sizes, st.integers(31, 10 ** 18))),
+                 _flag("--samples", st.integers(-1, 50)),
                  _flag("--seed", st.integers(-10**6, 10**6)), fmt, precision]
     else:
         flags = [_flag("--n", small), _flag("--cap", small)]

@@ -229,7 +229,18 @@ HELP = {
 }
 
 
-GOLDEN = {**README, **SMALL, **EXHAUSTIVE, **ROUTE_SIZES, **BATCH_EDGES, **JSON_TABLES}
+# sample at n = 10^12, whose closed row could not be built: its exact column
+# holds only the printed rows' fractions (test_large_sample_exact_column).
+LARGE_SAMPLE = {
+    "sample --n 1000000000000 --samples 1500 --seed 1":
+        (0, "33ee114e43a402e34ee73c9c405e74de1a71599d236a0fcedf371bc803faabcb"),
+    "sample --n 1000000000000 --samples 1500 --seed 1 --format json":
+        (0, "ca978988cee9c57572f94438926c5a0f7e8b239e3307894ea6fcae048f0d3e97"),
+}
+
+
+GOLDEN = {**README, **SMALL, **EXHAUSTIVE, **ROUTE_SIZES, **BATCH_EDGES, **JSON_TABLES,
+          **LARGE_SAMPLE}
 
 
 @pytest.mark.parametrize("line", GOLDEN)
@@ -255,3 +266,36 @@ def test_help_hash(line):
     cp = subprocess.run([sys.executable, "-m", "spinestat", *line.split()],
                         capture_output=True, env=subprocess_env(COLUMNS="80"))
     assert (cp.returncode, hashlib.sha256(cp.stdout).hexdigest()) == HELP[line]
+
+
+def _rounded(value, places):
+    """A Fraction in decimal to `places` places, rounded half to even."""
+    digits = str(round(value * 10 ** places)).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}"
+
+
+@pytest.mark.parametrize("line", LARGE_SAMPLE)
+@pytest.mark.parametrize("places", [None, 30])
+def test_large_sample_exact_column(line, places):
+    # Each row's exact column is S_n^k / c_n by math.perm, the falling
+    # factorials of C(2n-k, n-k) / C(2n, n), rounded in Fractions; at 30
+    # places it no longer reads as the limit k/2^(k+1).
+    import json
+    import math
+    from fractions import Fraction
+
+    argv = line.split() + ([] if places is None else ["--precision", str(places)])
+    out = io.StringIO()
+    assert main(argv, out=out) == 0
+    if "json" in argv:
+        rows = [(row["k"], row["exact"]) for row in json.loads(out.getvalue())["rows"]]
+    else:
+        rows = [(int(fields["k"]), fields["exact"])
+                for fields in (dict(field.split("=") for field in text.split())
+                               for text in out.getvalue().splitlines()[1:])]
+    n = 10 ** 12
+    assert [k for k, _ in rows] == list(range(1, len(rows) + 1)) and len(rows) > 10
+    for k, exact in rows:
+        value = Fraction(k * (n + 1) * math.perm(n, k), (2 * n - k) * math.perm(2 * n, k))
+        assert exact == _rounded(value, places or 4), k
+        assert places is None or exact != _rounded(Fraction(k, 2 ** (k + 1)), places)

@@ -34,7 +34,7 @@ LAYERS = {
     ("average", "--n", "5"): set(),
     ("average", "--n", "40"): set(),
     ("limit", "--k", "3"): set(),
-    ("sample", "--n", "5", "--samples", "10", "--seed", "1"): {"spinestat.trees"},
+    ("sample", "--n", "5", "--samples", "10", "--seed", "1"): {"spinestat.sampler"},
     ("enumerate", "--n", "3"): {"spinestat.trees", "spinestat._codetext"},
     ("--version",): set(),
 }
@@ -91,6 +91,12 @@ def test_a_bare_import_loads_no_submodule():
     assert package(modules_after("import sys, spinestat; print(*sys.modules)")) == {"spinestat"}
 
 
+def test_the_sampler_loads_no_other_layer():
+    # Neither trees nor stats: `sample` compiles neither for its draws.
+    assert package(modules_after("import sys, spinestat.sampler; print(*sys.modules)")) == {
+        "spinestat", "spinestat.sampler"}
+
+
 def test_writing_stdout_loads_no_deferred_module():
     code, modules = loaded("dist", "--n", "6", out="None")
     assert code == 0
@@ -110,7 +116,7 @@ def test_writing_stdout_loads_no_deferred_module():
 def test_a_format_loads_only_its_module(argv, module):
     code, modules = loaded(*argv)
     assert code == 0
-    assert package(modules) == BASE | ({"spinestat.trees"} if argv[0] == "sample" else set())
+    assert package(modules) == BASE | ({"spinestat.sampler"} if argv[0] == "sample" else set())
     assert modules & DEFERRED == ({module} if module else set())
 
 

@@ -227,6 +227,66 @@ class TestRouteAgreement:
             assert rec[n].counts == ser[n].counts == at(dist_closed, n).counts
 
 
+def fraction_reference(n, k):
+    """S_n^k / c_n as a Fraction, by math.perm: C(2n-k, n-k) / C(2n, n) is
+    the falling factorials n!/(n-k)! over (2n)!/(2n-k)!, so the fraction is
+    k(n+1)/(2n-k) times their ratio."""
+    import math
+
+    return Fraction(k * (n + 1) * math.perm(n, k), (2 * n - k) * math.perm(2 * n, k))
+
+
+class TestSpineFractions:
+    # Each route at the sizes it reaches in the tests above.
+    @pytest.mark.parametrize("route, top", [("exhaustive", 12), ("recurrence", 100),
+                                            ("series", 100), ("closed", 100)])
+    def test_equals_every_route(self, route, top):
+        for dist in route_named(route)(range(top + 1)):
+            fractions = stats.spine_fractions(dist.n, dist.n)
+            assert [Fraction(num, den) for num, den in fractions] == [
+                Fraction(count, dist.total) for count in dist.counts], dist.n
+
+    def test_reference_is_the_ballot_count(self):
+        for n in range(1, 60):
+            for k in range(1, n + 1):
+                assert fraction_reference(n, k) == Fraction(one_shot(n, k), catalan(n))
+
+    @pytest.mark.parametrize("n", [10 ** 5, 10 ** 8, 10 ** 12])
+    def test_large_n(self, n):
+        fractions = stats.spine_fractions(n, 40)
+        assert [Fraction(num, den) for num, den in fractions] == [
+            fraction_reference(n, k) for k in range(1, 41)]
+
+    def test_tails_difference(self):
+        # P(spine = k) = T(k) - T(k+1), with T(k) = P(spine >= k) from the
+        # sampler's own tail recurrence and T(n+1) = 0.
+        from spinestat import sampler
+
+        for n in range(65):
+            tails = [Fraction(num, den) for num, den in sampler._tails(n)] + [Fraction(0)]
+            law = [a - b for a, b in zip(tails, tails[1:])]
+            assert [Fraction(num, den) for num, den in stats.spine_fractions(n, n)] == law, n
+
+    def test_prefix_of_the_whole_row(self):
+        for n in range(30):
+            whole = stats.spine_fractions(n, n)
+            assert len(whole) == n
+            for k_max in range(n + 1):
+                assert stats.spine_fractions(n, k_max) == whole[:k_max]
+
+    @pytest.mark.parametrize("n, k_max", [(5, 6), (5, -1), (0, 1), (-1, -1)])
+    def test_domain(self, n, k_max):
+        with pytest.raises(DomainError):
+            stats.spine_fractions(n, k_max)
+
+    @pytest.mark.parametrize("places", [0, 2, 4, 30])
+    def test_renders_the_digits_of_count_over_total(self, places):
+        # The pairs are not reduced; render_ratio rounds by value.
+        for dist in dist_closed(range(0, 201, 7)):
+            for count, pair in zip(dist.counts, stats.spine_fractions(dist.n, dist.n)):
+                assert render_ratio(*pair, places) == render_ratio(count, dist.total, places)
+
+
 class TestRanges:
     @pytest.mark.parametrize("route", sorted(METHODS))
     @pytest.mark.parametrize(

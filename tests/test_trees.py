@@ -35,13 +35,13 @@ from treeref import (
     successor_codes,
     successors,
 )
-from spinestat import _codetext, trees
+from spinestat import _codetext, sampler, trees
+from spinestat.sampler import sample_spines
 from spinestat.trees import (
     DEFAULT_CAP,
     PIECE,
     code_levels,
     grow_codes,
-    sample_spines,
     shrink_codes,
     spine_levels,
 )
@@ -531,7 +531,7 @@ class TestSampler:
         from fractions import Fraction
 
         for n in [*range(65), 100, 513, 1000]:
-            tails = [Fraction(num, den) for num, den in trees._tails(n)]
+            tails = [Fraction(num, den) for num, den in sampler._tails(n)]
             assert tails == spine_tails(exact_law(n)), n
 
     @pytest.mark.parametrize("n", range(13))
