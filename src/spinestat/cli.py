@@ -14,11 +14,11 @@ import math
 import os
 import sys
 from collections import Counter
+from itertools import chain, repeat
 
 from . import __version__, stats
 from .errors import DEFAULT_CAP, CapExceeded
-from .series import catalan
-from .stats import render_int, render_ratio
+from .stats import ratio_texts, render_int, render_ratio
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,51 +44,54 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _text(value) -> str:
-    """Report text of a value; ints of any length go through render_int."""
-    if isinstance(value, int):
-        return render_int(value)
-    return value
+def _json_value(value) -> str:
+    """A json document's value: an int by render_int, a string quoted."""
+    return render_int(value) if isinstance(value, int) else f'"{value}"'
 
 
-def _json_field(value) -> str:
-    """A row field as json writes it: an int by _text, a string quoted."""
-    return _text(value) if isinstance(value, int) else f'"{value}"'
-
-
-def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
+def _report(out, fmt, text, meta, columns=None, rows=(), line="", numbers=()) -> int:
     """Write a report in `fmt`; every command with --format ends here.
 
     `text` is the text format's opening, and `line` a template that renders
-    one row as a further text line.  `meta` holds the json document's fields
-    ahead of the version.  A table report names its `columns`, the keys of
-    each row; its csv form puts the document's n in front of every row, and
-    its json form ends with the rows.  A report without columns has no csv
-    form and prints its text instead.  Every format is an opening, rows read
-    once and rendered as they come, and a closing, handed to `out` a row at a
-    time in one writelines call.  Ints are rendered by `_text`, so no size of
-    number meets str()'s digit limit.
+    one row as a further text line, its fields named by column.  `meta` holds
+    the json document's fields ahead of the version, ints and strings.  A
+    table report names its `columns`, and each of its `rows` is a tuple of
+    their texts in that order; a text line that uses only the first columns
+    may be given rows of only those.  Its csv form puts the document's n in
+    front of every row, and its json form ends with the rows, `numbers` the
+    columns it writes as numbers and the others as strings.  A report
+    without columns has no csv form and prints its text instead.  Every
+    format is an opening, rows read once and rendered as they come, and a
+    closing, handed to `out` a row at a time in one writelines call.
     """
-    head, line, render, joint, tail = text + "\n", line + "\n", _text, "", ""
-    # Every field is an int or a string of digits, "-" and ".": csv needs no
-    # quoting, and json no escaping (_json_field).
+    # Every field is an int or a string of digits, "-", "." and "/": csv
+    # needs no quoting, and json no escaping.  Each format's template takes
+    # a row's texts by position, "{0}" for the first column.
+    columns = columns or ()
+    fields = [f"{{{i}}}" for i in range(len(columns))]
+    head, joint, tail = text + "\n", "", ""
+    line = line.format_map(dict(zip(columns, fields))) + "\n"
     if fmt == "json":
-        import json
-
-        head = json.dumps({**meta, "version": __version__}, indent=2) + "\n"
-        if columns is not None:
-            head = head.removesuffix("\n}\n") + ',\n  "rows": ['
-            line = "\n    {{" + ",".join(f'\n      "{c}": {{{c}}}' for c in columns) + "\n    }}"
-            render, joint, tail = _json_field, ",", "\n  ]\n}\n"
-    elif fmt == "csv" and columns is not None:
+        # The layout of json.dumps(..., indent=2), written as the rows are.
+        doc = {**meta, "version": __version__}
+        head = "{" + ",".join(f'\n  "{key}": {_json_value(value)}' for key, value in doc.items())
+        if not columns:
+            head += "\n}\n"
+        else:
+            head += ',\n  "rows": ['
+            line = "\n    {{" + ",".join(
+                f'\n      "{c}": ' + (f if c in numbers else f'"{f}"')
+                for c, f in zip(columns, fields)) + "\n    }}"
+            joint, tail = ",", "\n  ]\n}\n"
+    elif fmt == "csv" and columns:
         head = ",".join(["n", *columns]) + "\n"
-        line = ",".join([_text(meta["n"]), *(f"{{{c}}}" for c in columns)]) + "\n"
+        line = ",".join([render_int(meta["n"]), *fields]) + "\n"
 
     def texts():
         yield head
         sep = ""
         for row in rows:
-            yield sep + line.format_map({c: render(v) for c, v in row.items()})
+            yield sep + line.format(*row)
             sep = joint
         # The json rows are in indent=2's layout, which writes no rows as "[]".
         yield tail if sep else tail.lstrip()
@@ -97,39 +100,45 @@ def _report(out, fmt, text, meta, columns=None, rows=(), line="") -> int:
     return EXIT_OK
 
 
-def _limit_str(k: int, places: int) -> str:
-    return render_ratio(k, 2 ** (k + 1), places)
+def _limits(top: int, places: int):
+    """The texts of the limits k/2^(k+1), k = 1..top.  From the first k with
+    k*10^places < 2^k on, each rounds to 0: k*10^places gains at most a bit
+    a step, and 2^k one."""
+    scale = 10 ** places
+    first_zero = next((k for k in range(1, top + 1) if (k * scale).bit_length() <= k), top + 1)
+    ks = range(1, first_zero)
+    return chain(ratio_texts(zip(ks, map((2).__lshift__, ks)), places),
+                 repeat(render_ratio(0, 1, places), top + 1 - first_zero))
 
 
 def cmd_dist(args, out) -> int:
     # Looked up at each call, so a wrapper on stats.dist_<method> sees it.
     caps = (args.cap,) if args.method == "exhaustive" else ()
     [dist] = getattr(stats, f"dist_{args.method}")(range(args.n, args.n + 1), *caps)
-    places, total = args.precision, _text(dist.total)
-    text = f"n={dist.n} method={args.method} total={total}"
-    if dist.n == 0:
+    n, places, total = dist.n, args.precision, render_int(dist.total)
+    text = f"n={n} method={args.method} total={total}"
+    if n == 0:
         text += "\n(size 0: the single external node, no spine segments)"
+    # k <= n, a size whose counts were built: far below str()'s digit limit.
+    ks = range(1, n + 1)
+    columns = [map(str, ks), map(render_int, dist.counts)]
     # The text format prints only each count and its k.
-    ratios = args.format != "text"
-    rows = (
-        {"k": k, "count": _text(c),
-         **({"fraction": render_ratio(c, dist.total, places),
-             "limit": _limit_str(k, places)} if ratios else {})}
-        for k, c in enumerate(dist.counts, start=1)
-    )
-    meta = {"n": dist.n, "total": total, "method": args.method}
+    if args.format != "text":
+        columns += [ratio_texts(zip(dist.counts, repeat(dist.total)), places),
+                    _limits(n, places)]
+    meta = {"n": n, "total": total, "method": args.method}
     return _report(out, args.format, text, meta, ("k", "count", "fraction", "limit"),
-                   rows, "{count} x {k}")
+                   zip(*columns), "{count} x {k}", numbers=("k",))
 
 
 def _ratio(args, out, head: dict, raw_num: int, raw_den: int) -> int:
     # Text is "<raw> = <reduced> = <decimal>", dropping the middle form when
     # the raw fraction is already reduced.  raw_den > 0.
     g = math.gcd(raw_num, raw_den)
-    num, den = _text(raw_num), _text(raw_den)
-    reduced = _text(raw_num // g)
+    num, den = render_int(raw_num), render_int(raw_den)
+    reduced = render_int(raw_num // g)
     if raw_den != g:
-        reduced += f"/{_text(raw_den // g)}"
+        reduced += f"/{render_int(raw_den // g)}"
     decimal = render_ratio(raw_num, raw_den, args.precision)
     parts = [f"{num}/{den}"]
     if g != 1:
@@ -145,6 +154,8 @@ def cmd_average(args, out) -> int:
     # on, that is n >= 35 (c_34 < 10^18 <= c_35), the equivalent 3n/(n+2)
     # form reads better.
     if n <= 34:
+        from .series import catalan
+
         c = catalan(n)
         return _ratio(args, out, {"n": n}, catalan(n + 1) - c, c)
     return _ratio(args, out, {"n": n}, 3 * n, n + 2)
@@ -181,22 +192,22 @@ def cmd_verify(args, out) -> int:
 def cmd_sample(args, out) -> int:
     from . import sampler
 
-    n, places = args.n, args.precision
-    observed = Counter(sampler.sample_spines(n, args.samples, args.seed))
-    # Only the printed rows, k <= max(observed), whatever n is.
-    exact = stats.spine_fractions(n, max(observed))
-    rows = (
-        {"k": k, "observed": observed[k],
-         "empirical": render_ratio(observed[k], args.samples, places),
-         "exact": render_ratio(*exact[k - 1], places),
-         "limit": _limit_str(k, places)}
-        for k in range(1, max(observed) + 1)
-    )
-    text = f"n={_text(n)} samples={_text(args.samples)} seed={_text(args.seed)}"
-    meta = {"n": n, "samples": args.samples, "seed": args.seed}
+    n, samples, places = args.n, args.samples, args.precision
+    observed = Counter(sampler.sample_spines(n, samples, args.seed))
+    # Only the printed rows, k <= max(observed), whatever n is.  k and the
+    # observed counts are at most n and samples, which argparse read as ints.
+    ks = range(1, max(observed) + 1)
+    counts = [observed[k] for k in ks]
+    rows = zip(map(str, ks), map(str, counts),
+               ratio_texts(zip(counts, repeat(samples)), places),
+               ratio_texts(stats.spine_fractions(n, len(ks)), places),
+               _limits(len(ks), places))
+    text = f"n={render_int(n)} samples={render_int(samples)} seed={render_int(args.seed)}"
+    meta = {"n": n, "samples": samples, "seed": args.seed}
     return _report(out, args.format, text, meta,
                    ("k", "observed", "empirical", "exact", "limit"), rows,
-                   "k={k} observed={observed} empirical={empirical} exact={exact} limit={limit}")
+                   "k={k} observed={observed} empirical={empirical} exact={exact} limit={limit}",
+                   numbers=("k", "observed"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,17 +20,14 @@ S_n^k / c_n of the first k_max rows only: not a fifth route, but what
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, repeat
 
-from . import series
 from .errors import DEFAULT_CAP, DomainError
-from .series import catalan
 
-# `trees` is imported inside `dist_exhaustive` and `fractions` inside
-# `average`, their one users here, so a command that runs neither does not
-# load them at start-up.
+# `series` is imported inside `_make`, `dist_series` and `average`, `trees`
+# inside `dist_exhaustive` and `fractions` inside `average`, their users
+# here, so a command that runs none of them does not load them at start-up.
 
 
 class SpineDistribution(namedtuple("SpineDistribution", "n counts total")):
@@ -46,6 +43,8 @@ class SpineDistribution(namedtuple("SpineDistribution", "n counts total")):
 
 
 def _make(n: int, counts) -> SpineDistribution:
+    from .series import catalan
+
     return SpineDistribution(n=n, counts=tuple(counts), total=catalan(n))
 
 
@@ -75,30 +74,35 @@ def dist_exhaustive(sizes: range, cap: int = DEFAULT_CAP) -> list[SpineDistribut
 
 def dist_recurrence(sizes: range) -> list[SpineDistribution]:
     """Distributions by climbing the levels once up to the largest size,
-    keeping only the current level and the requested ones.  A negative size
-    raises ValueError before the climb."""
+    holding one level and the requested ones.  A negative size raises
+    ValueError before the climb."""
     if sizes and min(sizes) < 0:
         raise ValueError("size must be nonnegative")
     # Level n+1 from level n: attaching at spine depth d gives spine d+1,
     # so S_{n+1}^j = sum_{k >= j-1} S_n^k with the j=1 term being the whole
-    # level total.  Suffix sums make each level O(n).
+    # level total.  Suffix sums make each level O(n).  The level is held
+    # smallest count first, S_n^n .. S_n^1.  Reversed, it is popped from
+    # k = n down into the running sums, so each count of level n is freed
+    # as soon as it is added and the climb never holds two levels.
     found = {}
     level: list[int] = []
     for n in range(max(sizes, default=-1) + 1):
         if n == 1:
             level = [1]
         elif n > 1:
-            suffix = list(accumulate(reversed(level)))
-            suffix.reverse()
-            level = [suffix[0], *suffix]
+            level.reverse()
+            level = list(accumulate(map(list.pop, repeat(level, n - 1))))
+            level.append(level[-1])
         if n in sizes:
-            found[n] = _make(n, level)
+            found[n] = _make(n, reversed(level))
     return [found[n] for n in sizes]
 
 
 def dist_series(sizes: range) -> list[SpineDistribution]:
     """Distributions from the generating functions z^(k+1) * N^k.  N = z + z*N^2
     times N^(k-1) gives N^(k+1) = N^k / z - N^(k-1): one shifted subtraction."""
+    from . import series
+
     n_max = max(sizes, default=0)
     counts: dict[int, list[int]] = {n: [] for n in sizes}
     # z^(k+1) * N^k at index 2n+1 is N^k at index 2n-k, so N^k is needed
@@ -152,6 +156,8 @@ def average(n: int) -> Fraction:
     which reduces to 3n/(n+2); tends to 3."""
     from fractions import Fraction
 
+    from .series import catalan
+
     if n < 1:
         raise DomainError("n must be >= 1")
     return Fraction(catalan(n + 1) - catalan(n), catalan(n))
@@ -161,31 +167,37 @@ def render_ratio(num: int, den: int, places: int = 2) -> str:
     """Decimal rendering of num/den (den > 0), round-half-even, without
     reducing the fraction first: scaling num and den by g leaves the quotient
     and scales the remainder by g, so the rounding is the same."""
-    sign = "-" if num < 0 else ""
-    scaled = abs(num) * 10 ** places
-    q, r = divmod(scaled, den)
-    if 2 * r > den or (2 * r == den and q & 1):
-        q += 1
-    digits = render_int(q).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    [text] = ratio_texts([(num, den)], places)
+    return text
+
+
+def ratio_texts(pairs: Iterable[tuple[int, int]], places: int = 2) -> Iterator[str]:
+    """render_ratio of each pair (num, den) of `pairs`, read lazily: a column
+    of a report, its scale 10^places computed once."""
+    scale, width = 10 ** places, places + 1
+    for num, den in pairs:
+        sign = "-" if num < 0 else ""
+        q, r = divmod(abs(num) * scale, den)
+        if 2 * r > den or (2 * r == den and q & 1):
+            q += 1
+        digits = render_int(q).rjust(width, "0")
+        yield f"{sign}{digits[:-places]}.{digits[-places:]}" if places else sign + digits
 
 
 def render_int(value: int) -> str:
     """Decimal digits of an int of any size.
 
     str() refuses ints longer than sys.get_int_max_str_digits() digits (4300
-    by default).  Larger values are split by a power of ten into halves that
+    by default).  Such a value is split by a power of ten into halves that
     are rendered the same way, so no piece reaches the limit and the limit
     itself stays as it is.
     """
+    try:
+        return str(value)
+    except ValueError:  # str() raises nothing else for an int
+        pass
     if value < 0:
         return "-" + render_int(-value)
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
-    # A decimal digit takes log2(10) > 3 bits, so this is under the limit.
-    if not limit or value.bit_length() < 3 * limit:
-        return str(value)
     half = value.bit_length() * 3 // 20  # about half of the digits
     high, low = divmod(value, 10 ** half)
     return render_int(high) + render_int(low).rjust(half, "0")

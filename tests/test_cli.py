@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinestat
 from spinestat import cli, stats, trees
 from spinestat.cli import FORMATS, METHODS, main
 from spinestat.errors import CapExceeded
@@ -564,6 +565,37 @@ def test_table_report_is_not_written_a_chunk_at_a_time(fmt):
     # json form of this table, and print's two per line 2,804 for its text
     # and csv forms; the bound is 120 to 139 writes.
     assert_written_in_batches(f"dist --n 1401 --format {fmt}".split())
+
+
+# Each shape of a json document's fields ahead of its rows.  The limit's
+# denominator 2^14291 has 4,303 digits, past str()'s default limit.
+JSON_OPENINGS = {
+    "dist --n 0": {"n": 0, "total": "1", "method": "recurrence"},
+    "dist --n 6 --method closed": {"n": 6, "total": "132", "method": "closed"},
+    "average --n 10": {"n": 10, "numerator": "41990", "denominator": "16796",
+                       "reduced": "5/2", "decimal": "2.50"},
+    "average --n 40": {"n": 40, "numerator": "120", "denominator": "42",
+                       "reduced": "20/7", "decimal": "2.86"},
+    "limit --k 14290": {"k": 14290, "numerator": "14290",
+                        "denominator": render_int(2**14291),
+                        "reduced": "7145/" + render_int(2**14290), "decimal": "0.00"},
+    "sample --n 5 --samples 10 --seed 1": {"n": 5, "samples": 10, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("argv", JSON_OPENINGS)
+def test_json_opening_is_the_layout_of_json_dumps(argv):
+    # The opening is written by hand; json.dumps(..., indent=2) is the
+    # layout it keeps.
+    code, out = run_main(*argv.split(), "--format", "json")
+    assert code == 0
+    opening = json.dumps({**JSON_OPENINGS[argv], "version": spinestat.__version__}, indent=2)
+    if argv.startswith(("average", "limit")):
+        assert out == opening + "\n"
+    elif argv == "dist --n 0":
+        assert out == opening.removesuffix("\n}") + ',\n  "rows": []\n}\n'
+    else:
+        assert out.startswith(opening.removesuffix("\n}") + ',\n  "rows": [\n    {\n')
 
 
 class _PipeGone(io.RawIOBase):

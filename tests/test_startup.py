@@ -21,17 +21,23 @@ DEFERRED = {"dataclasses", "inspect", "typing", "json", "csv", "fractions", "dec
             "array", "spinestat.checks", "spinestat.asymptotics"}
 
 # The spinestat modules that every command loads: the package, the CLI, and
-# the report path's stats, series and errors.
-BASE = {"spinestat", "spinestat.cli", "spinestat.errors", "spinestat.series", "spinestat.stats"}
+# the report path's stats and errors.
+BASE = {"spinestat", "spinestat.cli", "spinestat.errors", "spinestat.stats"}
 
 # The spinestat modules each command line loads besides BASE: the layers it
-# runs, and no other.
+# runs, and no other.  series comes with the Catalan totals of dist and of
+# average up to n = 34; limit, average from n = 35 on and sample compute
+# theirs without it.
+SERIES = {"spinestat.series"}
 LAYERS = {
-    ("dist", "--n", "6"): set(),
-    ("dist", "--n", "6", "--method", "series"): set(),
-    ("dist", "--n", "6", "--method", "closed"): set(),
-    ("dist", "--n", "6", "--method", "exhaustive"): {"spinestat.trees"},
-    ("average", "--n", "5"): set(),
+    ("dist", "--n", "0"): SERIES,
+    ("dist", "--n", "6"): SERIES,
+    ("dist", "--n", "6", "--method", "series"): SERIES,
+    ("dist", "--n", "6", "--method", "closed"): SERIES,
+    ("dist", "--n", "6", "--method", "exhaustive"): SERIES | {"spinestat.trees"},
+    ("average", "--n", "5"): SERIES,
+    ("average", "--n", "34"): SERIES,
+    ("average", "--n", "35"): set(),
     ("average", "--n", "40"): set(),
     ("limit", "--k", "3"): set(),
     ("sample", "--n", "5", "--samples", "10", "--seed", "1"): {"spinestat.sampler"},
@@ -100,31 +106,37 @@ def test_the_sampler_loads_no_other_layer():
 def test_writing_stdout_loads_no_deferred_module():
     code, modules = loaded("dist", "--n", "6", out="None")
     assert code == 0
-    assert package(modules) == BASE
+    assert package(modules) == BASE | SERIES
     assert not modules & DEFERRED
 
 
-# csv is written as text is, with no module of its own.  A report without
-# columns has no csv form and writes its text instead.
+# Every format is written as text is, and loads no module of its own: the
+# json form's writer would be json, which no command loads.  A report
+# without columns has no csv form and writes its text instead.
 @pytest.mark.parametrize("argv, module", [
     (("dist", "--n", "6", "--format", "json"), "json"),
+    (("dist", "--n", "0", "--format", "json"), "json"),
     (("dist", "--n", "6", "--format", "csv"), None),
     (("sample", "--n", "5", "--samples", "10", "--seed", "1", "--format", "csv"), None),
+    (("sample", "--n", "5", "--samples", "10", "--seed", "1", "--format", "json"), "json"),
     (("average", "--n", "5", "--format", "json"), "json"),
+    (("average", "--n", "40", "--format", "json"), "json"),
     (("limit", "--k", "3", "--format", "csv"), None),
+    (("limit", "--k", "3", "--format", "json"), "json"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
 def test_a_format_loads_only_its_module(argv, module):
     code, modules = loaded(*argv)
     assert code == 0
-    assert package(modules) == BASE | ({"spinestat.sampler"} if argv[0] == "sample" else set())
-    assert modules & DEFERRED == ({module} if module else set())
+    assert package(modules) == BASE | LAYERS[argv[:-2]]
+    assert module not in modules
+    assert not modules & DEFERRED
 
 
 def test_verify_loads_checks():
     code, modules = loaded("verify", "--max-n", "3")
     assert code == 0
     # _fault, which names a failing level's first fault, loads only on a FAIL.
-    assert package(modules) == BASE | {"spinestat.trees", "spinestat.checks"}
+    assert package(modules) == BASE | SERIES | {"spinestat.trees", "spinestat.checks"}
     assert not modules & (DEFERRED - {"spinestat.checks", "array"})
 
 

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -160,6 +161,22 @@ class TestDistRecurrence:
         for n in range(21):
             assert table[n].counts == at(dist_recurrence, n).counts
 
+    def test_peak_memory(self):
+        # The climb frees each count of level n once it is added into level
+        # n+1, so it holds one level: about 1.05 times the returned counts'
+        # bytes.  A climb that keeps level n, its suffix sums and their
+        # reversed copy alive at once peaks at about 2.06 times them.
+        dist_recurrence(range(3))
+        tracemalloc.start()
+        try:
+            [dist] = dist_recurrence(range(1400, 1401))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sys.getsizeof(dist.counts) + sum(map(sys.getsizeof, dist.counts))
+        assert dist.total == catalan(1400)
+        assert peak < 1.3 * held
+
 
 class TestDistSeries:
     @pytest.mark.parametrize("n", [1, 7])
@@ -313,12 +330,15 @@ def _refuse(*args, **kwargs):
 class TestRouteIndependence:
     """Each route reproduces the tables with the other routes' kernels
     disabled: series uses only N's functional equation, exhaustive only the
-    canonical decomposition and no growth step, and closed only the ballot formula within one
-    size.  math.comb stays, because the totals come from catalan."""
+    canonical decomposition and no growth step, recurrence only the growth
+    step's suffix sums, and closed only the ballot formula within one size.
+    math.comb stays, because the totals come from catalan."""
 
     KERNELS = {
         "closed": [(stats, "dist_recurrence"), (series, "node_gf"),
                    (series, "ps_mul"), (trees, "_levels")],
+        "recurrence": [(stats, "dist_closed"), (stats, "dist_series"), (series, "node_gf"),
+                       (series, "ps_mul"), (trees, "_levels")],
         "series": [(series, "ps_mul"), (trees, "_levels"),
                    (stats, "dist_recurrence"), (stats, "dist_closed")],
         "exhaustive": [(trees, "grow_codes"), (trees, "shrink_codes"),
