@@ -1,12 +1,13 @@
 """The pair-by-pair check of one level of checks.bijection, run only when
-the check of that level, or of one of its blocks, fails, to name its first
-fault.  It shares no code with the check it diagnoses, only trees' public
-step and inverse: it keeps level n+1 as one dict of codes and masks and
-takes one pair at a time, so it is linear in the level and holds no slot
-table.  Each command imports only the layers it runs, and with no bytecode
-cached each start compiles what it imports: as part of checks, this code
-would be compiled by every `verify`, a passing one too, where it raised the
-child's peak RSS by about 0.4 MB.
+the check of that level in canonical order fails, to name its first fault
+or to pass a step that is one to one but out of order.  It shares no code
+with the check it diagnoses, only trees' public step and inverse: it keeps
+level n+1 as one dict of codes and masks and takes one pair at a time from
+level n's own masks, so it is linear in the level.  Each command imports
+only the layers it runs, and with no bytecode cached each start compiles
+what it imports: as part of checks, this code would be compiled by every
+`verify`, a passing one too, where it raised the child's peak RSS by about
+0.4 MB.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def first_fault(n: int, lower, cap: int):
     for codes, masks in pieces:
         for code, mask in zip(codes, masks):
             upper.append(code)
-            # A code of the level's one table is a 1, 2n free bits and 00.
+            # A size-(n+1) code is a 1, 2n free bits and 00.
             if code >> width - 1 == 1 and not code & 3:
                 if code in fold:
                     return "FAIL", f"bijection n={n}", (

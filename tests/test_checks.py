@@ -171,13 +171,13 @@ def rootless(m, code):
     lambda a, b: b >> 1,     # one bit short
     # What -b is in a 64-bit field: bits far above a size-2 code's.
     lambda a, b: (1 << 64) - b,
-    # The right length, but no slot: without the top bit the key is below
-    # 0, and the last two bits must be 00.
+    # The right length, but not a size-2 code's shape, a 1, two free bits
+    # and 00: without the top bit, or not ending in 00.
     lambda a, b: b - 16,
     lambda a, b: b | 1,
     lambda a, b: b | 2,
     lambda a, b: a,          # a duplicate
-    lambda a, b: 0b11100,    # a slot, but of no size-2 code: no pair reaches it
+    lambda a, b: 0b11100,    # the shape, but of no size-2 code: no pair reaches it
 ])
 def test_foreign_image_fails_bijection(foreign, monkeypatch, capsys):
     monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
@@ -202,8 +202,8 @@ def test_two_pairs_on_one_code_fail_bijection(monkeypatch):
         "bijection n=2: code 10100 at depth 2 gives image 1101000, a duplicate or not a size-3 code")
 
 
-# Two size-4 codes with a slot but of no tree, in canonical order but in
-# reverse numeric order, each with a mask of the root alone.
+# Two codes of a size-4 code's shape but of no tree, in canonical order but
+# in reverse numeric order, each with a mask of the root alone.
 STRAYS = ((0b111111100, 0b100000000), (0b100000000, 0b100000000))
 
 
@@ -217,32 +217,33 @@ def test_leftover_names_first_code_in_canonical_order(max_n, monkeypatch):
 
 @pytest.mark.parametrize("max_n", [3, 5])  # level 4 streamed, then stored
 def test_leftover_in_the_last_block(max_n, monkeypatch):
-    # 1 1111100 0 has the fixed bits of level 4's last block, the joins with
-    # a leaf on the right, and a slot there, but 1111100 is no tree: the
-    # block holds one code more than it has pairs.
+    # 1 1111100 0 has the shape of a code of level 4's last block, the
+    # joins with a leaf on the right, but 1111100 is no tree: the level
+    # holds one code more than it has pairs.
     monkeypatch.setattr(trees, "code_levels", appended(4, [(0b111111000, 0b100000000)]))
     assert checks.bijection(max_n, 11) == (
         "FAIL", "bijection n=3", "bijection n=3: no code and depth gives the size-4 code 111111000")
 
 
 def test_leftover_at_size_0(monkeypatch):
-    # Level 1 gains the code 0 (000 at size 1's width), which has no slot.
+    # Level 1 gains the code 0 (000 at size 1's width), without a root bit.
     monkeypatch.setattr(trees, "code_levels", appended(1, [(0, 0)]))
     assert checks.bijection(0, 11) == (
         "FAIL", "bijection n=0", "bijection n=0: no code and depth gives the size-1 code 000")
 
 
 def test_fold_code_without_a_slot_fails_bijection(monkeypatch):
-    # Level 2 gains a code that no image can reach, since it has no slot.
+    # Level 2 gains a code that no image can reach, since it lacks the
+    # root's bit.
     monkeypatch.setattr(trees, "code_levels", appended(2, [(0b01100, 0b01100)]))
     assert checks.bijection(1, 11) == (
         "FAIL", "bijection n=1", "bijection n=1: no code and depth gives the size-2 code 01100")
 
 
 def test_fold_code_given_twice_fails_bijection(monkeypatch):
-    # The streamed top level ends with a second copy of its first code,
-    # whose slot is then written twice.  The images still reach every code
-    # once, but there is one code more than pairs.
+    # The streamed top level ends with a second copy of its first code.
+    # The images still reach every code once, but there is one code more
+    # than pairs.
     monkeypatch.setattr(trees, "code_levels", appended(4, [(0b101010100, 0b101010100)]))
     assert checks.bijection(3, 11) == (
         "FAIL", "bijection n=3", "bijection n=3: the fold gives the size-4 code 101010100 twice")
@@ -250,12 +251,13 @@ def test_fold_code_given_twice_fails_bijection(monkeypatch):
 
 @pytest.mark.parametrize("max_n", [3, 5])  # level 4 streamed, then stored
 def test_code_in_two_blocks_fails_bijection(max_n, monkeypatch):
-    # 1 100 11000 is a code of level 4's block 1 that also has the fixed
-    # bits of block 3, the joins with a leaf on the right.  The fold gives
-    # it there too, in place of 1 1100100 0, with a mask whose tail, bit 4
-    # and one segment, sends it back to (1100100, 0) through the inverse;
-    # and 1100100 grows at its root onto it.  Each block alone is one to
-    # one, but the level is not, and the fold gives the code twice.
+    # 1 100 11000 is a code of level 4's block 1.  The fold gives it again
+    # in block 3, the joins with a leaf on the right, in place of
+    # 1 1100100 0, with a mask whose tail, bit 4 and one segment, sends it
+    # back to (1100100, 0) through the inverse; and 1100100 grows at its
+    # root onto it.  So that image is the fold's code in order, and the
+    # inverse gives its pair back, but the mask's lowest bit is not the
+    # root's shifted left by 2, and the fold gives the code twice.
     monkeypatch.setattr(trees, "code_levels", replaced(4, 0b111001000, (0b110011000, 1 << 4)))
     monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
         0b110011000 if (code, node) == (0b1100100, 1 << 6) else image)))
@@ -265,66 +267,43 @@ def test_code_in_two_blocks_fails_bijection(max_n, monkeypatch):
 
 def test_rootless_spine_fails_bijection(monkeypatch):
     # Level 3's first code, 1010100, loses its root's bit from its mask
-    # after level 3 is checked: the pairs of one table per level then lack
-    # its root's, while the blocks of level 4 split pairs at the root, so
-    # that a block check that took the root from the level and not from
-    # the mask would pass.
+    # after the check of level 2, which reads level 3's masks.  Level 4's
+    # last block takes level 3's roots from the level, not from the masks,
+    # but level 2's pairs, read back from level 3's masks, are then one
+    # depth short at 1010100, and the replay takes level 3's pairs from
+    # its masks, without that code's root.
     monkeypatch.setattr(trees, "code_levels", rootless(3, 0b1010100))
     assert checks.bijection(3, 11) == (
         "FAIL", "bijection n=3", "bijection n=3: no code and depth gives the size-4 code 110101000")
 
 
-@pytest.mark.parametrize("n", range(1, 12))
-def test_codes_have_distinct_slots(n):
-    # A size-n code is a 1, 2n-2 free bits and two 0s, so its slot
-    # (code - 4**n) >> 2 lies in range(4 ** (n-1)).
-    *_, pieces = trees.code_levels(n)
-    codes = [code for piece, _ in pieces for code in piece]
-    assert all(code.bit_length() == 2 * n + 1 and code & 3 == 0 for code in codes)
-    slots = {(code - 4 ** n) >> 2 for code in codes}
-    assert len(slots) == len(codes)
-    assert 0 <= min(slots) and max(slots) < 4 ** (n - 1)
-
-
-def test_spine_tails_pack_in_one_byte():
-    # Level n+1's tails (bit, segments): the 2h bits above `bit`, h <= n,
-    # hold segments - 1 spine nodes, so 1 <= segments <= h + 1.  Up to
-    # n = 21 each packs into 1..255.
-    for n in range(22):
-        unpack = checks._spine_tails(n)
-        assert unpack[0] is None and len(unpack) == (n + 1) * (n + 2) // 2 + 1 <= 256
-        for h in range(n + 1):
-            for s in range(1, h + 2):
-                assert unpack[h * (h + 1) // 2 + s] == (2 * (n + 1 - h), s)
-
-
 def test_bijection_peak_memory():
-    # The dict keyed by int(code, 2) peaked at about 6.7 MiB, levels 0..10
-    # as tuples of ints at about 3.1 MiB, and one slot table of level 11's
-    # 4 ** 10 free bits at about 1.5 MiB.  Level 11's block tables, and
-    # level 10's one table, are at most 4 ** 9 bytes, 256 KiB, and with
-    # levels 0..10 as arrays the check peaks at about 0.8 MiB.
+    # Levels 0..10 as arrays of codes and masks are about 0.35 MiB, and the
+    # check holds no table, only a piece of level 10's pairs and of level
+    # 11 at a time: it peaks at about 0.53 MiB, where a slot table of up to
+    # 4 ** 9 bytes peaked at about 0.76 MiB.  The bound is the measured
+    # peak plus a third.
     tracemalloc.start()
     try:
         assert checks.bijection(10, 11)[0] == "PASS"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 ** 20
+    assert peak <= 0.7 * 2 ** 20
 
 
 def test_bijection_peak_memory_at_level_13():
-    # Levels 0..12 as arrays of codes and masks are 4.4 MiB, and level 13's
-    # largest block table is 4 ** 11 bytes, 4 MiB: the check peaks at about
-    # 8.7 MiB, where one table of the whole level, 4 ** 12 bytes, peaked at
-    # about 20.7 MiB.
+    # Levels 0..12 as arrays of codes and masks are 4.4 MiB, and the check
+    # adds a piece at a time: it peaks at about 4.8 MiB, where level 13's
+    # largest block table, 4 ** 11 bytes, took it to about 8.7 MiB.  The
+    # bound is the measured peak plus a quarter.
     tracemalloc.start()
     try:
         assert checks.bijection(12, 13)[0] == "PASS"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2 ** 20
+    assert peak <= 6 * 2 ** 20
 
 
 class _Discarded:
@@ -399,13 +378,12 @@ def test_verify_exits_3_on_broken_identities(label, monkeypatch, capsys):
 
 def test_bijection_folds_each_level_once(monkeypatch):
     # Levels 0..11 are joined once each, in order: c_1 + ... + c_11 = 82,499
-    # codes.  Levels 1..10 are checked in one table each, and the streamed
-    # level 11 a block at a time, blocks 0..10 in order: no table is larger
-    # than its end blocks', 4 ** 9 bytes.  The growth step and its inverse
-    # take level n a chunk of at most trees.PIECE codes at a time, one call
-    # each a round, and a chunk has a round per spine depth, at most n + 1,
-    # summed over the blocks: never a call per code.
-    fold, code_block, sizes, tables = trees._levels, trees._code_block, [], []
+    # codes.  Level n's pairs, c_(n+1) of them, are grown a piece of level
+    # n+1 at a time, one call of the growth step a piece: at most n + 1
+    # pieces for each chunk of trees.PIECE codes of level n, never a call
+    # per code.  The inverse takes each piece once, and once more where the
+    # piece's pairs below the root are read back from a lower level.
+    fold, code_block, sizes, levels = trees._levels, trees._code_block, [], []
 
     def counted(n, cap, leaf, block, *rest):
         for m, level in enumerate(fold(n, cap, leaf, block, *rest)):
@@ -415,92 +393,35 @@ def test_bijection_folds_each_level_once(monkeypatch):
                 level = level if m < n else iter(pieces)
             yield level
 
-    class Counted(checks._Slots):
-        def block(self, i=None):
-            super().block(i)
-            tables.append({"n": self.n, "i": i, "bytes": len(self.table),
-                           "grow": 0, "shrink": 0, "pairs": 0})
+    def pair_pieces(stored, n):
+        levels.append({"n": n, "grow": 0, "shrink": 0, "pairs": 0})
+        return checks_pair_pieces(stored, n)
 
     def grow(codes, nodes, count):
-        tables[-1]["grow"] += 1
-        tables[-1]["pairs"] += count
+        levels[-1]["grow"] += 1
+        levels[-1]["pairs"] += count
         return grow_codes(codes, nodes, count)
 
     def shrink(images, lows, segments):
-        tables[-1]["shrink"] += 1
+        levels[-1]["shrink"] += 1
         return shrink_codes(images, lows, segments)
 
+    checks_pair_pieces = checks._pair_pieces
     grow_codes, shrink_codes = trees.grow_codes, trees.shrink_codes
     monkeypatch.setattr(trees, "_levels", counted)
-    monkeypatch.setattr(checks, "_Slots", Counted)
+    monkeypatch.setattr(checks, "_pair_pieces", pair_pieces)
     monkeypatch.setattr(trees, "grow_codes", grow)
     monkeypatch.setattr(trees, "shrink_codes", shrink)
     assert checks.bijection(10, 11)[0] == "PASS"
     assert sizes == [catalan(m) for m in range(12)]
     assert sum(sizes[1:]) == 82_499
-    assert [(table["n"], table["i"]) for table in tables] == [
-        *((n, None) for n in range(10)), *((10, i) for i in range(11))]
-    assert max(table["bytes"] for table in tables) == 4 ** 9
-    for table in tables[10:]:
-        assert table["pairs"] == catalan(table["i"]) * catalan(10 - table["i"])
-    for n in range(11):
-        level, chunks = [table for table in tables if table["n"] == n], -(-catalan(n) // trees.PIECE)
-        assert sum(table["pairs"] for table in level) == catalan(n + 1)
-        assert all(table["grow"] == table["shrink"] for table in level)
-        assert sum(table["grow"] for table in level) <= chunks * (n + 1)
-    assert sum(table["grow"] for table in tables) < 200
-
-
-@pytest.mark.parametrize("n", range(9))
-def test_each_block_has_its_own_slots(n):
-    # Level n+1's block i keys a code by the free bits of its left and
-    # right subtrees: 4 ** (n-1) slots for the two end blocks, 4 ** (n-2)
-    # for the others (one at n = 0).  The bits of a code of another block
-    # may fit the block's fixed bits, but then its key is no code's of the
-    # block.
-    *_, pieces = trees.code_levels(n + 1)
-    codes = [code for piece, _ in pieces for code in piece]
-    slots, start = checks._Slots(n), 0
-    for i in range(n + 1):
-        slots.block(i)
-        stop = start + catalan(i) * catalan(n - i)
-        keys = {slots.of(code, 1)[0] for code in codes[start:stop]}
-        assert len(keys) == stop - start and max(keys) < len(slots.table)
-        assert len(slots.table) == 4 ** max(n - 1 - (0 < i < n), 0)
-        others = [code for code in codes[:start] + codes[stop:] if slots.of(code, 1) is not None]
-        assert keys.isdisjoint(slots.of(code, 1)[0] for code in others)
-        # And such a code's left subtree is not of size i.
-        assert slots.lefts_hold(trees._fields(array("Q", codes[start:stop])), stop - start)
-        assert not any(slots.lefts_hold(code, 1) for code in others)
-        start = stop
-
-
-def _left_size(code, width):
-    """The size of the left subtree of a `width`-bit code read as preorder,
-    1 internal and 0 external: where the 1s after the root first fall one
-    short of the 0s; None if they never do."""
-    excess = 0
-    for k, bit in enumerate(f"{code:0{width}b}"[1:], 1):
-        excess += 1 if bit == "1" else -1
-        if excess < 0:
-            return k // 2
-    return None
-
-
-@pytest.mark.parametrize("n", range(6))
-def test_left_sizes_tell_the_blocks_apart(n):
-    # Of every bit pattern with block i's fixed bits, those with a left
-    # subtree of size i, one at a time and all in one call.
-    width, slots = 2 * n + 3, checks._Slots(n)
-    for i in range(n + 1):
-        slots.block(i)
-        fitting = [code for code in range(1 << width) if slots.of(code, 1) is not None]
-        own = [code for code in fitting if i == 0 or _left_size(code, width) == i]
-        assert [code for code in fitting if slots.lefts_hold(code, 1)] == own
-        assert slots.lefts_hold(trees._fields(array("Q", own)), len(own))
-        for code in fitting[::7]:
-            if code not in own:
-                assert not slots.lefts_hold(trees._fields(array("Q", [*own, code])), len(own) + 1)
+    assert [level["n"] for level in levels] == list(range(11))
+    for n, level in enumerate(levels):
+        chunks = -(-catalan(n) // trees.PIECE)
+        assert level["pairs"] == catalan(n + 1)
+        assert level["grow"] <= chunks * (n + 1)
+        assert level["shrink"] <= 2 * level["grow"]
+    assert sum(level["grow"] for level in levels) < 200
 
 
 def _grid_pairs(n):
@@ -622,30 +543,93 @@ def test_verify_exits_3_on_a_zero_mask(monkeypatch, capsys):
 @pytest.mark.parametrize("code", [0b11001, 0b01100, 0b11010])
 @pytest.mark.parametrize("max_n", [3, 1])  # level 2 stored, then streamed
 def test_slotless_code_given_twice_is_not_reached(code, max_n, monkeypatch):
-    # A code that does not end in 00, or lacks its root bit, has no slot of
-    # the level's one table: given twice, it is a code that no pair gives,
-    # as at a check of one table, not a code the fold gives twice.
+    # A code that does not end in 00, or lacks its root bit, is not of a
+    # size-2 code's shape: given twice, it is a code that no pair gives,
+    # not a code the fold gives twice.
     monkeypatch.setattr(trees, "code_levels", appended(2, [(code, 0b10000)] * 2))
     assert checks.bijection(max_n, 11) == (
         "FAIL", "bijection n=1", f"bijection n=1: no code and depth gives the size-2 code {code:05b}")
 
 
 def test_replay_shares_no_rounds_with_the_check(monkeypatch):
-    # A _pairs that drops its last round fails the check of every level,
-    # and each level is refolded for the replay.  The step is one to one,
-    # and the replay, which takes its pairs itself, finds no fault there.
-    # spinestat._fault is imported afresh, as by a `verify` that fails.
-    pairs, code_levels, folds = checks._pairs, trees.code_levels, []
+    # Pairs that lack the last of their level fail the check of every
+    # level, and each level is refolded for the replay.  The step is one to
+    # one, and the replay, which takes its pairs itself, finds no fault
+    # there.  spinestat._fault is imported afresh, as by a `verify` that
+    # fails.
+    pair_pieces, code_levels, folds = checks._pair_pieces, trees.code_levels, []
+
+    def dropped(stored, n):
+        *pieces, (codes, nodes, depths) = pair_pieces(stored, n)
+        codes, nodes = (trees._fields(trees._array(fields, len(depths))[:-1])
+                        for fields in (codes, nodes))
+        return [*pieces, (codes, nodes, depths[:-1])]
 
     def counted(n, cap):
         folds.append(n)
         return code_levels(n, cap)
 
-    monkeypatch.setattr(checks, "_pairs", lambda *args: list(pairs(*args))[:-1])
+    monkeypatch.setattr(checks, "_pair_pieces", dropped)
     monkeypatch.setattr(trees, "code_levels", counted)
     monkeypatch.delitem(sys.modules, "spinestat._fault", raising=False)
     assert checks.bijection(4, 11) == ("PASS", f"{BIJECTION} (n <= 4)", "")
     assert folds == [5, 1, 2, 3, 4, 5]
+
+
+def test_one_to_one_out_of_order_passes_by_the_replay(monkeypatch):
+    # Level 2's first code, 10100, grows at its terminal leaf (depth 2) and
+    # at the spine node above it (depth 1) onto 1010100 and 1011000, level
+    # 3's first piece, here swapped, and the inverse swaps them back.  The
+    # step is one to one, but its images are out of canonical order: each
+    # level from 2 fails the check in order, and the replay, imported only
+    # then, passes it.
+    swapped = {(0b10100, 1): 0b1011000, (0b10100, 0b100): 0b1010100}
+    back = {0b1011000: (0b10100, 2), 0b1010100: (0b10100, 1)}
+    shrink = trees.shrink_codes
+
+    def planted(images, lows, segments):
+        count = len(segments)
+        codes, depths = shrink(images, lows, segments)
+        pairs = [back.get(image, pair) for image, pair in zip(
+            trees._array(images, count), zip(trees._array(codes, count), depths))]
+        return trees._fields(array("Q", (code for code, _ in pairs))), bytes(d for _, d in pairs)
+
+    monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
+        swapped.get((code, node), image))))
+    monkeypatch.setattr(trees, "shrink_codes", planted)
+    monkeypatch.delitem(sys.modules, "spinestat._fault", raising=False)
+    assert checks.bijection(4, 11) == ("PASS", f"{BIJECTION} (n <= 4)", "")
+    assert "spinestat._fault" in sys.modules
+
+
+def test_levels_above_a_replayed_level_are_replayed(monkeypatch):
+    # On a piece of more than one image, the inverse sends 1011000 back to
+    # 11000 in place of 10100: level 2 fails its check in order, and the
+    # replay, one image a call, passes it.  Read back from level 3 that
+    # way, level 2's pairs would hold (11000, node 4), which is no pair:
+    # 11000 has no spine node at bit 2.  Level 3 grows 1 0 11000 there onto
+    # 1 0 1011000, and the inverse of pieces sends that back, while the
+    # true pair (1010100, node 4) grows onto 1010100 itself.  Checked in
+    # order from those pairs, level 3 would pass without ever growing the
+    # true pair; the replay takes level 3's pairs from its masks.
+    grown = {(0b1011000, 0b100): 0b101011000, (0b1010100, 0b100): 0b1010100}
+    fake = {0b1011000: 0b11000, 0b101011000: 0b1011000}
+    shrink = trees.shrink_codes
+
+    def planted(images, lows, segments):
+        count = len(segments)
+        codes, depths = shrink(images, lows, segments)
+        if count > 1:
+            codes = trees._fields(array("Q", (fake.get(image, code) for image, code in zip(
+                trees._array(images, count), trees._array(codes, count)))))
+        return codes, depths
+
+    monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
+        grown.get((code, node), image))))
+    monkeypatch.setattr(trees, "shrink_codes", planted)
+    assert checks.bijection(3, 11) == (
+        "FAIL", "bijection n=3",
+        "bijection n=3: code 1010100 at depth 2 gives image 001010100, a duplicate or not a size-4 code")
 
 
 def test_fault_replay_peak_memory(monkeypatch):

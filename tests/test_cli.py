@@ -318,10 +318,10 @@ class TestVerifyFailures:
             " a duplicate or not a size-3 code"])
 
     # One image sent into another block of its level, onto a code that a
-    # pair of that block gives too; the details are those of the check
-    # with one table per level.  Level 3's blocks are 1010100 1011000 |
-    # 1100100 | 1101000 1110000, the last the root's: a leaf on the right.
-    # Level 3 is checked in one table; level 5, streamed, a block at a time.
+    # pair of that block gives too; the details are those of the replay,
+    # pair by pair in canonical order.  Level 3's blocks are 1010100
+    # 1011000 | 1100100 | 1101000 1110000, the last the root's: a leaf on
+    # the right.  Level 3 is stored; level 5 is streamed.
     @pytest.mark.parametrize("code, node, image, detail", [
         # Depth 1 of block 0 onto the image of 11000 at depth 1.
         (0b10100, 0b100, 0b1100100, "bijection n=2: code 11000 at depth 1 gives image 1100100"),
@@ -342,8 +342,8 @@ class TestVerifyFailures:
         # Two pairs of level 4 swap their images, across blocks 0 and 1 of
         # the streamed level 5: 101010100 and 110010100 grown at their
         # terminal leaves, at depths 4 and 3.  The inverse swaps them back:
-        # a bijection all the same, which fails its blocks' check but
-        # passes pair by pair.
+        # a bijection all the same, which fails the check in canonical
+        # order but passes pair by pair.
         swapped = {(0b101010100, 1): 0b11001010100, (0b110010100, 1): 0b10101010100}
         monkeypatch.setattr(trees, "grow_codes", each_image(lambda code, node, image: (
             swapped.get((code, node), image))))

@@ -279,6 +279,17 @@ def assert_level_wide_step(marks, masks_above):
         (code, depth) for code, _, depth in pairs]
 
 
+@cache
+def pairs_in_order(n):
+    """Level n's pairs (t, d) of tests/treeref.py's trees in the order of
+    checks.bijection: for each left size i < n, each size-i left L in
+    canonical order joined with each pair (R, d) of level n-1-i, in this
+    order, as ((L, R), d + 1); then each tree at depth 0."""
+    pairs = [((left, right), d + 1) for i in range(n) for left in enumerate_trees(i)
+             for right, d in pairs_in_order(n - 1 - i)]
+    return pairs + [(t, 0) for t in enumerate_trees(n)]
+
+
 class TestGrowthOnCodes:
     """The growth step and its inverse on int codes and spine masks are
     successors and predecessor through encode."""
@@ -342,6 +353,18 @@ class TestGrowthOnCodes:
             root, *below = map(block, successor_codes(code, mask))
             assert root == n
             assert all(image == size(t[0]) for image in below)
+        # So the pairs, block by block, each size-i left with level
+        # n-1-i's pairs in this same order, one depth deeper, and then every
+        # tree at its root, grow onto level n+1 in canonical order.
+        assert [successors(t)[d] for t, d in pairs_in_order(n)] == list(enumerate_trees(n + 1))
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_codes_have_their_shape(self, n):
+        # A size-n code is a 1, 2n-2 free bits and two 0s: the last
+        # internal node in preorder has two external children.
+        *_, pieces = code_levels(n)
+        assert all(code.bit_length() == 2 * n + 1 and code & 3 == 0
+                   for codes, _ in pieces for code in codes)
 
     @pytest.mark.parametrize("n", range(11))
     def test_level_wide_step_on_every_pair(self, n):
